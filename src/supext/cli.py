@@ -99,7 +99,7 @@ def cmd_extend(args: argparse.Namespace) -> int:
             )
             for g in obj["generators"]
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise InputError(f"malformed generators file: {exc}") from exc
     phi0 = PointFunction(ground, tuple(_parse_values(args.phi)))
     space = functionals.GeneratedSubspace(ground, gens)

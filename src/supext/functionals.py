@@ -12,12 +12,13 @@ precompositions along point maps.  Everything evaluates in exact rationals.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import (
     EqualSystems,
@@ -40,13 +41,15 @@ class PointFunction:
     values: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
-        if len(self.values) != self.ground.n:
+        vals = self.values
+        if len(vals) != self.ground.n:
             raise InputError("one value per point required")
-        object.__setattr__(self, "values", tuple(Fraction(v) for v in self.values))
+        if type(vals) is not tuple or any(type(v) is not Fraction for v in vals):
+            object.__setattr__(self, "values", tuple(v if type(v) is Fraction else Fraction(v) for v in vals))
 
     @classmethod
     def of(cls, ground: GroundSet, values: Iterable) -> "PointFunction":
-        return cls(ground, tuple(Fraction(v) for v in values))
+        return cls(ground, tuple(values))
 
     def __call__(self, x: int) -> Fraction:
         return self.values[x]
@@ -282,6 +285,41 @@ def _rand_function(rng: random.Random, ground: GroundSet) -> PointFunction:
     return PointFunction(ground, tuple(_rand_fraction(rng) for _ in ground.points()))
 
 
+class _Trial(NamedTuple):
+    """One row of inputs for the axiom check: f, g = f + inc >= f, k*f and f + c."""
+
+    f: PointFunction
+    g: PointFunction
+    scaled: tuple[tuple[Fraction, PointFunction], ...]  # (k, k*f); empty when normalized
+    c: Fraction
+    shifted: PointFunction
+
+
+@functools.lru_cache(maxsize=8)
+def _trial_table(ground: GroundSet, trials: int, seed: int, normalized: bool) -> tuple[_Trial, ...]:
+    """Every trial axiom_check draws for these settings, in its RNG order.
+
+    The inputs never depend on the functional under test, so a suite that
+    checks many terms with the same settings draws them once.  The table
+    holds ``trials`` rows; the cache keeps the last few tables.
+    """
+    rng = random.Random(seed)
+    table = []
+    for trial in range(trials):
+        f = _rand_function(rng, ground)
+        inc = tuple(abs(_rand_fraction(rng)) for _ in ground.points())
+        g = PointFunction(ground, tuple(a + b for a, b in zip(f.values, inc)))
+        scaled: tuple[tuple[Fraction, PointFunction], ...] = ()
+        if not normalized:
+            ks = [_rand_fraction(rng, -8, 8, 4)]
+            if trial == 0:
+                ks += [Fraction(0), Fraction(-1)]
+            scaled = tuple((k, f.scale(k)) for k in ks)
+        c = _rand_fraction(rng, -8, 8, 4)
+        table.append(_Trial(f, g, scaled, c, f.shift(c)))
+    return tuple(table)
+
+
 def axiom_check(
     target: Term | Callable[[PointFunction], Fraction],
     ground: GroundSet | None = None,
@@ -306,35 +344,29 @@ def axiom_check(
         if ground is None:
             raise InputError("ground required for oracle functionals")
 
-    rng = random.Random(seed)
     one = PointFunction(ground, tuple(Fraction(1) for _ in ground.points()))
 
     def run(f: PointFunction) -> Fraction:
-        return Fraction(u(f))
+        v = u(f)
+        return v if type(v) is Fraction else Fraction(v)
 
     try:
         if normalized and run(one) != 1:
             return AxiomResult(False, "normalization", {"f": one.values, "u(f)": run(one)})
-        for trial in range(trials):
-            f = _rand_function(rng, ground)
-            inc = tuple(abs(_rand_fraction(rng)) for _ in ground.points())
-            g = PointFunction(ground, tuple(a + b for a, b in zip(f.values, inc)))
+        for t in _trial_table(ground, trials, seed, normalized):
+            f = t.f
             uf = run(f)
-            if uf > run(g):
-                return AxiomResult(False, "monotonicity", {"f": f.values, "g": g.values, "u(f)": uf, "u(g)": run(g)})
-            if not normalized:
-                ks = [_rand_fraction(rng, -8, 8, 4)]
-                if trial == 0:
-                    ks += [Fraction(0), Fraction(-1)]
-                for k in ks:
-                    if run(f.scale(k)) != k * uf:
-                        return AxiomResult(
-                            False, "homogeneity", {"f": f.values, "k": k, "u(kf)": run(f.scale(k)), "k*u(f)": k * uf}
-                        )
-            c = _rand_fraction(rng, -8, 8, 4)
-            if run(f.shift(c)) != uf + c:
+            if uf > run(t.g):
+                return AxiomResult(False, "monotonicity", {"f": f.values, "g": t.g.values, "u(f)": uf, "u(g)": run(t.g)})
+            for k, kf in t.scaled:
+                if run(kf) != k * uf:
+                    return AxiomResult(
+                        False, "homogeneity", {"f": f.values, "k": k, "u(kf)": run(kf), "k*u(f)": k * uf}
+                    )
+            c = t.c
+            if run(t.shifted) != uf + c:
                 return AxiomResult(
-                    False, "weak additivity", {"f": f.values, "c": c, "u(f+c)": run(f.shift(c)), "u(f)+c": uf + c}
+                    False, "weak additivity", {"f": f.values, "c": c, "u(f+c)": run(t.shifted), "u(f)+c": uf + c}
                 )
     except Exception as exc:  # oracle blew up: report, don't propagate
         return AxiomResult(False, "error", {"exception": repr(exc)})
@@ -457,19 +489,34 @@ def s_preimage(pm: PointMap, nu: Term) -> Term:
 def _concave_sup(gamma: Fraction, pieces: list[tuple[Fraction, Fraction]]) -> Fraction | None:
     """sup over t of gamma*t + min_i(a_i*t + b_i); None means unbounded.
 
-    Concave piecewise linear: bounded iff the extreme slopes bracket zero,
-    and then the sup sits at a kink of the min-envelope (or anywhere on a
-    flat piece, so t = 0 is always a candidate).
+    With c_i = a_i + gamma this is the linear program: maximize s subject
+    to s <= c_i*t + b_i for every i.  Its dual is: minimize sum_i l_i*b_i
+    over l >= 0 with sum_i l_i = 1 and sum_i l_i*c_i = 0.  The dual is
+    feasible iff some c_i <= 0 <= c_j; otherwise the primal is unbounded.
+    The dual feasible set is the simplex cut by one more equation, a
+    polytope whose vertices have at most two nonzero weights, and by
+    strong duality the sup equals the least vertex value.  A pair c_i < 0 < c_j has weights
+    c_j/(c_j - c_i) and -c_i/(c_j - c_i) and value
+    (c_j*b_i - c_i*b_j) / (c_j - c_i); a piece with c_i = 0 has value b_i
+    alone, which is also what the pair formula gives when one slope is 0.
+    The result is the same exact Fraction as evaluating the envelope at
+    every kink, from a handful of products per bracketing pair.
     """
-    amin = min(a for a, _ in pieces)
-    amax = max(a for a, _ in pieces)
-    if gamma + amin > 0 or gamma + amax < 0:
+    down: list[tuple[Fraction, Fraction]] = []
+    up: list[tuple[Fraction, Fraction]] = []
+    for a, b in pieces:
+        c = a + gamma
+        if c <= 0:
+            down.append((c, b))
+        if c >= 0:
+            up.append((c, b))
+    if not down or not up:
         return None
-    cands = {Fraction(0)}
-    for (a1, b1), (a2, b2) in itertools.combinations(pieces, 2):
-        if a1 != a2:
-            cands.add(Fraction(b2 - b1, a1 - a2))
-    return max(gamma * t + min(a * t + b for a, b in pieces) for t in cands)
+    return min(
+        bi if ci == cj else (cj * bi - ci * bj) / (cj - ci)
+        for ci, bi in down
+        for cj, bj in up
+    )
 
 
 @dataclass(frozen=True)

@@ -14,9 +14,12 @@ from .setkit import (
     GroundSet,
     PointMap,
     SetFamily,
+    _image_bits,
+    _minimal_bits,
+    _pushforward_bits,
     canonical_key,
     is_self_dual_upclosed,
-    minimal_members,
+    up_closure,
     up_contains,
 )
 from .subbase import Subbase
@@ -47,10 +50,7 @@ class InclusionHyperspace:
         return up_contains(self.minimal, mask)
 
     def is_maximal_linked(self) -> bool:
-        fam = SetFamily.of(self.ground, self.minimal)
-        from .setkit import up_closure
-
-        return is_self_dual_upclosed(up_closure(fam))
+        return is_self_dual_upclosed(up_closure(SetFamily.of(self.ground, self.minimal)))
 
     def as_mls(self) -> MaxLinkedSystem:
         return MaxLinkedSystem(self.ground, self.minimal)
@@ -92,13 +92,10 @@ def g_map(pm: PointMap, a: InclusionHyperspace) -> InclusionHyperspace:
     """
     if a.ground != pm.dom:
         raise GroundMismatch("hyperspace does not live on the map's domain")
-    members = [b for b in pm.cod.nonempty_subsets() if a.contains(pm.preimage_mask(b))]
-    by_preimage = tuple(minimal_members(SetFamily.of(pm.cod, members)).masks)
-    images = [pm.image_mask(m) for m in a.minimal]
-    by_image = tuple(minimal_members(SetFamily.of(pm.cod, images)).masks)
-    if by_preimage != by_image:
+    by_preimage = _pushforward_bits(pm, a.minimal)
+    if by_preimage != _image_bits(pm, a.minimal):
         raise InputError("pushforward formulas disagree")
-    return InclusionHyperspace(pm.cod, by_preimage)
+    return InclusionHyperspace(pm.cod, _minimal_bits(by_preimage, pm.cod.n))
 
 
 def candidate_subbase_gx(

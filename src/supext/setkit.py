@@ -8,6 +8,7 @@ enumeration downstream deterministic and diffable.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from typing import Iterable, Iterator
@@ -182,32 +183,94 @@ def is_linked(fam: SetFamily) -> bool:
     return True
 
 
-def _supersets(mask: int, full: int) -> Iterator[int]:
-    free = full ^ mask
-    sub = free
-    while True:
-        yield mask | sub
-        if sub == 0:
-            return
-        sub = (sub - 1) & free
+@functools.lru_cache(maxsize=MAX_GROUND)
+def _lacks(n: int) -> tuple[int, ...]:
+    """Per point x, the bitset over the 2^n subsets of those not containing x.
+
+    Bit B of a family bitset stands for the subset with mask B, so
+    ``(fam & _lacks(n)[x]) << (1 << x)`` adds x to every member lacking it.
+    """
+    size = 1 << n
+    out = []
+    for x in range(n):
+        word, width = (1 << (1 << x)) - 1, 2 << x
+        while width < size:
+            word |= word << width
+            width <<= 1
+        out.append(word)
+    return tuple(out)
+
+
+def _up_bits(masks: Iterable[int], n: int) -> int:
+    """The up-closure of ``masks`` within an n-point ground, as a bitset."""
+    fam = 0
+    for m in masks:
+        fam |= 1 << m
+    for x, lacks in enumerate(_lacks(n)):
+        fam |= (fam & lacks) << (1 << x)
+    return fam
+
+
+def _minimal_bits(fam: int, n: int) -> tuple[int, ...]:
+    """The minimal members of an up-closed family bitset, in canonical order.
+
+    In an up-closed family a member is minimal iff removing any one of its
+    points leaves the family, so the non-minimal members are exactly the
+    sets T | {x} with T a member lacking x.
+    """
+    covered = 0
+    for x, lacks in enumerate(_lacks(n)):
+        covered |= (fam & lacks) << (1 << x)
+    return tuple(sorted(bits(fam & ~covered), key=canonical_key))
+
+
+def _is_self_dual_upclosed_bits(fam: int, n: int) -> bool:
+    """is_self_dual_upclosed on a family bitset.
+
+    Complementation sends bit A to bit full ^ A = 2^n - 1 - A, so the
+    complements of the members are the 2^n-bit word read backwards.
+    """
+    if fam & 1:
+        return False
+    for x, lacks in enumerate(_lacks(n)):
+        if (fam & lacks) << (1 << x) & ~fam:
+            return False
+    size = 1 << n
+    flipped = int(format(fam, f"0{size}b")[::-1], 2)
+    return fam ^ flipped == (1 << size) - 1
+
+
+@functools.lru_cache(maxsize=256)
+def _preimage_table(image: tuple[int, ...], m: int) -> tuple[int, ...]:
+    """preimage_mask(B) of the map with this image, for every B below 2^m."""
+    pm = PointMap(GroundSet(len(image)), GroundSet(m), image)
+    return tuple(pm.preimage_mask(b) for b in range(1 << m))
+
+
+def _pushforward_bits(pm: PointMap, minimal: Iterable[int]) -> int:
+    """{B : preimage(B) in the up-closure of ``minimal``}, as a bitset over pm.cod."""
+    up = _up_bits(minimal, pm.dom.n)
+    out = 0
+    for b, pre in enumerate(_preimage_table(pm.image, pm.cod.n)):
+        if up >> pre & 1:
+            out |= 1 << b
+    return out
+
+
+def _image_bits(pm: PointMap, minimal: Iterable[int]) -> int:
+    """The up-closure of {pm(F) : F in ``minimal``}, as a bitset over pm.cod."""
+    return _up_bits((pm.image_mask(m) for m in minimal), pm.cod.n)
 
 
 def up_closure(fam: SetFamily) -> SetFamily:
     """All supersets (within the ground set) of members of the family."""
-    full = fam.ground.full
-    out: set[int] = set()
-    for m in fam.masks:
-        out.update(_supersets(m, full))
-    return SetFamily.of(fam.ground, out)
+    return SetFamily.of(fam.ground, bits(_up_bits(fam.masks, fam.ground.n)))
 
 
 def minimal_members(fam: SetFamily) -> SetFamily:
     """The inclusion-minimal members; an antichain with the same up-closure."""
-    keep: list[int] = []
-    for m in fam.masks:  # canonical order: subsets precede supersets
-        if not any(k & m == k for k in keep):
-            keep.append(m)
-    return SetFamily.of(fam.ground, keep)
+    n = fam.ground.n
+    return SetFamily(fam.ground, _minimal_bits(_up_bits(fam.masks, n), n))
 
 
 def up_contains(minimal: tuple[int, ...], mask: int) -> bool:
@@ -221,19 +284,7 @@ def is_self_dual_upclosed(fam: SetFamily) -> bool:
     This is the combinatorial characterization of maximal linked
     families on a finite discrete space.
     """
-    full = fam.ground.full
-    members = set(fam.masks)
-    if 0 in members:
-        return False
-    for m in members:
-        free = full ^ m
-        for b in bits(free):
-            if m | (1 << b) not in members:
-                return False
-    for a in range(full + 1):
-        if (a in members) == ((full ^ a) in members):
-            return False
-    return True
+    return _is_self_dual_upclosed_bits(sum(1 << m for m in fam.masks), fam.ground.n)
 
 
 def family_to_json(fam: SetFamily) -> str:

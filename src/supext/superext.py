@@ -15,16 +15,18 @@ import os
 from dataclasses import dataclass
 
 from . import parallel
-from .errors import EmptySet, GroundMismatch, GroundTooLarge, NotLinked
+from .errors import EmptySet, GroundMismatch, GroundTooLarge, InputError, NotLinked
 from .setkit import (
     GroundSet,
     PointMap,
     SetFamily,
+    _image_bits,
+    _is_self_dual_upclosed_bits,
+    _minimal_bits,
+    _pushforward_bits,
     canonical_key,
     is_linked,
     is_self_dual_upclosed,
-    minimal_members,
-    popcount,
     up_closure,
     up_contains,
 )
@@ -33,7 +35,11 @@ DEFAULT_MAX_N = 7
 
 
 def enumeration_cap() -> int:
-    return int(os.environ.get("SUPEXT_MAX_N", str(DEFAULT_MAX_N)))
+    raw = os.environ.get("SUPEXT_MAX_N", str(DEFAULT_MAX_N))
+    try:
+        return int(raw)
+    except ValueError:
+        raise InputError(f"SUPEXT_MAX_N must be an integer, got {raw!r}") from None
 
 
 @dataclass(frozen=True)
@@ -202,13 +208,10 @@ def lambda_map(pm: PointMap, eta: MaxLinkedSystem) -> MaxLinkedSystem:
     """Push a system forward along a point map: {B : preimage(B) in eta}."""
     if eta.ground != pm.dom:
         raise GroundMismatch("system does not live on the map's domain")
-    members = [
-        b for b in pm.cod.nonempty_subsets() if eta.contains(pm.preimage_mask(b))
-    ]
-    out = MaxLinkedSystem(pm.cod, tuple(minimal_members(SetFamily.of(pm.cod, members)).masks))
-    if not is_self_dual_upclosed(out.full_family()):
+    fam = _pushforward_bits(pm, eta.minimal)
+    if not _is_self_dual_upclosed_bits(fam, pm.cod.n):
         raise NotLinked("pushforward is not a maximal linked system")
-    return out
+    return MaxLinkedSystem(pm.cod, _minimal_bits(fam, pm.cod.n))
 
 
 def lambda_map_image(pm: PointMap, eta: MaxLinkedSystem) -> MaxLinkedSystem:
@@ -219,10 +222,7 @@ def lambda_map_image(pm: PointMap, eta: MaxLinkedSystem) -> MaxLinkedSystem:
     """
     if eta.ground != pm.dom:
         raise GroundMismatch("system does not live on the map's domain")
-    images = [pm.image_mask(m) for m in eta.minimal]
-    return MaxLinkedSystem(
-        pm.cod, tuple(minimal_members(SetFamily.of(pm.cod, images)).masks)
-    )
+    return MaxLinkedSystem(pm.cod, _minimal_bits(_image_bits(pm, eta.minimal), pm.cod.n))
 
 
 def plus_set(f_mask: int, lam: Superextension) -> tuple[MaxLinkedSystem, ...]:

@@ -165,3 +165,41 @@ def naive_minmax(minimal: tuple[int, ...], values: list[Fraction]) -> Fraction:
             best = m
     assert best is not None
     return best
+
+
+def minimal_of(fam: frozenset[int]) -> frozenset[int]:
+    """Members with no other member inside them."""
+    return frozenset(b for b in fam if not any(a != b and a & b == a for a in fam))
+
+
+def pushforward(image: tuple[int, ...], n_cod: int, minimal: tuple[int, ...]) -> frozenset[int]:
+    """The minimal antichain of {B : f^-1(B) in the up-closure of ``minimal``},
+    scanning every subset B of the codomain."""
+    fam = up_closure_of(frozenset(minimal), len(image))
+    pushed = frozenset(
+        b
+        for b in range(1, 1 << n_cod)
+        if sum(1 << x for x, y in enumerate(image) if b >> y & 1) in fam
+    )
+    return minimal_of(pushed)
+
+
+def concave_sup_kinks(
+    gamma: Fraction, pieces: list[tuple[Fraction, Fraction]]
+) -> Fraction | None:
+    """sup over t of gamma*t + min_i(a_i*t + b_i); None means unbounded.
+
+    Concave piecewise linear: bounded iff the extreme slopes bracket zero,
+    and then the sup sits at a kink of the min-envelope (or anywhere on a
+    flat piece, so t = 0 is always a candidate).  Every pairwise kink is
+    evaluated against the whole envelope.
+    """
+    amin = min(a for a, _ in pieces)
+    amax = max(a for a, _ in pieces)
+    if gamma + amin > 0 or gamma + amax < 0:
+        return None
+    cands = {Fraction(0)}
+    for (a1, b1), (a2, b2) in combinations(pieces, 2):
+        if a1 != a2:
+            cands.add(Fraction(b2 - b1, a1 - a2))
+    return max(gamma * t + min(a * t + b for a, b in pieces) for t in cands)

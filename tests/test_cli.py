@@ -46,6 +46,12 @@ class TestEnumerate:
         code, _ = run(capsys, "enumerate", "--n", "4", "--count-only")
         assert code == 1
 
+    def test_env_cap_not_an_integer(self, capsys, monkeypatch):
+        monkeypatch.setenv("SUPEXT_MAX_N", "abc")
+        code = main(["enumerate", "--n", "3", "--count-only"])
+        err = capsys.readouterr().err
+        assert code == 2 and "SUPEXT_MAX_N" in err and "Traceback" not in err
+
     def test_ghyper(self, capsys):
         code, obj = run_json(capsys, "ghyper", "--n", "3", "--count-only")
         assert code == 0 and obj["count"] == 18
@@ -116,6 +122,14 @@ class TestExtend:
     def test_in_subspace_is_math_failure(self, capsys, tmp_path):
         code, _ = run(capsys, "extend", "--generators", self.write_gens(tmp_path), "--phi", "3,3")
         assert code == 1
+
+    @pytest.mark.parametrize("gen", [{"b": ["1", "1"], "v": "1/0"}, {"b": ["1/0", "1"], "v": "1"}])
+    def test_zero_denominator(self, capsys, tmp_path, gen):
+        f = tmp_path / "g.json"
+        f.write_text(json.dumps({"n": 2, "generators": [gen]}))
+        code = main(["extend", "--generators", str(f), "--phi", "0,1"])
+        err = capsys.readouterr().err
+        assert code == 2 and "Traceback" not in err
 
     def test_malformed_generators(self, capsys, tmp_path):
         f = tmp_path / "g.json"

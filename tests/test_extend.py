@@ -6,12 +6,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 import oracles
 from supext.errors import Inconsistent, InputError, InSubspace
 from supext.functionals import (
     GeneratedSubspace,
     PointFunction,
+    _concave_sup,
     admissible_interval,
     axiom_check,
     evaluate,
@@ -180,3 +182,18 @@ class TestSeededInstances:
                 continue
             # integer data keeps every breakpoint on the 1/100 grid
             grid_matches(((b, v),), phi0, lower, upper)
+
+
+# Small rationals with repeats, so parallel and zero slopes are common.
+rationals = st.fractions(min_value=-6, max_value=6, max_denominator=4)
+
+
+class TestConcaveSup:
+    @given(rationals, st.lists(st.tuples(rationals, rationals), min_size=1, max_size=6))
+    def test_lp_dual_matches_kink_enumeration(self, gamma, pieces):
+        assert _concave_sup(gamma, pieces) == oracles.concave_sup_kinks(gamma, pieces)
+
+    def test_flat_and_unbounded(self):
+        assert _concave_sup(F(0), [(F(0), F(3)), (F(0), F(-1))]) == -1
+        assert _concave_sup(F(1), [(F(0), F(3)), (F(1), F(-1))]) is None
+        assert _concave_sup(F(-2), [(F(1), F(0))]) is None

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import oracles
+from supext import functionals
 from supext.errors import (
     EqualSystems,
     GroundMismatch,
@@ -56,6 +57,17 @@ def eq1_grid(n: int):
     vals = (F(-1), F(0), F(1), F(2))
     g = GroundSet(n)
     return [PointFunction(g, c) for c in itertools.product(vals, repeat=n)]
+
+
+class TestPointFunction:
+    def test_converts_only_non_fractions(self):
+        half = F(1, 2)
+        f = PointFunction(GroundSet(3), [half, 2, "1/3"])
+        assert f.values == (half, F(2), F(1, 3))
+        assert type(f.values) is tuple and all(type(v) is F for v in f.values)
+        assert f.values[0] is half
+        same = (half, F(3))
+        assert PointFunction(GroundSet(2), same).values is same
 
 
 class TestPhi:
@@ -167,6 +179,53 @@ class TestAxiomCheck:
         assert not res.ok and res.axiom == "homogeneity"
         res = axiom_check(MinOver(GroundSet(2), 0b11), trials=100, seed=0)
         assert not res.ok and res.axiom == "homogeneity"
+
+    @pytest.mark.parametrize(
+        "target,ground,seed,normalized,calls,axiom,witness",
+        [
+            (
+                MinOver(GroundSet(2), 0b11), None, 0, False, 6, "homogeneity",
+                {"f": ("17/14", "-3"), "k": "-1", "u(kf)": "-17/14", "k*u(f)": "3"},
+            ),
+            (
+                MaxOver(GroundSet(2), 0b11), None, 0, False, 6, "homogeneity",
+                {"f": ("17/14", "-3"), "k": "-1", "u(kf)": "3", "k*u(f)": "-17/14"},
+            ),
+            (
+                lambda f: max(f.values) + min(f.values), GroundSet(3), 1, False, 7, "weak additivity",
+                {"f": ("-5", "0", "31/15"), "c": "-2", "u(f+c)": "-104/15", "u(f)+c": "-74/15"},
+            ),
+            (
+                # monotone except at denominators of 11: fails some 40 trials in
+                lambda f: max(f.values) + (max(f.values).denominator == 11), GroundSet(2), 0, True, 133,
+                "monotonicity",
+                {"f": ("-15", "-16/11"), "g": ("-161/12", "-120/143"), "u(f)": "-5/11", "u(g)": "-120/143"},
+            ),
+        ],
+    )
+    def test_pinned_witnesses(self, monkeypatch, target, ground, seed, normalized, calls, axiom, witness):
+        """Witnesses and evaluation counts recorded from the draw-per-term
+        sampler: the shared trial table replays the same RNG stream and
+        stops at the same trial."""
+        counted = []
+        if ground is None:
+            real = functionals.evaluate
+
+            def counting(term, f):
+                counted.append(f)
+                return real(term, f)
+
+            monkeypatch.setattr(functionals, "evaluate", counting)
+        else:
+            oracle = target
+
+            def target(f):
+                counted.append(f)
+                return oracle(f)
+
+        res = axiom_check(target, ground=ground, seed=seed, normalized=normalized)
+        got = {k: tuple(map(str, v)) if isinstance(v, tuple) else str(v) for k, v in res.witness.items()}
+        assert (res.axiom, got, len(counted)) == (axiom, witness, calls)
 
     def test_raising_oracle(self):
         def boom(f):

@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+import itertools
+
 import pytest
 
 import oracles
-from supext.errors import GroundMismatch, TooLarge
+from supext import inclusion
+from supext.errors import GroundMismatch, InputError, TooLarge
 from supext.inclusion import (
     InclusionHyperspace,
     candidate_subbase_gx,
@@ -92,6 +95,18 @@ class TestGMap:
         for s in enumerate_mls(GroundSet(3)):
             h = ih(3, s.minimal)
             assert g_map(pm, h).is_maximal_linked()
+
+    def test_matches_definitional_pushforward(self):
+        for a, b in itertools.product(range(1, 4), repeat=2):
+            for img in itertools.product(range(b), repeat=a):
+                pm = PointMap(GroundSet(a), GroundSet(b), img)
+                for h in enumerate_ih(GroundSet(a)):
+                    assert frozenset(g_map(pm, h).minimal) == oracles.pushforward(img, b, h.minimal)
+
+    def test_formula_guard_is_live(self, monkeypatch):
+        monkeypatch.setattr(inclusion, "_image_bits", lambda pm, minimal: 0)
+        with pytest.raises(InputError):
+            g_map(PointMap.identity(GroundSet(2)), ih(2, (0b01,)))
 
 
 class TestCandidateSubbase:

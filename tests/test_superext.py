@@ -1,11 +1,13 @@
 from __future__ import annotations
 
+import itertools
 import os
 import time
 
 import pytest
 
 import oracles
+from supext import superext
 from supext.errors import EmptySet, GroundTooLarge, NotLinked, PointOutOfRange
 from supext.setkit import GroundSet, PointMap, SetFamily, is_self_dual_upclosed, up_closure
 from supext.superext import (
@@ -155,6 +157,22 @@ class TestLambdaMap:
         pm = PointMap(GroundSet(4), GroundSet(3), (0, 1, 2, 1))
         for s in enumerate_mls(GroundSet(4)):
             assert lambda_map(pm, s).is_valid()
+
+    def test_matches_definitional_pushforward(self):
+        """Both formulas against the oracle, for every map between grounds
+        of size 1 to 3 and every system on the domain."""
+        for a, b in itertools.product(range(1, 4), repeat=2):
+            for img in itertools.product(range(b), repeat=a):
+                pm = PointMap(GroundSet(a), GroundSet(b), img)
+                for s in enumerate_mls(GroundSet(a)):
+                    want = oracles.pushforward(img, b, s.minimal)
+                    assert frozenset(lambda_map(pm, s).minimal) == want
+                    assert frozenset(lambda_map_image(pm, s).minimal) == want
+
+    def test_self_duality_guard_is_live(self, monkeypatch):
+        monkeypatch.setattr(superext, "_is_self_dual_upclosed_bits", lambda fam, n: False)
+        with pytest.raises(NotLinked):
+            lambda_map(PointMap.identity(GroundSet(2)), eta_point(GroundSet(2), 0))
 
 
 class TestPlusSet:
