@@ -44,6 +44,13 @@ def _parse_values(text: str) -> list[Fraction]:
         raise InputError(f"bad rational list {text!r}: {exc}") from exc
 
 
+def _worker_count(text: str) -> int:
+    workers = int(text)
+    if workers < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {workers}")
+    return workers
+
+
 def cmd_enumerate(args: argparse.Namespace) -> int:
     lam = enumerate_mls(GroundSet(args.n), workers=args.workers)
     report: dict = {"n": args.n, "count": len(lam)}
@@ -80,7 +87,7 @@ def cmd_axioms(args: argparse.Namespace) -> int:
     report = {
         "pass": res.ok,
         "axiom": res.axiom,
-        "witness": verify._fmt_witness(res.witness),
+        "witness": functionals.witness_to_obj(res.witness),
         "trials": args.trials,
         "seed": args.seed,
     }
@@ -110,12 +117,8 @@ def cmd_extend(args: argparse.Namespace) -> int:
 
 def cmd_subbase(args: argparse.Namespace) -> int:
     sb = subbase.subbase_from_json(Path(args.infile).read_text())
-    if args.check == "binary":
-        res = subbase.is_binary(sb)
-        witness = [format(m, "x") for m in res.witness] if res.witness else None
-    else:
-        res = subbase.is_normal(sb)
-        witness = [format(m, "x") for m in res.witness] if res.witness else None
+    res = subbase.is_binary(sb) if args.check == "binary" else subbase.is_normal(sb)
+    witness = [format(m, "x") for m in res.witness] if res.witness else None
     _emit({"check": args.check, "pass": res.ok, "witness": witness}, args.out)
     return EXIT_OK if res.ok else EXIT_FAIL
 
@@ -175,7 +178,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("enumerate", help="enumerate maximal linked systems")
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--count-only", action="store_true")
-    sp.add_argument("--workers", type=int, default=1)
+    sp.add_argument("--workers", type=_worker_count, default=1)
     common(sp)
     sp.set_defaults(fn=cmd_enumerate)
 
@@ -233,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n", type=int, default=3)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--trials", type=int, default=500)
-    sp.add_argument("--workers", type=int, default=1)
+    sp.add_argument("--workers", type=_worker_count, default=1)
     sp.add_argument("--format", choices=("json", "csv-summary"), default="json")
     common(sp)
     sp.set_defaults(fn=cmd_verify)
@@ -246,7 +249,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (InputError, UnknownSuite, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (InputError, UnknownSuite, OSError, json.JSONDecodeError) as exc:
         print(f"supext: input error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except SupextError as exc:

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 from .errors import (
     CarrierMismatch,
+    Check,
     InputError,
     InvalidOperator,
     NotPointFixed,
@@ -132,35 +133,25 @@ class RegularOperator:
         )
 
 
-@dataclass(frozen=True)
-class RegularCheck:
-    ok: bool
-    axiom: str | None = None
-    witness: tuple | None = None
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-def validate_regular(e: RegularOperator) -> RegularCheck:
+def validate_regular(e: RegularOperator) -> Check:
     """Exhaustive check of the three regular-operator axioms."""
     opens_x = e.domain.opens()
     tab = e.lookup()
     if sorted(tab) != sorted(opens_x):
-        return RegularCheck(False, "table must cover exactly the opens of the domain")
+        return Check(False, "table must cover exactly the opens of the domain")
     for u, eu in e.table:
         if not e.codomain.is_open(eu):
-            return RegularCheck(False, "image not open", (u, eu))
+            return Check(False, "image not open", (u, eu))
     if tab[0] != 0:
-        return RegularCheck(False, "empty set must map to the empty set", (0, tab[0]))
+        return Check(False, "empty set must map to the empty set", (0, tab[0]))
     for u, eu in e.table:
         if eu & e.x_image != e.image_mask(u):
-            return RegularCheck(False, "trace", (u, eu))
+            return Check(False, "trace", (u, eu))
     for i, (u, eu) in enumerate(e.table):
         for v, ev in e.table[i + 1 :]:
             if not u & v and eu & ev:
-                return RegularCheck(False, "disjointness", (u, v))
-    return RegularCheck(True)
+                return Check(False, "disjointness", (u, v))
+    return Check(True)
 
 
 def product_operator(parts: list[RegularOperator]) -> RegularOperator:
@@ -180,8 +171,6 @@ def product_operator(parts: list[RegularOperator]) -> RegularOperator:
 def _product2(e1: RegularOperator, e2: RegularOperator) -> RegularOperator:
     dx = e1.domain.product(e2.domain)
     dy = e1.codomain.product(e2.codomain)
-    if (1 << dx.n) > (1 << 16) or (1 << dy.n) > (1 << 16):
-        raise TooLarge("product carrier too large")
     inject = tuple(
         e1.inject[x1] * e2.codomain.n + e2.inject[x2]
         for x1 in range(e1.domain.n)

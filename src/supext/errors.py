@@ -1,4 +1,24 @@
-"""Exception hierarchy shared by all supext modules."""
+"""Exception hierarchy and the check result shared by all supext modules."""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+
+@dataclass(frozen=True)
+class Check:
+    """Outcome of a property check: it holds, or it fails with a witness.
+
+    ``axiom`` names the failed property and ``witness`` is the offending
+    input; both stay None when the check passes.
+    """
+
+    ok: bool
+    axiom: str | None = None
+    witness: object = None
+
+    def __bool__(self) -> bool:
+        return self.ok
 
 
 class SupextError(Exception):

@@ -21,6 +21,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import (
+    Check,
     EqualSystems,
     GroundMismatch,
     InputError,
@@ -29,7 +30,7 @@ from .errors import (
     NotAnExtender,
     NotSurjective,
 )
-from .setkit import GroundSet, PointMap, SetFamily, Subset, bits, canonical_key
+from .setkit import Antichain, GroundSet, PointMap, SetFamily, Subset, bits, canonical_key
 from .superext import MaxLinkedSystem, Superextension, enumerate_mls
 
 
@@ -264,17 +265,7 @@ def as_functional(term: Term) -> Callable[[PointFunction], Fraction]:
 # Axiom checking
 
 
-@dataclass(frozen=True)
-class AxiomResult:
-    ok: bool
-    axiom: str | None = None
-    witness: dict | None = None
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-PASS = AxiomResult(True)
+PASS = Check(True)
 
 
 def _rand_fraction(rng: random.Random, lo: int = -32, hi: int = 32, den: int = 16) -> Fraction:
@@ -326,7 +317,7 @@ def axiom_check(
     trials: int = 500,
     seed: int = 0,
     normalized: bool = False,
-) -> AxiomResult:
+) -> Check:
     """Seeded randomized check of the three functional axioms.
 
     Pairs f <= g are built by adding nonnegative increments; scalars
@@ -352,24 +343,24 @@ def axiom_check(
 
     try:
         if normalized and run(one) != 1:
-            return AxiomResult(False, "normalization", {"f": one.values, "u(f)": run(one)})
+            return Check(False, "normalization", {"f": one.values, "u(f)": run(one)})
         for t in _trial_table(ground, trials, seed, normalized):
             f = t.f
             uf = run(f)
             if uf > run(t.g):
-                return AxiomResult(False, "monotonicity", {"f": f.values, "g": t.g.values, "u(f)": uf, "u(g)": run(t.g)})
+                return Check(False, "monotonicity", {"f": f.values, "g": t.g.values, "u(f)": uf, "u(g)": run(t.g)})
             for k, kf in t.scaled:
                 if run(kf) != k * uf:
-                    return AxiomResult(
+                    return Check(
                         False, "homogeneity", {"f": f.values, "k": k, "u(kf)": run(kf), "k*u(f)": k * uf}
                     )
             c = t.c
             if run(t.shifted) != uf + c:
-                return AxiomResult(
+                return Check(
                     False, "weak additivity", {"f": f.values, "c": c, "u(f+c)": run(t.shifted), "u(f)+c": uf + c}
                 )
     except Exception as exc:  # oracle blew up: report, don't propagate
-        return AxiomResult(False, "error", {"exception": repr(exc)})
+        return Check(False, "error", {"exception": repr(exc)})
     return PASS
 
 
@@ -655,6 +646,19 @@ def term_to_obj(term: Term) -> dict:
     raise InputError(f"unknown term {term!r}")
 
 
+def witness_to_obj(witness: dict | None) -> dict | None:
+    """A check witness as JSON: rationals as strings, tuples as lists of strings."""
+    if witness is None:
+        return None
+    out = {}
+    for k, v in witness.items():
+        if isinstance(v, tuple):
+            out[k] = [str(x) for x in v]
+        else:
+            out[k] = str(v)
+    return out
+
+
 def term_from_obj(obj: dict, ground: GroundSet) -> Term:
     try:
         tag = obj["t"]
@@ -662,6 +666,8 @@ def term_from_obj(obj: dict, ground: GroundSet) -> Term:
             return Dirac(ground, int(obj["x"]))
         if tag == "maxmin":
             minimal = tuple(sorted((int(s, 16) for s in obj["minimal"]), key=canonical_key))
+            if not Antichain(ground, minimal).is_maximal_linked():
+                raise InputError("maxmin needs the minimal members of a maximal linked system")
             return MaxMin(MaxLinkedSystem(ground, minimal))
         if tag == "min":
             return MinOver(ground, int(obj["F"], 16))

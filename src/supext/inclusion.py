@@ -11,16 +11,13 @@ from dataclasses import dataclass
 
 from .errors import GroundMismatch, InputError, TooLarge
 from .setkit import (
+    Antichain,
     GroundSet,
     PointMap,
-    SetFamily,
     _image_bits,
     _minimal_bits,
     _pushforward_bits,
     canonical_key,
-    is_self_dual_upclosed,
-    up_closure,
-    up_contains,
 )
 from .subbase import Subbase
 from .superext import MaxLinkedSystem
@@ -29,34 +26,11 @@ MAX_IH_GROUND = 5
 
 
 @dataclass(frozen=True)
-class InclusionHyperspace:
+class InclusionHyperspace(Antichain):
     """An up-closed family of nonempty subsets, stored as its minimal antichain."""
-
-    ground: GroundSet
-    minimal: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        ms = self.minimal
-        if not ms or 0 in ms:
-            raise InputError("minimal members must be nonempty")
-        if ms != tuple(sorted(set(ms), key=canonical_key)):
-            raise InputError("minimal members must be canonically ordered")
-        for i, a in enumerate(ms):
-            for b in ms[i + 1 :]:
-                if a & b == a or a & b == b:
-                    raise InputError("minimal members must form an antichain")
-
-    def contains(self, mask: int) -> bool:
-        return up_contains(self.minimal, mask)
-
-    def is_maximal_linked(self) -> bool:
-        return is_self_dual_upclosed(up_closure(SetFamily.of(self.ground, self.minimal)))
 
     def as_mls(self) -> MaxLinkedSystem:
         return MaxLinkedSystem(self.ground, self.minimal)
-
-    def sort_key(self) -> tuple[tuple[int, int], ...]:
-        return tuple(canonical_key(m) for m in self.minimal)
 
 
 def enumerate_ih(ground: GroundSet) -> tuple[InclusionHyperspace, ...]:

@@ -21,5 +21,5 @@ def map_chunks(fn: Callable[[T], R], items: Sequence[T], workers: int) -> list[R
     try:
         with ProcessPoolExecutor(max_workers=workers) as ex:
             return list(ex.map(fn, items))
-    except (OSError, PermissionError):
+    except OSError:
         return [fn(it) for it in items]

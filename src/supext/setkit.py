@@ -11,9 +11,9 @@ from __future__ import annotations
 import functools
 import json
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import ClassVar, Iterable, Iterator
 
-from .errors import GroundTooLarge, InputError, PointOutOfRange
+from .errors import GroundTooLarge, InputError, NotLinked, PointOutOfRange
 
 # All family-level operations stay exact and fast up to this width;
 # enumeration of maximal linked systems is capped separately (see superext).
@@ -285,6 +285,47 @@ def is_self_dual_upclosed(fam: SetFamily) -> bool:
     families on a finite discrete space.
     """
     return _is_self_dual_upclosed_bits(sum(1 << m for m in fam.masks), fam.ground.n)
+
+
+@dataclass(frozen=True)
+class Antichain:
+    """An up-closed family of nonempty subsets, stored as its minimal antichain.
+
+    The members must be nonempty, canonically ordered and pairwise
+    incomparable.  A subclass that sets ``linked`` also requires them to
+    meet pairwise; the same scan over the pairs checks both rules.
+    """
+
+    ground: GroundSet
+    minimal: tuple[int, ...]
+
+    linked: ClassVar[bool] = False
+
+    def __post_init__(self) -> None:
+        ms = self.minimal
+        if not ms or 0 in ms:
+            raise InputError("minimal members must be nonempty")
+        if ms != tuple(sorted(set(ms), key=canonical_key)):
+            raise InputError("minimal members must be canonically ordered")
+        for i, a in enumerate(ms):
+            for b in ms[i + 1 :]:
+                ab = a & b
+                if ab == a or ab == b:
+                    raise InputError("minimal members must form an antichain")
+                if not ab and self.linked:
+                    raise NotLinked("minimal members must be pairwise intersecting")
+
+    def contains(self, mask: int) -> bool:
+        """Membership of a subset in the full (up-closed) family."""
+        return up_contains(self.minimal, mask)
+
+    def full_family(self) -> SetFamily:
+        return up_closure(SetFamily.of(self.ground, self.minimal))
+
+    def is_maximal_linked(self) -> bool:
+        """Whether the full family is a maximal linked system (exponential in n)."""
+        n = self.ground.n
+        return _is_self_dual_upclosed_bits(_up_bits(self.minimal, n), n)
 
 
 def family_to_json(fam: SetFamily) -> str:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .errors import InputError, InvalidOperator, TooLarge
+from .errors import Check, InputError, InvalidOperator, TooLarge
 from .setkit import bits, popcount
 
 MAX_CARRIER = 1 << 16
@@ -40,24 +40,6 @@ class Subbase:
     @property
     def full(self) -> int:
         return (1 << self.carrier) - 1
-
-
-@dataclass(frozen=True)
-class BinaryCheck:
-    ok: bool
-    witness: tuple[int, ...] | None = None  # linked members with empty intersection
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-@dataclass(frozen=True)
-class NormalCheck:
-    ok: bool
-    witness: tuple[int, int] | None = None  # disjoint pair with no screening cover
-
-    def __bool__(self) -> bool:
-        return self.ok
 
 
 def _maximal_linked_subfamilies(members: tuple[int, ...]):
@@ -88,23 +70,27 @@ def _maximal_linked_subfamilies(members: tuple[int, ...]):
     return out
 
 
-def is_binary(sb: Subbase) -> BinaryCheck:
+def is_binary(sb: Subbase) -> Check:
     """Every linked subfamily must have a common point.
 
     Only inclusion-maximal linked subfamilies are scanned: any linked
     subfamily extends to a maximal one whose intersection is no larger.
+    The witness of a failure is a linked subfamily with empty intersection.
     """
     for fam in _maximal_linked_subfamilies(sb.members):
         common = sb.full
         for m in fam:
             common &= m
         if common == 0:
-            return BinaryCheck(False, fam)
-    return BinaryCheck(True)
+            return Check(False, "binary", fam)
+    return Check(True)
 
 
-def is_normal(sb: Subbase) -> NormalCheck:
-    """Disjoint members S0, S1 need T0, T1 with S0&T1 = 0 = T0&S1 and T0|T1 = carrier."""
+def is_normal(sb: Subbase) -> Check:
+    """Disjoint members S0, S1 need T0, T1 with S0&T1 = 0 = T0&S1 and T0|T1 = carrier.
+
+    The witness of a failure is a disjoint pair (S0, S1) with no such cover.
+    """
     ms = sb.members
     for i, s0 in enumerate(ms):
         for s1 in ms[i + 1 :]:
@@ -115,8 +101,8 @@ def is_normal(sb: Subbase) -> NormalCheck:
                 for t0 in ms
                 for t1 in ms
             ):
-                return NormalCheck(False, (s0, s1))
-    return NormalCheck(True)
+                return Check(False, "normal", (s0, s1))
+    return Check(True)
 
 
 def s_hull(sb: Subbase, a: int) -> int:

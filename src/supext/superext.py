@@ -13,10 +13,12 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from typing import ClassVar
 
 from . import parallel
 from .errors import EmptySet, GroundMismatch, GroundTooLarge, InputError, NotLinked
 from .setkit import (
+    Antichain,
     GroundSet,
     PointMap,
     SetFamily,
@@ -24,11 +26,9 @@ from .setkit import (
     _is_self_dual_upclosed_bits,
     _minimal_bits,
     _pushforward_bits,
+    _up_bits,
     canonical_key,
     is_linked,
-    is_self_dual_upclosed,
-    up_closure,
-    up_contains,
 )
 
 DEFAULT_MAX_N = 7
@@ -43,38 +43,14 @@ def enumeration_cap() -> int:
 
 
 @dataclass(frozen=True)
-class MaxLinkedSystem:
-    """A maximal linked system, canonically represented by its minimal antichain."""
+class MaxLinkedSystem(Antichain):
+    """A maximal linked system, canonically represented by its minimal antichain.
 
-    ground: GroundSet
-    minimal: tuple[int, ...]
+    Construction checks that the antichain is linked (``NotLinked``
+    otherwise); ``is_maximal_linked`` checks maximality.
+    """
 
-    def __post_init__(self) -> None:
-        ms = self.minimal
-        if not ms or 0 in ms:
-            raise NotLinked("minimal members must be nonempty")
-        if ms != tuple(sorted(set(ms), key=canonical_key)):
-            raise NotLinked("minimal members must be a canonically ordered antichain")
-        for i, a in enumerate(ms):
-            for b in ms[i + 1 :]:
-                if a & b == a or a & b == b:
-                    raise NotLinked("minimal members must form an antichain")
-                if not a & b:
-                    raise NotLinked("minimal members must be pairwise intersecting")
-
-    def contains(self, mask: int) -> bool:
-        """Membership of a subset in the full (up-closed) system."""
-        return up_contains(self.minimal, mask)
-
-    def full_family(self) -> SetFamily:
-        return up_closure(SetFamily.of(self.ground, self.minimal))
-
-    def is_valid(self) -> bool:
-        """Full check of the defining invariant (exponential in n)."""
-        return is_self_dual_upclosed(self.full_family())
-
-    def sort_key(self) -> tuple[tuple[int, int], ...]:
-        return tuple(canonical_key(m) for m in self.minimal)
+    linked: ClassVar[bool] = True
 
 
 @dataclass(frozen=True)
@@ -106,35 +82,28 @@ def _pair_order(n: int) -> list[tuple[int, int]]:
     return pairs
 
 
-def _complete_all(pairs: list[tuple[int, int]], chosen: list[int], idx: int, out: list[tuple[int, ...]]) -> None:
-    if idx == len(pairs):
+def _backtrack(pairs: list[tuple[int, int]], chosen: list[int], stop: int, out: list[tuple[int, ...]]) -> None:
+    """Append every linked extension of ``chosen`` by one side of each pair up to index ``stop``."""
+    idx = len(chosen)
+    if idx == stop:
         out.append(tuple(chosen))
         return
     for s in pairs[idx]:
         if all(s & c for c in chosen):
             chosen.append(s)
-            _complete_all(pairs, chosen, idx + 1, out)
+            _backtrack(pairs, chosen, stop, out)
             chosen.pop()
 
 
-def _antichain_of(chosen: tuple[int, ...], full: int) -> tuple[int, ...]:
-    if not chosen:  # n = 1: the only system is {X}
-        return (full,)
-    keep: list[int] = []
-    for m in sorted(chosen, key=canonical_key):
-        if not any(k & m == k for k in keep):
-            keep.append(m)
-    return tuple(keep)
-
-
 def _enum_subtree(args: tuple[int, tuple[int, ...]]) -> list[tuple[int, ...]]:
-    """Worker: complete all assignments below a fixed prefix of pair choices."""
+    """Worker: the minimal antichains of all assignments below a fixed prefix of pair choices."""
     n, prefix = args
     pairs = _pair_order(n)
     full = (1 << n) - 1
     leaves: list[tuple[int, ...]] = []
-    _complete_all(pairs, list(prefix), len(prefix), leaves)
-    return [_antichain_of(leaf, full) for leaf in leaves]
+    _backtrack(pairs, list(prefix), len(pairs), leaves)
+    # leaves omit the full set, the only member when n = 1
+    return [_minimal_bits(_up_bits(leaf + (full,), n), n) for leaf in leaves]
 
 
 _SPLIT_DEPTH = 2
@@ -151,24 +120,12 @@ def enumerate_mls(ground: GroundSet, workers: int = 1) -> Superextension:
     if ground.n > cap:
         raise GroundTooLarge(f"enumeration capped at n <= {cap} (set SUPEXT_MAX_N to override)")
     pairs = _pair_order(ground.n)
-    depth = min(_SPLIT_DEPTH, len(pairs))
     prefixes: list[tuple[int, ...]] = []
-    _enum_prefixes(pairs, depth, [], prefixes)
+    _backtrack(pairs, [], min(_SPLIT_DEPTH, len(pairs)), prefixes)
     results = parallel.map_chunks(_enum_subtree, [(ground.n, p) for p in prefixes], workers)
     antichains = sorted({ac for chunk in results for ac in chunk})
     systems = tuple(MaxLinkedSystem(ground, ac) for ac in antichains)
     return Superextension(ground, systems)
-
-
-def _enum_prefixes(pairs: list[tuple[int, int]], depth: int, chosen: list[int], out: list[tuple[int, ...]]) -> None:
-    if len(chosen) == depth:
-        out.append(tuple(chosen))
-        return
-    for s in pairs[len(chosen)]:
-        if all(s & c for c in chosen):
-            chosen.append(s)
-            _enum_prefixes(pairs, depth, chosen, out)
-            chosen.pop()
 
 
 def eta_point(ground: GroundSet, x: int) -> MaxLinkedSystem:
@@ -187,21 +144,16 @@ def complete_linked(fam: SetFamily) -> MaxLinkedSystem:
     """
     if not is_linked(fam) or 0 in fam.masks:
         raise NotLinked("input family must be linked and free of the empty set")
+    n = fam.ground.n
     chosen = list(fam.masks)
-    full = fam.ground.full
-    if full not in chosen:
-        chosen.append(full)
-    for a, b in _pair_order(fam.ground.n):
+    if fam.ground.full not in chosen:
+        chosen.append(fam.ground.full)
+    for a, b in _pair_order(n):
         lo, hi = (a, b) if a < b else (b, a)
-        if any(not lo & c for c in chosen):
-            pick = hi
-        elif any(not hi & c for c in chosen):
-            pick = lo
-        else:
-            pick = lo
+        pick = hi if any(not lo & c for c in chosen) else lo
         if pick not in chosen:
             chosen.append(pick)
-    return MaxLinkedSystem(fam.ground, _antichain_of(tuple(chosen), full))
+    return MaxLinkedSystem(fam.ground, _minimal_bits(_up_bits(chosen, n), n))
 
 
 def lambda_map(pm: PointMap, eta: MaxLinkedSystem) -> MaxLinkedSystem:

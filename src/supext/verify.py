@@ -1,7 +1,9 @@
 """Named verification suites behind the `supext verify` command.
 
-Every suite returns a machine-readable report; reports are byte-identical
-across runs and worker counts for equal configurations.
+Every suite takes the ground size n and the keyword options workers, seed
+and trials, ignoring those it has no use for.  It returns a
+machine-readable report; reports are byte-identical across runs and worker
+counts for equal configurations.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from .functionals import (
     Term,
     axiom_check,
     term_to_obj,
+    witness_to_obj,
 )
 from .inclusion import enumerate_ih, g_map
 from .setkit import GroundSet, PointMap, bits, popcount
@@ -74,7 +77,7 @@ def _eq1_chunk(args: tuple[int, tuple[tuple[int, ...], ...]]) -> tuple[int, list
     return checks, failures
 
 
-def suite_eq1(n: int, workers: int = 1) -> dict:
+def suite_eq1(n: int, workers: int = 1, **_: int) -> dict:
     lam = enumerate_mls(GroundSet(n), workers=workers)
     antichains = [eta.minimal for eta in lam.systems]
     chunks = [tuple(antichains[i::workers]) for i in range(max(workers, 1))]
@@ -86,7 +89,7 @@ def suite_eq1(n: int, workers: int = 1) -> dict:
     return {"checks_run": checks, "failures": failures}
 
 
-def suite_counts(n: int, workers: int = 1) -> dict:
+def suite_counts(n: int, workers: int = 1, **_: int) -> dict:
     expected = EXPECTED_MLS_COUNTS.get(n)
     actual = len(enumerate_mls(GroundSet(n), workers=workers))
     failures = []
@@ -135,19 +138,9 @@ def term_zoo(ground: GroundSet) -> list[Term]:
     return terms
 
 
-def _fmt_witness(witness: dict | None) -> dict | None:
-    if witness is None:
-        return None
-    out = {}
-    for k, v in witness.items():
-        if isinstance(v, tuple):
-            out[k] = [str(x) for x in v]
-        else:
-            out[k] = str(v)
-    return out
-
-
-def suite_axioms(n: int, seed: int = 0, trials: int = 500, terms: list[Term] | None = None) -> dict:
+def suite_axioms(
+    n: int, seed: int = 0, trials: int = 500, terms: list[Term] | None = None, **_: int
+) -> dict:
     ground = GroundSet(n)
     if terms is None:
         terms = term_zoo(ground)
@@ -156,7 +149,7 @@ def suite_axioms(n: int, seed: int = 0, trials: int = 500, terms: list[Term] | N
         res = axiom_check(term, trials=trials, seed=seed)
         if not res.ok:
             failures.append(
-                {"term": term_to_obj(term), "axiom": res.axiom, "witness": _fmt_witness(res.witness)}
+                {"term": term_to_obj(term), "axiom": res.axiom, "witness": witness_to_obj(res.witness)}
             )
     return {"checks_run": len(terms), "failures": failures}
 
@@ -165,7 +158,7 @@ def _all_maps(a: GroundSet, b: GroundSet) -> list[PointMap]:
     return [PointMap(a, b, img) for img in itertools.product(range(b.n), repeat=a.n)]
 
 
-def suite_functor_laws(n: int, workers: int = 1) -> dict:
+def suite_functor_laws(n: int, workers: int = 1, **_: int) -> dict:
     cap = min(n, 3)
     grounds = [GroundSet(k) for k in range(1, cap + 1)]
     lams = {g.n: enumerate_mls(g) for g in grounds}
@@ -218,7 +211,7 @@ def lambda_plus_subbase(n: int, workers: int = 1) -> Subbase:
     return Subbase(len(lam.systems), tuple(m for m in members if m))
 
 
-def suite_subbase_lambda(n: int, workers: int = 1) -> dict:
+def suite_subbase_lambda(n: int, workers: int = 1, **_: int) -> dict:
     sb = lambda_plus_subbase(n, workers=workers)
     failures = []
     b = is_binary(sb)
@@ -253,7 +246,7 @@ def standard_operators() -> list[tuple[str, RegularOperator]]:
     return ops
 
 
-def suite_usco_roundtrip(n: int = 0, workers: int = 1) -> dict:
+def suite_usco_roundtrip(n: int = 0, workers: int = 1, **_: int) -> dict:
     checks = 0
     failures: list[dict] = []
     for name, e in standard_operators():
@@ -280,7 +273,7 @@ def suite_usco_roundtrip(n: int = 0, workers: int = 1) -> dict:
 SUITES = {
     "counts": suite_counts,
     "eq1": suite_eq1,
-    "axioms": None,  # dispatched separately: takes seed/trials
+    "axioms": suite_axioms,
     "functor-laws": suite_functor_laws,
     "subbase-lambda": suite_subbase_lambda,
     "usco-roundtrip": suite_usco_roundtrip,
@@ -292,10 +285,7 @@ def run_verify_suite(
 ) -> dict:
     if suite not in SUITES:
         raise UnknownSuite(f"unknown suite {suite!r}; choose from {sorted(SUITES)}")
-    if suite == "axioms":
-        body = suite_axioms(n, seed=seed, trials=trials)
-    else:
-        body = SUITES[suite](n, workers=workers)
+    body = SUITES[suite](n, workers=workers, seed=seed, trials=trials)
     report = {"suite": suite, "anchor": ANCHORS[suite], "n": n}
     report.update(body)
     return report

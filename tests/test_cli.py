@@ -85,15 +85,25 @@ class TestEvalAxioms:
         code, obj = run_json(capsys, "axioms", "--term", str(t), "--n", "2")
         assert code == 1 and obj["pass"] is False and obj["witness"]
 
-    def test_missing_file(self, capsys):
-        code, _ = run(capsys, "eval", "--term", "/nonexistent.json", "--f", "0,1")
-        assert code == 2
+    def test_missing_file(self, capsys, tmp_path):
+        for term in ("/nonexistent.json", str(tmp_path)):
+            code, _ = run(capsys, "eval", "--term", term, "--f", "0,1")
+            assert code == 2
 
     def test_malformed_term(self, capsys, tmp_path):
         t = tmp_path / "t.json"
         t.write_text('{"t": "nope"}')
         code, _ = run(capsys, "eval", "--term", str(t), "--f", "0,1")
         assert code == 2
+
+    @pytest.mark.parametrize("minimal", [["3"], ["1", "3"]], ids=["not-maximal", "not-antichain"])
+    def test_maxmin_not_maximal_linked(self, capsys, tmp_path, minimal):
+        t = tmp_path / "t.json"
+        t.write_text(json.dumps({"t": "maxmin", "minimal": minimal}))
+        for argv in (["eval", "--f", "0,0,5"], ["axioms", "--n", "3"]):
+            code = main(argv + ["--term", str(t)])
+            err = capsys.readouterr().err
+            assert code == 2 and "input error" in err
 
     def test_bad_rational_list(self, capsys, tmp_path):
         t = tmp_path / "t.json"
@@ -214,6 +224,14 @@ class TestVerify:
             assert main(["verify", "--suite", suite, "--n", "4", "--workers", w, "--out", str(f)]) == 0
             outs.append(f.read_bytes())
         assert outs[0] == outs[1] == outs[2]
+
+    @pytest.mark.parametrize("workers", ["0", "-1"])
+    @pytest.mark.parametrize("command", ["enumerate --n 4", "verify --suite eq1 --n 4"])
+    def test_workers_below_one(self, capsys, command, workers):
+        with pytest.raises(SystemExit) as exc:
+            main(command.split() + ["--workers", workers])
+        err = capsys.readouterr().err
+        assert exc.value.code == 2 and "--workers" in err and "Traceback" not in err
 
     def test_axioms_determinism_same_seed(self, tmp_path):
         outs = []

@@ -57,7 +57,7 @@ class TestEnumerate:
             if h.is_maximal_linked():
                 assert h.minimal in mls_antichains
                 hit.add(h.minimal)
-                assert h.as_mls().is_valid()
+                assert h.as_mls().is_maximal_linked()
         assert hit == mls_antichains
 
 

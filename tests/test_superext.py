@@ -8,7 +8,7 @@ import pytest
 
 import oracles
 from supext import superext
-from supext.errors import EmptySet, GroundTooLarge, NotLinked, PointOutOfRange
+from supext.errors import EmptySet, GroundTooLarge, InputError, NotLinked, PointOutOfRange
 from supext.setkit import GroundSet, PointMap, SetFamily, is_self_dual_upclosed, up_closure
 from supext.superext import (
     EXPECTED_MLS_COUNTS,
@@ -58,7 +58,7 @@ class TestEnumerate:
 
     def test_all_valid_and_distinct(self):
         lam = enumerate_mls(GroundSet(4))
-        assert all(s.is_valid() for s in lam)
+        assert all(s.is_maximal_linked() for s in lam)
         assert len({s.minimal for s in lam}) == len(lam)
 
     def test_cap(self):
@@ -80,6 +80,17 @@ class TestEnumerate:
         base = [s.minimal for s in enumerate_mls(GroundSet(5))]
         for w in (2, 8):
             assert [s.minimal for s in enumerate_mls(GroundSet(5), workers=w)] == base
+
+
+class TestConstruction:
+    @pytest.mark.parametrize(
+        "minimal,error",
+        [((), InputError), ((0b110, 0b001), InputError), ((0b001, 0b011), InputError), ((0b001, 0b010), NotLinked)],
+        ids=["empty", "unordered", "not-antichain", "not-linked"],
+    )
+    def test_rejects(self, minimal, error):
+        with pytest.raises(error):
+            mls(3, minimal)
 
 
 class TestEtaPoint:
@@ -111,7 +122,7 @@ class TestCompleteLinked:
             for s in lam:
                 fam = SetFamily.of(GroundSet(n), s.minimal)
                 done = complete_linked(fam)
-                assert done.is_valid()
+                assert done.is_maximal_linked()
                 assert set(fam.masks) <= set(done.full_family().masks)
 
     def test_not_linked(self):
@@ -156,7 +167,7 @@ class TestLambdaMap:
     def test_output_valid(self):
         pm = PointMap(GroundSet(4), GroundSet(3), (0, 1, 2, 1))
         for s in enumerate_mls(GroundSet(4)):
-            assert lambda_map(pm, s).is_valid()
+            assert lambda_map(pm, s).is_maximal_linked()
 
     def test_matches_definitional_pushforward(self):
         """Both formulas against the oracle, for every map between grounds
