@@ -25,8 +25,12 @@ class SupextError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class GroundTooLarge(SupextError):
-    pass
+class InputError(SupextError):
+    """Malformed input file or CLI argument."""
+
+
+class GroundTooLarge(InputError):
+    """A ground set size below 1 or above a size cap."""
 
 
 class PointOutOfRange(SupextError):
@@ -87,7 +91,3 @@ class NotPointFixed(SupextError):
 
 class UnknownSuite(SupextError):
     pass
-
-
-class InputError(SupextError):
-    """Malformed input file or CLI argument."""

@@ -291,9 +291,10 @@ def is_self_dual_upclosed(fam: SetFamily) -> bool:
 class Antichain:
     """An up-closed family of nonempty subsets, stored as its minimal antichain.
 
-    The members must be nonempty, canonically ordered and pairwise
-    incomparable.  A subclass that sets ``linked`` also requires them to
-    meet pairwise; the same scan over the pairs checks both rules.
+    The members must be nonempty subsets of the ground set, canonically
+    ordered and pairwise incomparable.  A subclass that sets ``linked``
+    also requires them to meet pairwise; the same scan over the pairs
+    checks both rules.
     """
 
     ground: GroundSet
@@ -303,11 +304,14 @@ class Antichain:
 
     def __post_init__(self) -> None:
         ms = self.minimal
-        if not ms or 0 in ms:
-            raise InputError("minimal members must be nonempty")
+        if not ms:
+            raise InputError("an antichain needs at least one member")
         if ms != tuple(sorted(set(ms), key=canonical_key)):
             raise InputError("minimal members must be canonically ordered")
+        full = self.ground.full
         for i, a in enumerate(ms):
+            if not 0 < a <= full:
+                raise InputError(f"member {a:#x} is empty or leaves the ground set")
             for b in ms[i + 1 :]:
                 ab = a & b
                 if ab == a or ab == b:

@@ -22,7 +22,7 @@ from .embed import (
     usco_from_regular,
     validate_regular,
 )
-from .errors import UnknownSuite
+from .errors import InputError, UnknownSuite
 from .functionals import (
     Convex,
     Dirac,
@@ -37,7 +37,7 @@ from .functionals import (
     witness_to_obj,
 )
 from .inclusion import enumerate_ih, g_map
-from .setkit import GroundSet, PointMap, bits, popcount
+from .setkit import GroundSet, PointMap, popcount
 from .subbase import Subbase, is_binary, is_normal
 from .superext import (
     EXPECTED_MLS_COUNTS,
@@ -59,28 +59,48 @@ EQ1_GRID = (-1, 0, 1, 2)
 
 
 def _eq1_chunk(args: tuple[int, tuple[tuple[int, ...], ...]]) -> tuple[int, list[dict]]:
-    """Worker: exchange identity over the full grid for a chunk of systems."""
+    """Worker: exchange identity over the full grid for a chunk of systems.
+
+    ``lo[m]`` and ``hi[m]`` hold min_m f and max_m f for every grid point f,
+    each built from the column of m without its lowest point.  A system's
+    max-min column is then the elementwise max of its members' ``lo``
+    columns, and its min-max column the elementwise min of their ``hi``.
+    """
     n, antichains = args
     failures: list[dict] = []
-    checks = 0
     grid = list(itertools.product(EQ1_GRID, repeat=n))
+    lo: list[list[int]] = [[]] * (1 << n)
+    hi: list[list[int]] = [[]] * (1 << n)
+    for m in range(1, 1 << n):
+        low = m & -m
+        if m == low:
+            x = low.bit_length() - 1
+            lo[m] = hi[m] = [f[x] for f in grid]
+        else:
+            lo[m] = list(map(min, lo[low], lo[m ^ low]))
+            hi[m] = list(map(max, hi[low], hi[m ^ low]))
     for minimal in antichains:
-        supports = [tuple(bits(m)) for m in minimal]
-        for f in grid:
-            checks += 1
-            mm = max(min(f[x] for x in s) for s in supports)
-            nm = min(max(f[x] for x in s) for s in supports)
-            if mm != nm:
-                failures.append(
-                    {"system": [format(m, "x") for m in minimal], "f": list(f)}
-                )
-    return checks, failures
+        # map(max, col) would call max() on single ints
+        if len(minimal) == 1:
+            mm, nm = lo[minimal[0]], hi[minimal[0]]
+        else:
+            mm = list(map(max, *(lo[m] for m in minimal)))
+            nm = list(map(min, *(hi[m] for m in minimal)))
+        if mm != nm:
+            failures.extend(
+                {"system": [format(m, "x") for m in minimal], "f": list(f)}
+                for f, a, b in zip(grid, mm, nm)
+                if a != b
+            )
+    return len(grid) * len(antichains), failures
 
 
 def suite_eq1(n: int, workers: int = 1, **_: int) -> dict:
+    if workers < 1:
+        raise InputError(f"workers must be at least 1, got {workers}")
     lam = enumerate_mls(GroundSet(n), workers=workers)
     antichains = [eta.minimal for eta in lam.systems]
-    chunks = [tuple(antichains[i::workers]) for i in range(max(workers, 1))]
+    chunks = [tuple(antichains[i::workers]) for i in range(workers)]
     results = parallel.map_chunks(_eq1_chunk, [(n, c) for c in chunks if c], workers)
     checks = sum(c for c, _ in results)
     failures = sorted(

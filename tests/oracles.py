@@ -8,7 +8,7 @@ so it shares no code path with the implementations under test.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 
 def popcount(mask: int) -> int:
@@ -203,3 +203,25 @@ def concave_sup_kinks(
         if a1 != a2:
             cands.add(Fraction(b2 - b1, a1 - a2))
     return max(gamma * t + min(a * t + b for a, b in pieces) for t in cands)
+
+
+def eq1_chunk_literal(
+    args: tuple[int, tuple[tuple[int, ...], ...]], values: tuple[int, ...]
+) -> tuple[int, list[dict]]:
+    """The exchange-identity chunk worker written as the plain loop: max-min
+    and min-max recomputed from the members' points at every grid point."""
+    n, antichains = args
+    failures: list[dict] = []
+    checks = 0
+    grid = list(product(values, repeat=n))
+    for minimal in antichains:
+        supports = [[x for x in range(n) if m >> x & 1] for m in minimal]
+        for f in grid:
+            checks += 1
+            mm = max(min(f[x] for x in s) for s in supports)
+            nm = min(max(f[x] for x in s) for s in supports)
+            if mm != nm:
+                failures.append(
+                    {"system": [format(m, "x") for m in minimal], "f": list(f)}
+                )
+    return checks, failures

@@ -44,7 +44,23 @@ class TestEnumerate:
     def test_env_cap(self, capsys, monkeypatch):
         monkeypatch.setenv("SUPEXT_MAX_N", "3")
         code, _ = run(capsys, "enumerate", "--n", "4", "--count-only")
-        assert code == 1
+        assert code == 2
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            "enumerate --n 0",
+            "enumerate --n 20",
+            "verify --suite counts --n 9",
+            "verify --suite eq1 --n 8",
+        ],
+    )
+    def test_bad_size(self, capsys, monkeypatch, command):
+        monkeypatch.delenv("SUPEXT_MAX_N", raising=False)
+        code = main(command.split())
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "input error" in captured.err and "Traceback" not in captured.err
 
     def test_env_cap_not_an_integer(self, capsys, monkeypatch):
         monkeypatch.setenv("SUPEXT_MAX_N", "abc")
@@ -89,6 +105,13 @@ class TestEvalAxioms:
         for term in ("/nonexistent.json", str(tmp_path)):
             code, _ = run(capsys, "eval", "--term", term, "--f", "0,1")
             assert code == 2
+
+    def test_empty_values(self, capsys, tmp_path):
+        t = tmp_path / "t.json"
+        t.write_text(term_to_json(Dirac(GroundSet(1), 0)))
+        code = main(["eval", "--term", str(t), "--f", ""])
+        err = capsys.readouterr().err
+        assert code == 2 and "input error" in err
 
     def test_malformed_term(self, capsys, tmp_path):
         t = tmp_path / "t.json"

@@ -43,6 +43,10 @@ class TestEnumerate:
         got = {h.minimal for h in enumerate_ih(GroundSet(2))}
         assert got == {(0b01,), (0b10,), (0b11,), (0b01, 0b10)}
 
+    def test_rejects_member_outside_ground(self):
+        with pytest.raises(InputError):
+            ih(2, (0b1000,))
+
     def test_cap(self):
         with pytest.raises(TooLarge):
             enumerate_ih(GroundSet(6))

@@ -43,6 +43,8 @@ CASES = [
     ("verify --suite eq1 --n 2", 0, "4a75c30fff04ed960e2330330126de0c35b8fabe19358a25db46ea9a69194921"),
     ("verify --suite eq1 --n 3", 0, "e2baad613e311571c59e64d306af6c80b70d627dad0fc94a0ddabbe48629b96c"),
     ("verify --suite eq1 --n 4", 0, "55da957f881442e31fb594512690fc080bcf2432a75772e8d0b945ba9f2ae60a"),
+    ("verify --suite eq1 --n 5 --workers 1", 0, "173b5a26d0a85093aa087d2b64d5079781f826780e8df16e664d6c218d0e428a"),
+    ("verify --suite eq1 --n 5 --workers 2", 0, "173b5a26d0a85093aa087d2b64d5079781f826780e8df16e664d6c218d0e428a"),
     ("verify --suite functor-laws --n 1", 0, "c545dd77108920f9e13acd10546f0ef72f0fa27291ef6a5d83977de5000c2fa4"),
     ("verify --suite functor-laws --n 2", 0, "deb59b5205c0ab2c3e3fee2688faed7b00d066a8d8e551c6733afd2157b3def5"),
     ("verify --suite functor-laws --n 3", 0, "0a1b2850c3e6d460a15c84e0057605532a5aeb5b6a1cb8884e0bdd04b794ff0d"),

@@ -92,6 +92,10 @@ class TestConstruction:
         with pytest.raises(error):
             mls(3, minimal)
 
+    def test_rejects_member_outside_ground(self):
+        with pytest.raises(InputError):
+            mls(2, (0b100,))
+
 
 class TestEtaPoint:
     def test_examples(self):

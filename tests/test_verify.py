@@ -1,0 +1,54 @@
+from __future__ import annotations
+
+import os
+
+import pytest
+from hypothesis import given, strategies as st
+
+import oracles
+from supext.errors import InputError
+from supext.verify import EQ1_GRID, _eq1_chunk, suite_eq1
+
+
+@st.composite
+def antichain_chunk(draw):
+    """A ground size n <= 4 and a few antichains on it, linked or not."""
+    n = draw(st.integers(min_value=1, max_value=4))
+    full = (1 << n) - 1
+    sets = st.lists(st.integers(min_value=1, max_value=full), min_size=1, max_size=5)
+    chunk = []
+    for masks in draw(st.lists(sets, max_size=4)):
+        minimal = oracles.minimal_of(frozenset(masks))
+        chunk.append(tuple(sorted(minimal, key=lambda m: (oracles.popcount(m), m))))
+    return n, tuple(chunk)
+
+
+class TestEq1Chunk:
+    @given(antichain_chunk())
+    def test_matches_literal_loop(self, args):
+        assert _eq1_chunk(args) == oracles.eq1_chunk_literal(args, EQ1_GRID)
+
+    @pytest.mark.parametrize(
+        "args",
+        [(2, ((0b01, 0b10),)), (3, ((0b011,), (0b011, 0b101, 0b110), (0b001, 0b110))), (1, ())],
+        ids=["disjoint-pair", "mixed", "empty-chunk"],
+    )
+    def test_failures_match_literal_loop(self, args):
+        got = _eq1_chunk(args)
+        assert got == oracles.eq1_chunk_literal(args, EQ1_GRID)
+        assert got[0] == len(args[1]) * len(EQ1_GRID) ** args[0]
+
+
+class TestSuiteEq1:
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_workers_below_one(self, workers):
+        with pytest.raises(InputError):
+            suite_eq1(3, workers=workers)
+
+    @pytest.mark.skipif(
+        not os.environ.get("SUPEXT_RUN_SLOW"),
+        reason="eq1 at n=6 takes about ten seconds; set SUPEXT_RUN_SLOW=1 to run",
+    )
+    def test_n6(self):
+        body = suite_eq1(6)
+        assert body == {"checks_run": 10_838_016, "failures": []}
