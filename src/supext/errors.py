@@ -33,8 +33,8 @@ class GroundTooLarge(InputError):
     """A ground set size below 1 or above a size cap."""
 
 
-class PointOutOfRange(SupextError):
-    pass
+class PointOutOfRange(InputError):
+    """A point or a subset mask outside the ground set."""
 
 
 class GroundMismatch(SupextError):
@@ -69,8 +69,8 @@ class NotAnExtender(SupextError):
     pass
 
 
-class TooLarge(SupextError):
-    pass
+class TooLarge(InputError):
+    """An input above one of the size caps of an exponential search."""
 
 
 class InvalidOperator(SupextError):

@@ -17,6 +17,7 @@ from .setkit import (
     _image_bits,
     _minimal_bits,
     _pushforward_bits,
+    _up_bits,
     canonical_key,
 )
 from .subbase import Subbase
@@ -25,7 +26,7 @@ from .superext import MaxLinkedSystem
 MAX_IH_GROUND = 5
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class InclusionHyperspace(Antichain):
     """An up-closed family of nonempty subsets, stored as its minimal antichain."""
 
@@ -37,23 +38,26 @@ def enumerate_ih(ground: GroundSet) -> tuple[InclusionHyperspace, ...]:
     """All inclusion hyperspaces, via antichains of nonempty subsets."""
     if ground.n > MAX_IH_GROUND:
         raise TooLarge(f"hyperspace enumeration capped at n <= {MAX_IH_GROUND}")
+    n = ground.n
     subsets = sorted(ground.nonempty_subsets(), key=canonical_key)
+    supersets = [_up_bits((s,), n) for s in range(1 << n)]
     out: list[tuple[int, ...]] = []
 
-    def extend(start: int, chain: list[int]) -> None:
+    def extend(start: int, chain: list[int], up: int) -> None:
+        # ``up`` is the up-closure of ``chain`` as a bitset over the subsets
         if chain:
             out.append(tuple(chain))
         for i in range(start, len(subsets)):
             s = subsets[i]
             # canonical order never puts a superset before its subsets,
             # so only the superset direction needs exclusion
-            if any(c & s == c for c in chain):
+            if up >> s & 1:
                 continue
             chain.append(s)
-            extend(i + 1, chain)
+            extend(i + 1, chain, up | supersets[s])
             chain.pop()
 
-    extend(0, [])
+    extend(0, [], 0)
     out.sort()
     return tuple(InclusionHyperspace(ground, ac) for ac in out)
 

@@ -287,7 +287,7 @@ def is_self_dual_upclosed(fam: SetFamily) -> bool:
     return _is_self_dual_upclosed_bits(sum(1 << m for m in fam.masks), fam.ground.n)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Antichain:
     """An up-closed family of nonempty subsets, stored as its minimal antichain.
 

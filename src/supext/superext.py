@@ -11,9 +11,11 @@ pairs ordered small-side-first so the hardest constraints land early.
 
 from __future__ import annotations
 
+import functools
 import os
 from dataclasses import dataclass
-from typing import ClassVar
+from operator import attrgetter
+from typing import ClassVar, Iterator
 
 from . import parallel
 from .errors import EmptySet, GroundMismatch, GroundTooLarge, InputError, NotLinked
@@ -27,6 +29,7 @@ from .setkit import (
     _minimal_bits,
     _pushforward_bits,
     _up_bits,
+    bits,
     canonical_key,
     is_linked,
 )
@@ -42,7 +45,7 @@ def enumeration_cap() -> int:
         raise InputError(f"SUPEXT_MAX_N must be an integer, got {raw!r}") from None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MaxLinkedSystem(Antichain):
     """A maximal linked system, canonically represented by its minimal antichain.
 
@@ -70,7 +73,8 @@ class Superextension:
         return self.systems.index(eta)
 
 
-def _pair_order(n: int) -> list[tuple[int, int]]:
+@functools.lru_cache(maxsize=DEFAULT_MAX_N + 1)
+def _pair_order(n: int) -> tuple[tuple[int, int], ...]:
     """Complementary pairs {A, A^c}, small side first, hardest pairs earliest."""
     full = (1 << n) - 1
     pairs = []
@@ -79,53 +83,96 @@ def _pair_order(n: int) -> list[tuple[int, int]]:
         if canonical_key(a) < canonical_key(b):
             pairs.append((a, b))
     pairs.sort(key=lambda p: canonical_key(p[0]))
-    return pairs
+    return tuple(pairs)
 
 
-def _backtrack(pairs: list[tuple[int, int]], chosen: list[int], stop: int, out: list[tuple[int, ...]]) -> None:
-    """Append every linked extension of ``chosen`` by one side of each pair up to index ``stop``."""
-    idx = len(chosen)
-    if idx == stop:
-        out.append(tuple(chosen))
-        return
-    for s in pairs[idx]:
-        if all(s & c for c in chosen):
-            chosen.append(s)
-            _backtrack(pairs, chosen, stop, out)
-            chosen.pop()
+@functools.lru_cache(maxsize=DEFAULT_MAX_N + 1)
+def _disjoint(n: int) -> tuple[int, ...]:
+    """Per subset s, the bitset over the 2^n subsets of those disjoint from s.
 
-
-def _enum_subtree(args: tuple[int, tuple[int, ...]]) -> list[tuple[int, ...]]:
-    """Worker: the minimal antichains of all assignments below a fixed prefix of pair choices."""
-    n, prefix = args
-    pairs = _pair_order(n)
+    A family bitset meets ``_disjoint(n)[s]`` iff one of its members is disjoint from s.
+    """
     full = (1 << n) - 1
-    leaves: list[tuple[int, ...]] = []
-    _backtrack(pairs, list(prefix), len(pairs), leaves)
-    # leaves omit the full set, the only member when n = 1
-    return [_minimal_bits(_up_bits(leaf + (full,), n), n) for leaf in leaves]
+    out = []
+    for s in range(full + 1):
+        word = 1  # the empty set
+        for x in bits(full ^ s):
+            word |= word << (1 << x)
+        out.append(word)
+    return tuple(out)
 
 
-_SPLIT_DEPTH = 2
+def _backtrack(n: int, fam: int, depth: int, stop: int) -> Iterator[int]:
+    """Every linked extension of ``fam`` by one side of each pair with index in [depth, stop).
+
+    ``fam`` is a family bitset: bit A stands for the chosen set A.  A side s
+    keeps the family linked iff no chosen set is disjoint from it.
+    Depth-first, smaller side first, with an explicit stack.
+    """
+    pairs = _pair_order(n)
+    disjoint = _disjoint(n)
+    stack = [(fam, depth)]
+    pop, push = stack.pop, stack.append
+    while stack:
+        fam, depth = pop()
+        if depth == stop:
+            yield fam
+            continue
+        a, b = pairs[depth]
+        depth += 1
+        if not fam & disjoint[b]:
+            push((fam | 1 << b, depth))
+        if not fam & disjoint[a]:
+            push((fam | 1 << a, depth))
+
+
+def _enum_subtree(args: tuple[int, int, int]) -> list[MaxLinkedSystem]:
+    """Worker: every system below a family bitset whose pair sides are chosen up to ``depth``.
+
+    A completed family holds one side of every complementary pair and is
+    linked, so it is maximal linked and hence up-closed; its minimal members
+    read straight off the bitset.  Each system is built, and so validated,
+    in the worker.
+    """
+    n, fam, depth = args
+    ground = GroundSet(n)
+    return [
+        MaxLinkedSystem(ground, _minimal_bits(leaf, n))
+        for leaf in _backtrack(n, fam, depth, len(_pair_order(n)))
+    ]
+
+
+# Measured on 2 vCPU, Python 3.11: a two-process pool costs 10-23 ms to
+# start, and n=6 through one takes 0.10 s against 0.054 s serially, the
+# 2646 systems being pickled back; n=7 takes 42 s through one, 53 s
+# without.  At n=7 the largest depth-36 subtree holds 18.5 % of the
+# 1,422,564 leaves (2105 subtrees); depth 32 leaves 39 % in one subtree,
+# depth 40 8.3 % but more items to send.
+_POOL_FROM_N = 7
+_SPLIT_DEPTH = 36
 
 
 def enumerate_mls(ground: GroundSet, workers: int = 1) -> Superextension:
     """Enumerate every maximal linked system on the ground set.
 
-    With workers > 1 the backtracking tree is split at a fixed depth and
-    the subtrees are processed independently; the canonical merge makes
-    the output identical regardless of scheduling.
+    With workers > 1 and n >= 7 the backtracking tree is split at a fixed
+    pair depth and the subtrees are processed independently; smaller trees
+    take less time than starting a pool and run serially.  The canonical
+    sort makes the output identical regardless of scheduling.
     """
     cap = enumeration_cap()
-    if ground.n > cap:
+    n = ground.n
+    if n > cap:
         raise GroundTooLarge(f"enumeration capped at n <= {cap} (set SUPEXT_MAX_N to override)")
-    pairs = _pair_order(ground.n)
-    prefixes: list[tuple[int, ...]] = []
-    _backtrack(pairs, [], min(_SPLIT_DEPTH, len(pairs)), prefixes)
-    results = parallel.map_chunks(_enum_subtree, [(ground.n, p) for p in prefixes], workers)
-    antichains = sorted({ac for chunk in results for ac in chunk})
-    systems = tuple(MaxLinkedSystem(ground, ac) for ac in antichains)
-    return Superextension(ground, systems)
+    root = 1 << ground.full  # the family {full set}; no pair holds it
+    if workers > 1 and n >= _POOL_FROM_N:
+        depth = min(_SPLIT_DEPTH, len(_pair_order(n)))
+        items = [(n, fam, depth) for fam in _backtrack(n, root, 0, depth)]
+        results = parallel.map_chunks(_enum_subtree, items, workers)
+    else:
+        results = [_enum_subtree((n, root, 0))]
+    systems = sorted((eta for chunk in results for eta in chunk), key=attrgetter("minimal"))
+    return Superextension(ground, tuple(systems))
 
 
 def eta_point(ground: GroundSet, x: int) -> MaxLinkedSystem:

@@ -37,7 +37,7 @@ from .functionals import (
     witness_to_obj,
 )
 from .inclusion import enumerate_ih, g_map
-from .setkit import GroundSet, PointMap, popcount
+from .setkit import GroundSet, PointMap, _up_bits, popcount
 from .subbase import Subbase, is_binary, is_normal
 from .superext import (
     EXPECTED_MLS_COUNTS,
@@ -95,11 +95,19 @@ def _eq1_chunk(args: tuple[int, tuple[tuple[int, ...], ...]]) -> tuple[int, list
     return len(grid) * len(antichains), failures
 
 
+# Measured on 2 vCPU, Python 3.11: at n=5 a two-process pool gains nothing
+# (61 ms serially, 64 ms through one, before the 30 ms it takes to import
+# concurrent.futures); at n=6 it halves the check (11.5 s -> 6.7 s).
+_EQ1_POOL_FROM_N = 6
+
+
 def suite_eq1(n: int, workers: int = 1, **_: int) -> dict:
     if workers < 1:
         raise InputError(f"workers must be at least 1, got {workers}")
     lam = enumerate_mls(GroundSet(n), workers=workers)
     antichains = [eta.minimal for eta in lam.systems]
+    if n < _EQ1_POOL_FROM_N:
+        workers = 1
     chunks = [tuple(antichains[i::workers]) for i in range(workers)]
     results = parallel.map_chunks(_eq1_chunk, [(n, c) for c in chunks if c], workers)
     checks = sum(c for c, _ in results)
@@ -225,9 +233,13 @@ def suite_functor_laws(n: int, workers: int = 1, **_: int) -> dict:
 def lambda_plus_subbase(n: int, workers: int = 1) -> Subbase:
     """The subbase {F-plus} over the superextension carrier."""
     lam = enumerate_mls(GroundSet(n), workers=workers)
-    members = []
-    for f in lam.ground.nonempty_subsets():
-        members.append(sum(1 << i for i, eta in enumerate(lam.systems) if eta.contains(f)))
+    size = 1 << n
+    # One row per system, last system first: its up-closure as 2^n binary
+    # digits, subset f at column size - 1 - f.  Column f, read as a binary
+    # number, then has bit i set iff system i contains f.
+    rows = [format(_up_bits(eta.minimal, n), f"0{size}b") for eta in reversed(lam.systems)]
+    columns = list(zip(*rows))
+    members = [int("".join(columns[size - 1 - f]), 2) for f in lam.ground.nonempty_subsets()]
     return Subbase(len(lam.systems), tuple(m for m in members if m))
 
 

@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from supext.cli import main
 from supext.embed import operator_to_json
@@ -112,6 +115,14 @@ class TestEvalAxioms:
         code = main(["eval", "--term", str(t), "--f", ""])
         err = capsys.readouterr().err
         assert code == 2 and "input error" in err
+
+    def test_point_out_of_range(self, capsys, tmp_path):
+        t = tmp_path / "t.json"
+        t.write_text('{"t": "dirac", "x": 5}')
+        code = main(["eval", "--term", str(t), "--f", "0,1"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "input error" in captured.err and "Traceback" not in captured.err
 
     def test_malformed_term(self, capsys, tmp_path):
         t = tmp_path / "t.json"
@@ -263,3 +274,35 @@ class TestVerify:
             assert main(["verify", "--suite", "axioms", "--n", "3", "--seed", "7", "--out", str(f)]) == 0
             outs.append(f.read_bytes())
         assert outs[0] == outs[1]
+
+
+def run_quiet(argv: list[str]) -> tuple[int, str, str]:
+    """``main`` with its output captured; an argparse exit counts as a return."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+class TestExitContract:
+    # n = 6 and 7 are valid but slow, so sizes come from below or above them
+    @settings(max_examples=60, deadline=None)
+    @given(
+        command=st.sampled_from(["enumerate", "ghyper", "verify --suite counts"]),
+        n=st.one_of(st.integers(min_value=-2, max_value=5), st.integers(min_value=8, max_value=40)),
+        workers=st.one_of(st.none(), st.integers(min_value=-2, max_value=3)),
+    )
+    def test_sizes_and_workers(self, command, n, workers):
+        argv = command.split() + ["--n", str(n)]
+        if workers is not None:
+            argv += ["--workers", str(workers)]
+        code, out, err = run_quiet(argv)
+        # none of these commands has a mathematical failure on a correct program
+        assert code in (0, 2) and "Traceback" not in err
+        if code == 0:
+            assert json.loads(out)["n"] == n
+        else:
+            assert out == "" and err

@@ -1,15 +1,23 @@
-"""Call-count guards on the algebra fast paths.
+"""Call-count guards on the fast paths.
 
 They count calls instead of timing them, so they are deterministic: a change
-that brings back per-call set-family canonicalisation in the pushforwards, or
-per-term redrawing of the axiom trials, fails here rather than only showing
-up as a slower benchmark.
+that brings back per-call set-family canonicalisation in the pushforwards,
+per-term redrawing of the axiom trials, or a process pool for work smaller
+than its start-up, fails here rather than only showing up as a slower
+benchmark.
 """
 
 from __future__ import annotations
 
-from supext import functionals, setkit, verify
+import concurrent.futures
+import subprocess
+import sys
+from pathlib import Path
+
+import supext
+from supext import functionals, parallel, setkit, verify
 from supext.setkit import GroundSet, SetFamily
+from supext.superext import enumerate_mls
 
 
 def test_pushforwards_build_no_setfamily(monkeypatch):
@@ -64,3 +72,30 @@ def test_axiom_suite_draws_one_trial_table(monkeypatch):
     assert report["failures"] == [] and report["checks_run"] > 1
     assert (info.misses, info.hits) == (1, report["checks_run"] - 1)
     assert len(draws) == 50
+
+
+def test_no_pool_below_the_thresholds(monkeypatch):
+    started = []
+
+    class NoPool:
+        def __init__(self, *args, **kwargs):
+            started.append(kwargs)
+            raise OSError("no pool in this test")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", NoPool)
+    assert parallel.map_chunks(abs, [-1, -2], 2) == [1, 2]  # the fake is reached
+    assert len(started) == 1
+    started.clear()
+    assert len(enumerate_mls(GroundSet(6), workers=2)) == 2646
+    assert verify.suite_eq1(5, workers=2)["checks_run"] == 82944
+    assert started == []
+
+
+def test_cli_import_leaves_out_concurrent_futures():
+    src = str(Path(supext.__file__).resolve().parents[1])
+    code = "import sys, supext.cli; print('concurrent.futures' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={"PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"},
+    ).stdout
+    assert out.strip() == "False"

@@ -35,6 +35,10 @@ INPUTS = {
 CASES = [
     ("enumerate --n 5", 0, "b86541000551c3a34ff6fde835e5aa8dd37e6bdcec5d1050c5f44e3e8f9647ce"),
     ("ghyper --n 4", 0, "ec50610872f87367a256026cc712537a1298eaad67777c527ab3e3fb6ee01ede"),
+    # the benchmark's census reports
+    ("enumerate --n 6", 0, "052d1a78e6d9f602a468cc2c2627a1d21636d11a78dc59c2ac1566c57db98646"),
+    ("verify --suite subbase-lambda --n 6", 0, "f097dfc19c8c355b6f173a8654aac0d24428cb3a31660c3819f16829f61e7b75"),
+    ("ghyper --n 5", 0, "a2dc505c65e6ad93296aab4140f3596c26eb570d0c851b700487feeda5129b32"),
     ("verify --suite counts --n 1", 0, "f5f89766bcfc345a4070d8f1580b526d1de5921c317009a064048375be84636b"),
     ("verify --suite counts --n 2", 0, "e42570533b78e2e9c3a90ae19e92c4b3e9ec9f3157833a76b738e954f7a0bfa5"),
     ("verify --suite counts --n 3", 0, "870da7cbc31c02bf16d15e9e2f62dfab846fe67cca2399e47863b18da49e0cd0"),

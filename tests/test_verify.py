@@ -7,7 +7,9 @@ from hypothesis import given, strategies as st
 
 import oracles
 from supext.errors import InputError
-from supext.verify import EQ1_GRID, _eq1_chunk, suite_eq1
+from supext.setkit import GroundSet
+from supext.superext import enumerate_mls
+from supext.verify import EQ1_GRID, _eq1_chunk, lambda_plus_subbase, suite_eq1
 
 
 @st.composite
@@ -52,3 +54,15 @@ class TestSuiteEq1:
     def test_n6(self):
         body = suite_eq1(6)
         assert body == {"checks_run": 10_838_016, "failures": []}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_lambda_plus_subbase_matches_definition(n):
+    """Member F-plus has bit i set iff system i contains F, for every nonempty F."""
+    lam = enumerate_mls(GroundSet(n))
+    members = []
+    for f in range(1, 1 << n):
+        members.append(sum(1 << i for i, eta in enumerate(lam.systems) if eta.contains(f)))
+    sb = lambda_plus_subbase(n)
+    assert sb.carrier == len(lam)
+    assert sb.members == tuple(m for m in members if m)
