@@ -69,8 +69,8 @@ class NotAnExtender(SupextError):
     pass
 
 
-class TooLarge(InputError):
-    """An input above one of the size caps of an exponential search."""
+class TooLarge(SupextError):
+    pass
 
 
 class InvalidOperator(SupextError):

@@ -18,6 +18,14 @@ from .setkit import bits, popcount
 MAX_CARRIER = 1 << 16
 
 
+def check_carrier(carrier: int) -> None:
+    """Reject an empty carrier, or one above MAX_CARRIER points."""
+    if carrier < 1:
+        raise InputError("carrier must be nonempty")
+    if carrier > MAX_CARRIER:
+        raise TooLarge(f"carrier size {carrier} exceeds {MAX_CARRIER}")
+
+
 @dataclass(frozen=True)
 class Subbase:
     """Nonempty subsets of an m-element carrier, encoded as bitmasks."""
@@ -26,10 +34,7 @@ class Subbase:
     members: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if self.carrier < 1:
-            raise InputError("carrier must be nonempty")
-        if self.carrier > MAX_CARRIER:
-            raise TooLarge(f"carrier size {self.carrier} exceeds {MAX_CARRIER}")
+        check_carrier(self.carrier)
         full = (1 << self.carrier) - 1
         for m in self.members:
             if m == 0:

@@ -142,31 +142,33 @@ def _enum_subtree(args: tuple[int, int, int]) -> list[MaxLinkedSystem]:
     ]
 
 
-# Measured on 2 vCPU, Python 3.11: a two-process pool costs 10-23 ms to
-# start, and n=6 through one takes 0.10 s against 0.054 s serially, the
-# 2646 systems being pickled back; n=7 takes 42 s through one, 53 s
-# without.  At n=7 the largest depth-36 subtree holds 18.5 % of the
-# 1,422,564 leaves (2105 subtrees); depth 32 leaves 39 % in one subtree,
-# depth 40 8.3 % but more items to send.
-_POOL_FROM_N = 7
-_SPLIT_DEPTH = 36
+def _split_depth(n: int) -> int:
+    """Pair depth at which ``workers > 1`` cuts the tree into subtrees.
+
+    Measured on 2 vCPU, Python 3.11.  At n=7 the largest depth-36 subtree
+    holds 18.5 % of the 1,422,564 leaves (2105 subtrees); depth 32 leaves
+    39 % in one subtree, depth 40 8.3 % but more items to send.  Below n=7
+    a two-process pool costs more than the whole enumeration at any depth
+    (n=6: 0.11 s through one at depths 2 to 12, 0.04 s serially), so the
+    cut stays shallow there: three subtrees at n=5 and 6, little to send.
+    """
+    return min(36 if n >= 7 else 2, len(_pair_order(n)))
 
 
 def enumerate_mls(ground: GroundSet, workers: int = 1) -> Superextension:
     """Enumerate every maximal linked system on the ground set.
 
-    With workers > 1 and n >= 7 the backtracking tree is split at a fixed
-    pair depth and the subtrees are processed independently; smaller trees
-    take less time than starting a pool and run serially.  The canonical
-    sort makes the output identical regardless of scheduling.
+    With workers > 1 the backtracking tree is split at a fixed pair depth
+    and the subtrees are processed independently; the canonical sort makes
+    the output identical regardless of scheduling.
     """
     cap = enumeration_cap()
     n = ground.n
     if n > cap:
         raise GroundTooLarge(f"enumeration capped at n <= {cap} (set SUPEXT_MAX_N to override)")
     root = 1 << ground.full  # the family {full set}; no pair holds it
-    if workers > 1 and n >= _POOL_FROM_N:
-        depth = min(_SPLIT_DEPTH, len(_pair_order(n)))
+    if workers > 1:
+        depth = _split_depth(n)
         items = [(n, fam, depth) for fam in _backtrack(n, root, 0, depth)]
         results = parallel.map_chunks(_enum_subtree, items, workers)
     else:

@@ -38,7 +38,7 @@ from .functionals import (
 )
 from .inclusion import enumerate_ih, g_map
 from .setkit import GroundSet, PointMap, _up_bits, popcount
-from .subbase import Subbase, is_binary, is_normal
+from .subbase import Subbase, check_carrier, is_binary, is_normal
 from .superext import (
     EXPECTED_MLS_COUNTS,
     enumerate_mls,
@@ -97,17 +97,18 @@ def _eq1_chunk(args: tuple[int, tuple[tuple[int, ...], ...]]) -> tuple[int, list
 
 # Measured on 2 vCPU, Python 3.11: at n=5 a two-process pool gains nothing
 # (61 ms serially, 64 ms through one, before the 30 ms it takes to import
-# concurrent.futures); at n=6 it halves the check (11.5 s -> 6.7 s).
+# concurrent.futures); at n=6 it halves the check (11.5 s -> 6.7 s).  Below
+# n=6 the suite, enumeration included, runs in this process.
 _EQ1_POOL_FROM_N = 6
 
 
 def suite_eq1(n: int, workers: int = 1, **_: int) -> dict:
     if workers < 1:
         raise InputError(f"workers must be at least 1, got {workers}")
-    lam = enumerate_mls(GroundSet(n), workers=workers)
-    antichains = [eta.minimal for eta in lam.systems]
     if n < _EQ1_POOL_FROM_N:
         workers = 1
+    lam = enumerate_mls(GroundSet(n), workers=workers)
+    antichains = [eta.minimal for eta in lam.systems]
     chunks = [tuple(antichains[i::workers]) for i in range(workers)]
     results = parallel.map_chunks(_eq1_chunk, [(n, c) for c in chunks if c], workers)
     checks = sum(c for c, _ in results)
@@ -233,6 +234,9 @@ def suite_functor_laws(n: int, workers: int = 1, **_: int) -> dict:
 def lambda_plus_subbase(n: int, workers: int = 1) -> Subbase:
     """The subbase {F-plus} over the superextension carrier."""
     lam = enumerate_mls(GroundSet(n), workers=workers)
+    # the table below takes 2^n bits per system: refuse an oversized
+    # carrier (n=7) before building it
+    check_carrier(len(lam.systems))
     size = 1 << n
     # One row per system, last system first: its up-closure as 2^n binary
     # digits, subset f at column size - 1 - f.  Column f, read as a binary

@@ -17,7 +17,6 @@ from pathlib import Path
 import supext
 from supext import functionals, parallel, setkit, verify
 from supext.setkit import GroundSet, SetFamily
-from supext.superext import enumerate_mls
 
 
 def test_pushforwards_build_no_setfamily(monkeypatch):
@@ -74,7 +73,7 @@ def test_axiom_suite_draws_one_trial_table(monkeypatch):
     assert len(draws) == 50
 
 
-def test_no_pool_below_the_thresholds(monkeypatch):
+def test_no_pool_for_eq1_below_n6(monkeypatch):
     started = []
 
     class NoPool:
@@ -86,7 +85,6 @@ def test_no_pool_below_the_thresholds(monkeypatch):
     assert parallel.map_chunks(abs, [-1, -2], 2) == [1, 2]  # the fake is reached
     assert len(started) == 1
     started.clear()
-    assert len(enumerate_mls(GroundSet(6), workers=2)) == 2646
     assert verify.suite_eq1(5, workers=2)["checks_run"] == 82944
     assert started == []
 

@@ -1,7 +1,7 @@
 """parallel.map_chunks with a real process pool against the serial sweep.
 
-These are the only tier-1 tests that start a pool: the library itself
-starts one only for n >= 7 enumeration and n >= 6 eq1.
+The library starts a pool for enumeration with workers > 1 at any n, and
+for the eq1 checks only from n = 6; these tests drive map_chunks directly.
 """
 
 from __future__ import annotations

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 import oracles
-from supext.errors import InputError
+from supext import subbase, verify
+from supext.errors import InputError, TooLarge
 from supext.setkit import GroundSet
 from supext.superext import enumerate_mls
 from supext.verify import EQ1_GRID, _eq1_chunk, lambda_plus_subbase, suite_eq1
@@ -66,3 +67,14 @@ def test_lambda_plus_subbase_matches_definition(n):
     sb = lambda_plus_subbase(n)
     assert sb.carrier == len(lam)
     assert sb.members == tuple(m for m in members if m)
+
+
+def test_lambda_plus_subbase_refuses_a_large_carrier_before_the_table(monkeypatch):
+    """At n=7 the 1,422,564 systems exceed the carrier cap; the membership
+    table (2^n bits per system) must not be built before that is found."""
+    tables = []
+    monkeypatch.setattr(subbase, "MAX_CARRIER", 80)
+    monkeypatch.setattr(verify, "_up_bits", lambda *a: tables.append(a))
+    with pytest.raises(TooLarge, match="carrier size 81 exceeds 80"):
+        lambda_plus_subbase(5)
+    assert tables == []
