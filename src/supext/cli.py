@@ -13,7 +13,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import embed, functionals, subbase, verify
-from .errors import InputError, SupextError, UnknownSuite
+from .errors import InputError, SupextError
 from .functionals import PointFunction, evaluate, term_from_json
 from .inclusion import enumerate_ih
 from .setkit import GroundSet
@@ -249,7 +249,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (InputError, UnknownSuite, OSError, json.JSONDecodeError) as exc:
+    except (InputError, OSError, json.JSONDecodeError) as exc:
         print(f"supext: input error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except SupextError as exc:

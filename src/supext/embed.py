@@ -21,10 +21,8 @@ from .errors import (
     NotUsco,
     TooLarge,
 )
-from .setkit import GroundSet, bits, canonical_key
+from .setkit import MAX_GROUND, GroundSet, bits, canonical_key
 from .superext import MaxLinkedSystem, Superextension, enumerate_mls, eta_point
-
-MAX_SPACE = 16
 
 
 @dataclass(frozen=True)
@@ -35,10 +33,7 @@ class FiniteTopSpace:
     min_nbhd: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise InputError("space must have at least one point")
-        if self.n > MAX_SPACE:
-            raise TooLarge(f"space size {self.n} exceeds {MAX_SPACE}")
+        GroundSet(self.n)  # the size bounds of a ground set
         if len(self.min_nbhd) != self.n:
             raise InputError("one minimal neighborhood per point required")
         full = (1 << self.n) - 1
@@ -73,17 +68,23 @@ class FiniteTopSpace:
 
     def product(self, other: "FiniteTopSpace") -> "FiniteTopSpace":
         """Product space; point (x, y) gets index x * other.n + y."""
-        if self.n * other.n > MAX_SPACE:
-            raise TooLarge("product carrier too large")
-        nb = []
-        for x in range(self.n):
-            for y in range(other.n):
-                m = 0
-                for a in bits(self.min_nbhd[x]):
-                    for b in bits(other.min_nbhd[y]):
-                        m |= 1 << (a * other.n + b)
-                nb.append(m)
-        return FiniteTopSpace(self.n * other.n, tuple(nb))
+        if self.n * other.n > MAX_GROUND:
+            raise TooLarge(f"product space size {self.n * other.n} exceeds {MAX_GROUND}")
+        nb = tuple(
+            _box(self.min_nbhd[x], other.min_nbhd[y], other.n)
+            for x in range(self.n)
+            for y in range(other.n)
+        )
+        return FiniteTopSpace(self.n * other.n, nb)
+
+
+def _box(m1: int, m2: int, width: int) -> int:
+    """The product set m1 x m2, point (a, b) at index a * width + b."""
+    out = 0
+    for a in bits(m1):
+        for b in bits(m2):
+            out |= 1 << (a * width + b)
+    return out
 
 
 @dataclass(frozen=True)
@@ -116,12 +117,6 @@ class RegularOperator:
 
     def lookup(self) -> dict[int, int]:
         return dict(self.table)
-
-    def e(self, u: int) -> int:
-        try:
-            return self.lookup()[u]
-        except KeyError:
-            raise InvalidOperator(f"operator table has no entry for open {u:#x}") from None
 
     @classmethod
     def identity(cls, space: FiniteTopSpace) -> "RegularOperator":
@@ -176,16 +171,8 @@ def _product2(e1: RegularOperator, e2: RegularOperator) -> RegularOperator:
         for x1 in range(e1.domain.n)
         for x2 in range(e2.domain.n)
     )
-
-    def box(m1: int, m2: int, width: int) -> int:
-        out = 0
-        for a in bits(m1):
-            for b in bits(m2):
-                out |= 1 << (a * width + b)
-        return out
-
     boxes = [
-        (box(u1, u2, e2.domain.n), box(eu1, eu2, e2.codomain.n))
+        (_box(u1, u2, e2.domain.n), _box(eu1, eu2, e2.codomain.n))
         for u1, eu1 in e1.table
         for u2, eu2 in e2.table
     ]
@@ -213,6 +200,9 @@ def compose_operators(outer: RegularOperator, inner: RegularOperator) -> Regular
     return RegularOperator(inner.domain, outer.codomain, inject, tuple(table))
 
 
+MAX_SEARCH_SPACE = 6
+
+
 def find_regular_operator(
     x: FiniteTopSpace, y: FiniteTopSpace, inject: tuple[int, ...]
 ) -> RegularOperator | None:
@@ -220,10 +210,10 @@ def find_regular_operator(
 
     Backtracks over the opens of X in canonical order, assigning opens of
     Y consistent with the trace and disjointness axioms.  Exhaustive but
-    only intended for small carriers (<= 6 points).
+    only intended for small carriers (at most MAX_SEARCH_SPACE points).
     """
-    if y.n > 6:
-        raise TooLarge("existence search capped at 6-point ambient spaces")
+    if y.n > MAX_SEARCH_SPACE:
+        raise TooLarge(f"existence search capped at {MAX_SEARCH_SPACE}-point ambient spaces")
     opens_x = x.opens()
     opens_y = y.opens()
     img = lambda m: sum(1 << inject[p] for p in bits(m))

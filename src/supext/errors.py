@@ -29,10 +29,6 @@ class InputError(SupextError):
     """Malformed input file or CLI argument."""
 
 
-class GroundTooLarge(InputError):
-    """A ground set size below 1 or above a size cap."""
-
-
 class PointOutOfRange(InputError):
     """A point or a subset mask outside the ground set."""
 
@@ -69,8 +65,8 @@ class NotAnExtender(SupextError):
     pass
 
 
-class TooLarge(SupextError):
-    pass
+class TooLarge(InputError):
+    """An input above a size cap, refused before any work on it starts."""
 
 
 class InvalidOperator(SupextError):
@@ -89,5 +85,5 @@ class NotPointFixed(SupextError):
     pass
 
 
-class UnknownSuite(SupextError):
+class UnknownSuite(InputError):
     pass

@@ -24,6 +24,7 @@ from .subbase import Subbase
 from .superext import MaxLinkedSystem
 
 MAX_IH_GROUND = 5
+MAX_GX_GROUND = 4
 
 
 @dataclass(frozen=True, slots=True)
@@ -85,8 +86,8 @@ def candidate_subbase_gx(
     and the transversal sets {A : every member of A meets U} for every
     nonempty U.  Emitted for checking, never asserted binary a priori.
     """
-    if ground.n > 4:
-        raise TooLarge("candidate subbase capped at n <= 4")
+    if ground.n > MAX_GX_GROUND:
+        raise TooLarge(f"candidate subbase capped at n <= {MAX_GX_GROUND}")
     carrier = enumerate_ih(ground)
     members: list[int] = []
     for f in sorted(ground.nonempty_subsets(), key=canonical_key):

@@ -13,10 +13,11 @@ import json
 from dataclasses import dataclass
 from typing import ClassVar, Iterable, Iterator
 
-from .errors import GroundTooLarge, InputError, NotLinked, PointOutOfRange
+from .errors import InputError, NotLinked, PointOutOfRange, TooLarge
 
-# All family-level operations stay exact and fast up to this width;
-# enumeration of maximal linked systems is capped separately (see superext).
+# All family-level operations stay exact and fast up to this width, on
+# ground sets and on finite spaces (embed); enumeration of maximal linked
+# systems is capped separately (see superext).
 MAX_GROUND = 16
 
 
@@ -48,9 +49,9 @@ class GroundSet:
 
     def __post_init__(self) -> None:
         if self.n < 1:
-            raise GroundTooLarge("ground set must have at least one point")
+            raise InputError("ground set must have at least one point")
         if self.n > MAX_GROUND:
-            raise GroundTooLarge(f"ground set size {self.n} exceeds {MAX_GROUND}")
+            raise TooLarge(f"ground set size {self.n} exceeds {MAX_GROUND}")
 
     @property
     def full(self) -> int:

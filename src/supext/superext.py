@@ -12,13 +12,12 @@ pairs ordered small-side-first so the hardest constraints land early.
 from __future__ import annotations
 
 import functools
-import os
 from dataclasses import dataclass
 from operator import attrgetter
 from typing import ClassVar, Iterator
 
 from . import parallel
-from .errors import EmptySet, GroundMismatch, GroundTooLarge, InputError, NotLinked
+from .errors import EmptySet, GroundMismatch, NotLinked, TooLarge
 from .setkit import (
     Antichain,
     GroundSet,
@@ -28,21 +27,14 @@ from .setkit import (
     _is_self_dual_upclosed_bits,
     _minimal_bits,
     _pushforward_bits,
-    _up_bits,
     bits,
     canonical_key,
     is_linked,
 )
 
-DEFAULT_MAX_N = 7
-
-
-def enumeration_cap() -> int:
-    raw = os.environ.get("SUPEXT_MAX_N", str(DEFAULT_MAX_N))
-    try:
-        return int(raw)
-    except ValueError:
-        raise InputError(f"SUPEXT_MAX_N must be an integer, got {raw!r}") from None
+# Enumeration cap: the last n in EXPECTED_MLS_COUNTS.  n = 8 has
+# 229,809,982,112 systems, too many to list.
+MAX_N = 7
 
 
 @dataclass(frozen=True, slots=True)
@@ -73,7 +65,7 @@ class Superextension:
         return self.systems.index(eta)
 
 
-@functools.lru_cache(maxsize=DEFAULT_MAX_N + 1)
+@functools.lru_cache(maxsize=MAX_N + 1)
 def _pair_order(n: int) -> tuple[tuple[int, int], ...]:
     """Complementary pairs {A, A^c}, small side first, hardest pairs earliest."""
     full = (1 << n) - 1
@@ -86,7 +78,7 @@ def _pair_order(n: int) -> tuple[tuple[int, int], ...]:
     return tuple(pairs)
 
 
-@functools.lru_cache(maxsize=DEFAULT_MAX_N + 1)
+@functools.lru_cache(maxsize=MAX_N + 1)
 def _disjoint(n: int) -> tuple[int, ...]:
     """Per subset s, the bitset over the 2^n subsets of those disjoint from s.
 
@@ -143,7 +135,7 @@ def _enum_subtree(args: tuple[int, int, int]) -> list[MaxLinkedSystem]:
 
 
 def _split_depth(n: int) -> int:
-    """Pair depth at which ``workers > 1`` cuts the tree into subtrees.
+    """Pair depth at which enumeration cuts the tree into subtrees.
 
     Measured on 2 vCPU, Python 3.11.  At n=7 the largest depth-36 subtree
     holds 18.5 % of the 1,422,564 leaves (2105 subtrees); depth 32 leaves
@@ -158,21 +150,18 @@ def _split_depth(n: int) -> int:
 def enumerate_mls(ground: GroundSet, workers: int = 1) -> Superextension:
     """Enumerate every maximal linked system on the ground set.
 
-    With workers > 1 the backtracking tree is split at a fixed pair depth
-    and the subtrees are processed independently; the canonical sort makes
-    the output identical regardless of scheduling.
+    The backtracking tree is split at a fixed pair depth and the subtrees
+    are processed independently, in ``workers`` processes when there are
+    more than one; the canonical sort makes the output identical regardless
+    of scheduling.
     """
-    cap = enumeration_cap()
     n = ground.n
-    if n > cap:
-        raise GroundTooLarge(f"enumeration capped at n <= {cap} (set SUPEXT_MAX_N to override)")
+    if n > MAX_N:
+        raise TooLarge(f"enumeration capped at n <= {MAX_N}")
     root = 1 << ground.full  # the family {full set}; no pair holds it
-    if workers > 1:
-        depth = _split_depth(n)
-        items = [(n, fam, depth) for fam in _backtrack(n, root, 0, depth)]
-        results = parallel.map_chunks(_enum_subtree, items, workers)
-    else:
-        results = [_enum_subtree((n, root, 0))]
+    depth = _split_depth(n)
+    items = [(n, fam, depth) for fam in _backtrack(n, root, 0, depth)]
+    results = parallel.map_chunks(_enum_subtree, items, workers)
     systems = sorted((eta for chunk in results for eta in chunk), key=attrgetter("minimal"))
     return Superextension(ground, tuple(systems))
 
@@ -194,15 +183,14 @@ def complete_linked(fam: SetFamily) -> MaxLinkedSystem:
     if not is_linked(fam) or 0 in fam.masks:
         raise NotLinked("input family must be linked and free of the empty set")
     n = fam.ground.n
-    chosen = list(fam.masks)
-    if fam.ground.full not in chosen:
-        chosen.append(fam.ground.full)
+    disjoint = _disjoint(n)
+    # a family bitset, as in _backtrack
+    chosen = 1 << fam.ground.full | sum(1 << m for m in fam.masks)
     for a, b in _pair_order(n):
         lo, hi = (a, b) if a < b else (b, a)
-        pick = hi if any(not lo & c for c in chosen) else lo
-        if pick not in chosen:
-            chosen.append(pick)
-    return MaxLinkedSystem(fam.ground, _minimal_bits(_up_bits(chosen, n), n))
+        chosen |= 1 << (hi if chosen & disjoint[lo] else lo)
+    # one side of every pair and linked: maximal linked, so up-closed
+    return MaxLinkedSystem(fam.ground, _minimal_bits(chosen, n))
 
 
 def lambda_map(pm: PointMap, eta: MaxLinkedSystem) -> MaxLinkedSystem:

@@ -225,3 +225,20 @@ def eq1_chunk_literal(
                     {"system": [format(m, "x") for m in minimal], "f": list(f)}
                 )
     return checks, failures
+
+
+def complete_linked_greedy(masks: frozenset[int], n: int) -> frozenset[int]:
+    """Minimal members of the greedy completion of a linked family.
+
+    Complementary pairs are taken small side first, ordered by (cardinality,
+    mask) of that side; the numerically smaller side joins unless a chosen
+    set is disjoint from it, in which case the other side joins.
+    """
+    full = (1 << n) - 1
+    key = lambda m: (popcount(m), m)
+    smalls = sorted({min(a, full ^ a, key=key) for a in range(1, full)}, key=key)
+    chosen = set(masks) | {full}
+    for small in smalls:
+        lo, hi = sorted((small, full ^ small))
+        chosen.add(hi if any(not lo & c for c in chosen) else lo)
+    return minimal_of(up_closure_of(frozenset(chosen), n))

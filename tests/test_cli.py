@@ -7,6 +7,7 @@ from contextlib import redirect_stderr, redirect_stdout
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from supext import verify
 from supext.cli import main
 from supext.embed import operator_to_json
 from supext.functionals import Dirac, term_to_json
@@ -45,9 +46,10 @@ class TestEnumerate:
         assert outs[0] == outs[1] == outs[2]
 
     def test_env_cap(self, capsys, monkeypatch):
+        """The enumeration cap is a constant; the old SUPEXT_MAX_N knob is ignored."""
         monkeypatch.setenv("SUPEXT_MAX_N", "3")
-        code, _ = run(capsys, "enumerate", "--n", "4", "--count-only")
-        assert code == 2
+        code, obj = run_json(capsys, "enumerate", "--n", "4", "--count-only")
+        assert code == 0 and obj == {"count": 12, "n": 4}
 
     @pytest.mark.parametrize(
         "command",
@@ -58,8 +60,7 @@ class TestEnumerate:
             "verify --suite eq1 --n 8",
         ],
     )
-    def test_bad_size(self, capsys, monkeypatch, command):
-        monkeypatch.delenv("SUPEXT_MAX_N", raising=False)
+    def test_bad_size(self, capsys, command):
         code = main(command.split())
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
@@ -67,9 +68,8 @@ class TestEnumerate:
 
     def test_env_cap_not_an_integer(self, capsys, monkeypatch):
         monkeypatch.setenv("SUPEXT_MAX_N", "abc")
-        code = main(["enumerate", "--n", "3", "--count-only"])
-        err = capsys.readouterr().err
-        assert code == 2 and "SUPEXT_MAX_N" in err and "Traceback" not in err
+        code, obj = run_json(capsys, "enumerate", "--n", "4", "--count-only")
+        assert code == 0 and obj == {"count": 12, "n": 4}
 
     def test_ghyper(self, capsys):
         code, obj = run_json(capsys, "ghyper", "--n", "3", "--count-only")
@@ -300,8 +300,33 @@ class TestExitContract:
         if workers is not None:
             argv += ["--workers", str(workers)]
         code, out, err = run_quiet(argv)
-        assert code in (0, 1, 2) and "Traceback" not in err
+        # none of these commands has a witnessed failure, so never exit 1
+        assert code in (0, 2) and "Traceback" not in err
         if code == 0:
             assert json.loads(out)["n"] == n
         else:
             assert out == "" and err
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            "ghyper --n 6",
+            "subbase --check binary --in {sb}",
+            "regular --validate {op}",
+            "enumerate --n 8",
+            "verify --suite subbase-lambda --n 7",
+        ],
+    )
+    def test_size_caps(self, monkeypatch, tmp_path, command):
+        """Every size cap is an input error, found before any enumeration."""
+        sb = tmp_path / "sb.json"
+        sb.write_text(json.dumps({"carrier": 70000, "members": ["1"]}))
+        op = tmp_path / "op.json"
+        y = {"n": 17, "min_nbhd": [format(1 << x, "x") for x in range(17)]}
+        op.write_text(json.dumps(
+            {"X": {"n": 1, "min_nbhd": ["1"]}, "Y": y, "inject": [0], "table": [["0", "0"], ["1", "1"]]}
+        ))
+        monkeypatch.setattr(verify, "enumerate_mls", None)
+        code, out, err = run_quiet(command.format(sb=sb, op=op).split())
+        assert code == 2 and out == ""
+        assert "input error" in err and "Traceback" not in err

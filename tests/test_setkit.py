@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import oracles
-from supext.errors import GroundTooLarge, InputError, PointOutOfRange
+from supext.errors import InputError, PointOutOfRange, TooLarge
 from supext.setkit import (
     GroundSet,
     PointMap,
@@ -35,9 +35,9 @@ def ground_and_family(draw):
 
 class TestGroundSet:
     def test_bounds(self):
-        with pytest.raises(GroundTooLarge):
+        with pytest.raises(InputError):
             GroundSet(0)
-        with pytest.raises(GroundTooLarge):
+        with pytest.raises(TooLarge):
             GroundSet(17)
         assert GroundSet(16).full == 0xFFFF
 

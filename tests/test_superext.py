@@ -5,10 +5,11 @@ import os
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
 from supext import superext
-from supext.errors import EmptySet, GroundTooLarge, InputError, NotLinked, PointOutOfRange
+from supext.errors import EmptySet, InputError, NotLinked, PointOutOfRange, TooLarge
 from supext.setkit import GroundSet, PointMap, SetFamily, is_self_dual_upclosed, up_closure
 from supext.superext import (
     EXPECTED_MLS_COUNTS,
@@ -62,7 +63,7 @@ class TestEnumerate:
         assert len({s.minimal for s in lam}) == len(lam)
 
     def test_cap(self):
-        with pytest.raises(GroundTooLarge):
+        with pytest.raises(TooLarge):
             enumerate_mls(GroundSet(8))
 
     @pytest.mark.skipif(
@@ -153,6 +154,16 @@ class TestCompleteLinked:
     def test_not_linked(self):
         with pytest.raises(NotLinked):
             complete_linked(SetFamily.of(GroundSet(3), [0b001, 0b110]))
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), n=st.integers(min_value=1, max_value=5))
+    def test_matches_greedy_loop(self, data, n):
+        """Any subfamily of a maximal linked system is linked."""
+        lam = enumerate_mls(GroundSet(n))
+        eta = data.draw(st.sampled_from(lam.systems))
+        masks = data.draw(st.sets(st.sampled_from(eta.full_family().masks)))
+        done = complete_linked(SetFamily.of(GroundSet(n), masks))
+        assert frozenset(done.minimal) == oracles.complete_linked_greedy(frozenset(masks), n)
 
 
 class TestLambdaMap:

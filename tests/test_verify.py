@@ -70,11 +70,13 @@ def test_lambda_plus_subbase_matches_definition(n):
 
 
 def test_lambda_plus_subbase_refuses_a_large_carrier_before_the_table(monkeypatch):
-    """At n=7 the 1,422,564 systems exceed the carrier cap; the membership
-    table (2^n bits per system) must not be built before that is found."""
-    tables = []
+    """At n=7 the 1,422,564 systems exceed the carrier cap; neither the
+    enumeration nor the membership table (2^n bits per system) may run
+    before that is found."""
+    calls = []
     monkeypatch.setattr(subbase, "MAX_CARRIER", 80)
-    monkeypatch.setattr(verify, "_up_bits", lambda *a: tables.append(a))
+    monkeypatch.setattr(verify, "_up_bits", lambda *a: calls.append(("_up_bits", a)))
+    monkeypatch.setattr(verify, "enumerate_mls", lambda *a, **k: calls.append(("enumerate_mls", a)))
     with pytest.raises(TooLarge, match="carrier size 81 exceeds 80"):
         lambda_plus_subbase(5)
-    assert tables == []
+    assert calls == []
