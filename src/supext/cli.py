@@ -13,7 +13,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import embed, functionals, subbase, verify
-from .errors import InputError, SupextError
+from .errors import InputError
 from .functionals import PointFunction, evaluate, term_from_json
 from .inclusion import enumerate_ih
 from .setkit import GroundSet
@@ -252,9 +252,6 @@ def main(argv: list[str] | None = None) -> int:
     except (InputError, OSError, json.JSONDecodeError) as exc:
         print(f"supext: input error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except SupextError as exc:
-        print(f"supext: {exc}", file=sys.stderr)
-        return EXIT_FAIL
 
 
 if __name__ == "__main__":

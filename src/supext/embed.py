@@ -12,15 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .errors import (
-    CarrierMismatch,
-    Check,
-    InputError,
-    InvalidOperator,
-    NotPointFixed,
-    NotUsco,
-    TooLarge,
-)
+from .errors import Check, InputError, TooLarge
 from .setkit import MAX_GROUND, GroundSet, bits, canonical_key
 from .superext import MaxLinkedSystem, Superextension, enumerate_mls, eta_point
 
@@ -189,12 +181,12 @@ def _product2(e1: RegularOperator, e2: RegularOperator) -> RegularOperator:
 def compose_operators(outer: RegularOperator, inner: RegularOperator) -> RegularOperator:
     """W -> outer(inner(W)), for X embedded in X' embedded in Z."""
     if inner.codomain != outer.domain:
-        raise CarrierMismatch("inner codomain must be the outer domain")
+        raise InputError("inner codomain must be the outer domain")
     out_tab = outer.lookup()
     table = []
     for u, eu in inner.table:
         if eu not in out_tab:
-            raise CarrierMismatch("inner image is not an open the outer operator covers")
+            raise InputError("inner image is not an open the outer operator covers")
         table.append((u, out_tab[eu]))
     inject = tuple(outer.inject[y] for y in inner.inject)
     return RegularOperator(inner.domain, outer.codomain, inject, tuple(table))
@@ -277,7 +269,7 @@ def usco_from_regular(e: RegularOperator, lam: Superextension | None = None) -> 
     """
     check = validate_regular(e)
     if not check.ok:
-        raise InvalidOperator(f"operator fails {check.axiom}")
+        raise InputError(f"operator fails {check.axiom}")
     ground = GroundSet(e.domain.n)
     if lam is None:
         lam = enumerate_mls(ground)
@@ -297,12 +289,12 @@ def check_usco_map(r: UscoMap) -> None:
     ground = r.lam.ground
     for y, vals in enumerate(r.values):
         if not vals:
-            raise NotUsco(f"empty value at point {y}")
+            raise InputError(f"empty value at point {y}")
     for x in range(ground.n):
         if r.values[r.inject[x]] != (eta_point(ground, x),):
-            raise NotPointFixed(f"embedded point {x} is not sent to its principal system")
+            raise InputError(f"embedded point {x} is not sent to its principal system")
     if not r.is_usc():
-        raise NotUsco("map is not upper semicontinuous")
+        raise InputError("map is not upper semicontinuous")
 
 
 def regular_from_usco(r: UscoMap, domain: FiniteTopSpace | None = None) -> RegularOperator:

@@ -1,4 +1,4 @@
-"""Exception hierarchy and the check result shared by all supext modules."""
+"""The check result and the input errors shared by all supext modules."""
 
 from __future__ import annotations
 
@@ -21,69 +21,13 @@ class Check:
         return self.ok
 
 
-class SupextError(Exception):
-    """Base class for all errors raised by this package."""
+class InputError(Exception):
+    """A caller's arguments break a precondition: bad input, never a failed check.
 
-
-class InputError(SupextError):
-    """Malformed input file or CLI argument."""
-
-
-class PointOutOfRange(InputError):
-    """A point or a subset mask outside the ground set."""
-
-
-class GroundMismatch(SupextError):
-    pass
-
-
-class NotLinked(SupextError):
-    pass
-
-
-class EmptySet(SupextError):
-    pass
-
-
-class EqualSystems(SupextError):
-    pass
-
-
-class InSubspace(SupextError):
-    pass
-
-
-class Inconsistent(SupextError):
-    pass
-
-
-class NotSurjective(SupextError):
-    pass
-
-
-class NotAnExtender(SupextError):
-    pass
+    The CLI exits 2 on it.  A mathematical failure is not an exception: it
+    is a ``Check`` or a report entry that carries its witness.
+    """
 
 
 class TooLarge(InputError):
     """An input above a size cap, refused before any work on it starts."""
-
-
-class InvalidOperator(SupextError):
-    pass
-
-
-class CarrierMismatch(SupextError):
-    pass
-
-
-class NotUsco(SupextError):
-    pass
-
-
-class NotPointFixed(SupextError):
-    pass
-
-
-class UnknownSuite(InputError):
-    pass

@@ -20,16 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
-from .errors import (
-    Check,
-    EqualSystems,
-    GroundMismatch,
-    InputError,
-    Inconsistent,
-    InSubspace,
-    NotAnExtender,
-    NotSurjective,
-)
+from .errors import Check, InputError
 from .setkit import Antichain, GroundSet, PointMap, SetFamily, Subset, bits, canonical_key
 from .superext import MaxLinkedSystem, Superextension, enumerate_mls
 
@@ -65,13 +56,13 @@ class PointFunction:
 
     def plus(self, other: "PointFunction") -> "PointFunction":
         if other.ground != self.ground:
-            raise GroundMismatch("point functions on different grounds")
+            raise InputError("point functions on different grounds")
         return PointFunction(self.ground, tuple(a + b for a, b in zip(self.values, other.values)))
 
     def precompose(self, pm: PointMap) -> "PointFunction":
         """self o pm, a function on pm's domain."""
         if pm.cod != self.ground:
-            raise GroundMismatch("map codomain does not match function ground")
+            raise InputError("map codomain does not match function ground")
         return PointFunction(pm.dom, tuple(self.values[pm.image[x]] for x in range(pm.dom.n)))
 
     def min_on(self, mask: int) -> Fraction:
@@ -165,7 +156,7 @@ class Convex(Term):
             raise InputError("convex weights must be positive and sum to 1")
         g = self.parts[0].ground
         if any(p.ground != g for p in self.parts):
-            raise GroundMismatch("convex parts on different grounds")
+            raise InputError("convex parts on different grounds")
 
     @property
     def ground(self) -> GroundSet:  # type: ignore[override]
@@ -185,7 +176,7 @@ class Precompose(Term):
 
     def __post_init__(self) -> None:
         if self.inner.ground != self.point_map.dom:
-            raise GroundMismatch("inner term must live on the map's domain")
+            raise InputError("inner term must live on the map's domain")
 
     @property
     def ground(self) -> GroundSet:  # type: ignore[override]
@@ -203,14 +194,14 @@ def phi(eta: MaxLinkedSystem, f: PointFunction) -> Fraction:
     larger, so non-minimal members never raise the max.
     """
     if f.ground != eta.ground:
-        raise GroundMismatch("function and system on different grounds")
+        raise InputError("function and system on different grounds")
     return max(f.min_on(m) for m in eta.minimal)
 
 
 def phi_minmax(eta: MaxLinkedSystem, f: PointFunction) -> Fraction:
     """min over members F of eta of max of f on F (the dual form)."""
     if f.ground != eta.ground:
-        raise GroundMismatch("function and system on different grounds")
+        raise InputError("function and system on different grounds")
     return min(f.max_on(m) for m in eta.minimal)
 
 
@@ -228,7 +219,7 @@ def family_maxmin_minmax(fam: SetFamily, f: PointFunction) -> tuple[Fraction, Fr
     genuinely differ; maximality is what closes the gap.
     """
     if f.ground != fam.ground:
-        raise GroundMismatch("function and family on different grounds")
+        raise InputError("function and family on different grounds")
     if not fam.masks:
         raise InputError("family must be nonempty")
     a = max(f.min_on(m) for m in fam.masks)
@@ -238,7 +229,7 @@ def family_maxmin_minmax(fam: SetFamily, f: PointFunction) -> tuple[Fraction, Fr
 
 def evaluate(term: Term, f: PointFunction) -> Fraction:
     if f.ground != term.ground:
-        raise GroundMismatch("function and term on different grounds")
+        raise InputError("function and term on different grounds")
     match term:
         case Dirac(x=x):
             return f.values[x]
@@ -376,16 +367,16 @@ def separating_function(eta: MaxLinkedSystem, xi: MaxLinkedSystem) -> PointFunct
     canonical order) separates the two functionals.
     """
     if eta.ground != xi.ground:
-        raise GroundMismatch("systems on different grounds")
+        raise InputError("systems on different grounds")
     if eta == xi:
-        raise EqualSystems("cannot separate a system from itself")
+        raise InputError("cannot separate a system from itself")
     full = eta.ground.full
     for a in sorted(eta.ground.nonempty_subsets(), key=canonical_key):
         if eta.contains(a) and xi.contains(full ^ a):
             return PointFunction(
                 eta.ground, tuple(Fraction(1 if a >> x & 1 else 0) for x in eta.ground.points())
             )
-    raise EqualSystems("no separating member found; systems are equal")
+    raise InputError("no separating member found; systems are equal")
 
 
 def support_grid(ground: GroundSet) -> list[PointFunction]:
@@ -442,14 +433,14 @@ def retraction_from_extender(
     the {0,1,2}^n grid before anything is returned.
     """
     if len(x_to_y) != ground.n or len(set(x_to_y)) != ground.n:
-        raise NotAnExtender("x_to_y must inject the ground into the ambient points")
+        raise InputError("x_to_y must inject the ground into the ambient points")
     for f in support_grid(ground):
         uf = list(u(f))
         if len(uf) != y_count:
-            raise NotAnExtender("extender output has wrong length")
+            raise InputError("extender output has wrong length")
         for x in ground.points():
             if Fraction(uf[x_to_y[x]]) != f.values[x]:
-                raise NotAnExtender(f"u(f) does not restrict to f at point {x}")
+                raise InputError(f"u(f) does not restrict to f at point {x}")
 
     def at(y: int) -> Callable[[PointFunction], Fraction]:
         return lambda f: Fraction(u(f)[y])
@@ -464,9 +455,9 @@ def s_preimage(pm: PointMap, nu: Term) -> Term:
     least preimage; evaluating the result at h o pm recovers nu(h).
     """
     if not pm.is_surjective():
-        raise NotSurjective("preimage construction needs a surjective map")
+        raise InputError("preimage construction needs a surjective map")
     if nu.ground != pm.cod:
-        raise GroundMismatch("term must live on the map's codomain")
+        raise InputError("term must live on the map's codomain")
     section = PointMap(
         pm.cod, pm.dom, tuple(min(x for x in range(pm.dom.n) if pm.image[x] == y) for y in range(pm.cod.n))
     )
@@ -527,9 +518,9 @@ class GeneratedSubspace:
         object.__setattr__(self, "generators", gens)
         for b, v in gens:
             if b.ground != self.ground:
-                raise GroundMismatch("generator on wrong ground")
+                raise InputError("generator on wrong ground")
             if not min(b.values) <= v <= max(b.values):
-                raise Inconsistent(f"value {v} outside the range of its generator")
+                raise InputError(f"value {v} outside the range of its generator")
         # Monotonicity across orbits: k*b_i + c <= k'*b_j + c' must imply
         # k*v_i + c <= k'*v_j + c'.  By positive homogeneity it suffices to
         # check the directions k = 1 and k = -1 (k = 0 is the range check).
@@ -540,12 +531,12 @@ class GeneratedSubspace:
                         -vj, [(bj.values[x], -sign * bi.values[x]) for x in self.ground.points()]
                     )
                     if s is None or sign * vi + s > 0:
-                        raise Inconsistent("generator values admit no monotone extension")
+                        raise InputError("generator values admit no monotone extension")
 
     def contains(self, f: PointFunction) -> bool:
         """Whether f lies on some generator orbit k*b + c (constants included)."""
         if f.ground != self.ground:
-            raise GroundMismatch("function on wrong ground")
+            raise InputError("function on wrong ground")
         if len(set(f.values)) == 1:
             return True
         for b, _ in self.generators:
@@ -583,11 +574,11 @@ def admissible_interval(
         lo = _concave_sup(v, [(-b.values[x], phi0.values[x]) for x in range(n)])
         hi = _concave_sup(-v, [(b.values[x], -phi0.values[x]) for x in range(n)])
         if lo is None or hi is None:
-            raise Inconsistent("unbounded envelope; generator values are inconsistent")
+            raise InputError("unbounded envelope; generator values are inconsistent")
         lower = max(lower, lo)
         upper = min(upper, -hi)
     if lower > upper:
-        raise Inconsistent(f"empty admissible interval ({lower}, {upper})")
+        raise InputError(f"empty admissible interval ({lower}, {upper})")
     return lower, upper
 
 
@@ -601,9 +592,9 @@ def extend_one(
     ("lower" / "upper").
     """
     if phi0.ground != b0.ground:
-        raise GroundMismatch("function on wrong ground")
+        raise InputError("function on wrong ground")
     if b0.contains(phi0):
-        raise InSubspace("function already lies in the generated subspace")
+        raise InputError("function already lies in the generated subspace")
     lower, upper = admissible_interval(b0.generators, phi0)
     if choose == "mid":
         p = (lower + upper) / 2

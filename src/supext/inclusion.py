@@ -9,13 +9,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import GroundMismatch, InputError, TooLarge
+from .errors import InputError, TooLarge
 from .setkit import (
     Antichain,
     GroundSet,
     PointMap,
     _image_bits,
     _minimal_bits,
+    _plus_columns,
     _pushforward_bits,
     _up_bits,
     canonical_key,
@@ -70,7 +71,7 @@ def g_map(pm: PointMap, a: InclusionHyperspace) -> InclusionHyperspace:
     up-closure of member images; the two agree for total maps.
     """
     if a.ground != pm.dom:
-        raise GroundMismatch("hyperspace does not live on the map's domain")
+        raise InputError("hyperspace does not live on the map's domain")
     by_preimage = _pushforward_bits(pm, a.minimal)
     if by_preimage != _image_bits(pm, a.minimal):
         raise InputError("pushforward formulas disagree")
@@ -89,10 +90,10 @@ def candidate_subbase_gx(
     if ground.n > MAX_GX_GROUND:
         raise TooLarge(f"candidate subbase capped at n <= {MAX_GX_GROUND}")
     carrier = enumerate_ih(ground)
-    members: list[int] = []
-    for f in sorted(ground.nonempty_subsets(), key=canonical_key):
-        members.append(sum(1 << i for i, a in enumerate(carrier) if a.contains(f)))
-    for u in sorted(ground.nonempty_subsets(), key=canonical_key):
+    plus = _plus_columns((a.minimal for a in carrier), ground.n)
+    subsets = sorted(ground.nonempty_subsets(), key=canonical_key)
+    members = [plus[f] for f in subsets]
+    for u in subsets:
         members.append(
             sum(1 << i for i, a in enumerate(carrier) if all(m & u for m in a.minimal))
         )

@@ -13,7 +13,7 @@ import json
 from dataclasses import dataclass
 from typing import ClassVar, Iterable, Iterator
 
-from .errors import InputError, NotLinked, PointOutOfRange, TooLarge
+from .errors import InputError, TooLarge
 
 # All family-level operations stay exact and fast up to this width, on
 # ground sets and on finite spaces (embed); enumeration of maximal linked
@@ -62,11 +62,11 @@ class GroundSet:
 
     def check_point(self, x: int) -> None:
         if not 0 <= x < self.n:
-            raise PointOutOfRange(f"point {x} outside ground set of size {self.n}")
+            raise InputError(f"point {x} outside ground set of size {self.n}")
 
     def check_mask(self, mask: int) -> None:
         if not 0 <= mask <= self.full:
-            raise PointOutOfRange(f"mask {mask:#x} uses bits outside ground set")
+            raise InputError(f"mask {mask:#x} uses bits outside ground set")
 
     def nonempty_subsets(self) -> range:
         return range(1, self.full + 1)
@@ -241,6 +241,20 @@ def _is_self_dual_upclosed_bits(fam: int, n: int) -> bool:
     return fam ^ flipped == (1 << size) - 1
 
 
+def _plus_columns(minimals: Iterable[tuple[int, ...]], n: int) -> list[int]:
+    """Column f, for every subset f of an n-point ground: the bitset over a
+    nonempty carrier of antichains with bit i set iff family i contains f.
+
+    One row per family, last family first: its up-closure as 2^n binary
+    digits, subset f at digit 2^n - 1 - f.  Digit string f of the
+    transposed table, read as a binary number, is then column f.
+    """
+    size = 1 << n
+    rows = [format(_up_bits(m, n), f"0{size}b") for m in minimals][::-1]
+    columns = list(zip(*rows))
+    return [int("".join(columns[size - 1 - f]), 2) for f in range(size)]
+
+
 @functools.lru_cache(maxsize=256)
 def _preimage_table(image: tuple[int, ...], m: int) -> tuple[int, ...]:
     """preimage_mask(B) of the map with this image, for every B below 2^m."""
@@ -318,7 +332,7 @@ class Antichain:
                 if ab == a or ab == b:
                     raise InputError("minimal members must form an antichain")
                 if not ab and self.linked:
-                    raise NotLinked("minimal members must be pairwise intersecting")
+                    raise InputError("minimal members must be pairwise intersecting")
 
     def contains(self, mask: int) -> bool:
         """Membership of a subset in the full (up-closed) family."""

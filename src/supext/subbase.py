@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .errors import Check, InputError, InvalidOperator, TooLarge
+from .errors import Check, InputError, TooLarge
 from .setkit import bits, popcount
 
 MAX_CARRIER = 1 << 16
@@ -140,12 +140,12 @@ def sconvex_retraction(e, sb: Subbase) -> tuple[int, ...]:
     from .embed import RegularOperator, validate_regular  # local: avoid cycle
 
     if not isinstance(e, RegularOperator):
-        raise InvalidOperator("a regular operator is required")
+        raise InputError("a regular operator is required")
     if sb.carrier != e.domain.n:
-        raise InvalidOperator("subbase carrier must match the operator domain")
+        raise InputError("subbase carrier must match the operator domain")
     check = validate_regular(e)
     if not check.ok:
-        raise InvalidOperator(f"operator fails {check.axiom}")
+        raise InputError(f"operator fails {check.axiom}")
     values = []
     for y in range(e.codomain.n):
         acc = sb.full

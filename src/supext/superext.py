@@ -17,7 +17,7 @@ from operator import attrgetter
 from typing import ClassVar, Iterator
 
 from . import parallel
-from .errors import EmptySet, GroundMismatch, NotLinked, TooLarge
+from .errors import InputError, TooLarge
 from .setkit import (
     Antichain,
     GroundSet,
@@ -41,8 +41,8 @@ MAX_N = 7
 class MaxLinkedSystem(Antichain):
     """A maximal linked system, canonically represented by its minimal antichain.
 
-    Construction checks that the antichain is linked (``NotLinked``
-    otherwise); ``is_maximal_linked`` checks maximality.
+    Construction checks that the antichain is linked;
+    ``is_maximal_linked`` checks maximality.
     """
 
     linked: ClassVar[bool] = True
@@ -181,7 +181,7 @@ def complete_linked(fam: SetFamily) -> MaxLinkedSystem:
     dead-ends: once one side conflicts, the other is forced and safe.
     """
     if not is_linked(fam) or 0 in fam.masks:
-        raise NotLinked("input family must be linked and free of the empty set")
+        raise InputError("input family must be linked and free of the empty set")
     n = fam.ground.n
     disjoint = _disjoint(n)
     # a family bitset, as in _backtrack
@@ -196,10 +196,10 @@ def complete_linked(fam: SetFamily) -> MaxLinkedSystem:
 def lambda_map(pm: PointMap, eta: MaxLinkedSystem) -> MaxLinkedSystem:
     """Push a system forward along a point map: {B : preimage(B) in eta}."""
     if eta.ground != pm.dom:
-        raise GroundMismatch("system does not live on the map's domain")
+        raise InputError("system does not live on the map's domain")
     fam = _pushforward_bits(pm, eta.minimal)
     if not _is_self_dual_upclosed_bits(fam, pm.cod.n):
-        raise NotLinked("pushforward is not a maximal linked system")
+        raise InputError("pushforward is not a maximal linked system")
     return MaxLinkedSystem(pm.cod, _minimal_bits(fam, pm.cod.n))
 
 
@@ -210,14 +210,14 @@ def lambda_map_image(pm: PointMap, eta: MaxLinkedSystem) -> MaxLinkedSystem:
     cross-check of the preimage formula.
     """
     if eta.ground != pm.dom:
-        raise GroundMismatch("system does not live on the map's domain")
+        raise InputError("system does not live on the map's domain")
     return MaxLinkedSystem(pm.cod, _minimal_bits(_image_bits(pm, eta.minimal), pm.cod.n))
 
 
 def plus_set(f_mask: int, lam: Superextension) -> tuple[MaxLinkedSystem, ...]:
     """All systems of the superextension containing the given nonempty set."""
     if f_mask == 0:
-        raise EmptySet("plus_set of the empty set is undefined")
+        raise InputError("plus_set of the empty set is undefined")
     lam.ground.check_mask(f_mask)
     return tuple(eta for eta in lam.systems if eta.contains(f_mask))
 

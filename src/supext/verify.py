@@ -22,7 +22,7 @@ from .embed import (
     usco_from_regular,
     validate_regular,
 )
-from .errors import InputError, UnknownSuite
+from .errors import InputError
 from .functionals import (
     Convex,
     Dirac,
@@ -37,7 +37,7 @@ from .functionals import (
     witness_to_obj,
 )
 from .inclusion import enumerate_ih, g_map
-from .setkit import GroundSet, PointMap, _up_bits, popcount
+from .setkit import GroundSet, PointMap, _plus_columns, popcount
 from .subbase import Subbase, check_carrier, is_binary, is_normal
 from .superext import (
     EXPECTED_MLS_COUNTS,
@@ -238,13 +238,8 @@ def lambda_plus_subbase(n: int, workers: int = 1) -> Subbase:
         # before enumerating it
         check_carrier(EXPECTED_MLS_COUNTS[n])
     lam = enumerate_mls(GroundSet(n), workers=workers)
-    size = 1 << n
-    # One row per system, last system first: its up-closure as 2^n binary
-    # digits, subset f at column size - 1 - f.  Column f, read as a binary
-    # number, then has bit i set iff system i contains f.
-    rows = [format(_up_bits(eta.minimal, n), f"0{size}b") for eta in reversed(lam.systems)]
-    columns = list(zip(*rows))
-    members = [int("".join(columns[size - 1 - f]), 2) for f in lam.ground.nonempty_subsets()]
+    plus = _plus_columns((eta.minimal for eta in lam.systems), n)
+    members = [plus[f] for f in lam.ground.nonempty_subsets()]
     return Subbase(len(lam.systems), tuple(m for m in members if m))
 
 
@@ -295,7 +290,7 @@ def suite_usco_roundtrip(n: int = 0, workers: int = 1, **_: int) -> dict:
         try:
             r = usco_from_regular(e)
             check_usco_map(r)
-        except Exception as exc:
+        except InputError as exc:
             failures.append({"operator": name, "stage": "usco", "error": str(exc)})
             continue
         checks += 1
@@ -321,7 +316,8 @@ def run_verify_suite(
     suite: str, n: int, seed: int = 0, trials: int = 500, workers: int = 1
 ) -> dict:
     if suite not in SUITES:
-        raise UnknownSuite(f"unknown suite {suite!r}; choose from {sorted(SUITES)}")
+        raise InputError(f"unknown suite {suite!r}; choose from {sorted(SUITES)}")
+    GroundSet(n)  # one size check for every suite, before any of them runs
     body = SUITES[suite](n, workers=workers, seed=seed, trials=trials)
     report = {"suite": suite, "anchor": ANCHORS[suite], "n": n}
     report.update(body)

@@ -163,9 +163,11 @@ class TestExtend:
         )
         assert code == 0 and obj["p"] == "1"
 
-    def test_in_subspace_is_math_failure(self, capsys, tmp_path):
-        code, _ = run(capsys, "extend", "--generators", self.write_gens(tmp_path), "--phi", "3,3")
-        assert code == 1
+    def test_in_subspace_is_input_error(self, capsys, tmp_path):
+        code = main(["extend", "--generators", self.write_gens(tmp_path), "--phi", "3,3"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "input error: function already lies in the generated subspace" in captured.err
 
     @pytest.mark.parametrize("gen", [{"b": ["1", "1"], "v": "1/0"}, {"b": ["1/0", "1"], "v": "1"}])
     def test_zero_denominator(self, capsys, tmp_path, gen):
@@ -330,3 +332,40 @@ class TestExitContract:
         code, out, err = run_quiet(command.format(sb=sb, op=op).split())
         assert code == 2 and out == ""
         assert "input error" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "command, message",
+        [
+            ("extend --generators {bad_gens} --phi 0,1", "value 5 outside the range of its generator"),
+            ("extend --generators {gens} --phi 3,3", "function already lies in the generated subspace"),
+            ("usco --from {op}", "operator fails trace"),
+            ("roundtrip {op}", "operator fails trace"),
+            ("verify --suite functor-laws --n 0", "ground set must have at least one point"),
+            ("verify --suite functor-laws --n -2", "ground set must have at least one point"),
+            ("verify --suite usco-roundtrip --n -7", "ground set must have at least one point"),
+        ],
+        ids=[
+            "extend-value-out-of-range",
+            "extend-in-subspace",
+            "usco-fails-trace",
+            "roundtrip-fails-trace",
+            "functor-laws-n0",
+            "functor-laws-n-2",
+            "usco-roundtrip-n-7",
+        ],
+    )
+    def test_precondition_errors(self, tmp_path, command, message):
+        """A broken precondition is an input error: exit 2 and no report,
+        never the witnessed failure that exit 1 stands for."""
+        gens, bad_gens = tmp_path / "g.json", tmp_path / "bad.json"
+        gens.write_text(json.dumps({"n": 2, "generators": [{"b": ["1", "1"], "v": "1"}]}))
+        bad_gens.write_text(json.dumps({"n": 2, "generators": [{"b": ["0", "1"], "v": "5"}]}))
+        op = tmp_path / "op.json"
+        # {0} goes to {1}, which misses the embedded point 0: fails trace
+        op.write_text(json.dumps(
+            {"X": {"n": 1, "min_nbhd": ["1"]}, "Y": {"n": 2, "min_nbhd": ["1", "2"]},
+             "inject": [0], "table": [["0", "0"], ["1", "2"]]}
+        ))
+        code, out, err = run_quiet(command.format(gens=gens, bad_gens=bad_gens, op=op).split())
+        assert code == 2 and out == ""
+        assert f"input error: {message}" in err and "Traceback" not in err

@@ -6,7 +6,7 @@ import pytest
 
 import oracles
 from supext import inclusion
-from supext.errors import GroundMismatch, InputError, TooLarge
+from supext.errors import InputError, TooLarge
 from supext.inclusion import (
     InclusionHyperspace,
     candidate_subbase_gx,
@@ -91,7 +91,7 @@ class TestGMap:
 
     def test_ground_mismatch(self):
         pm = PointMap(GroundSet(2), GroundSet(2), (0, 1))
-        with pytest.raises(GroundMismatch):
+        with pytest.raises(InputError, match="hyperspace does not live on the map's domain"):
             g_map(pm, ih(3, (0b001,)))
 
     def test_preserves_mls(self):

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import oracles
-from supext.errors import InputError, PointOutOfRange, TooLarge
+from supext.errors import InputError, TooLarge
 from supext.setkit import (
     GroundSet,
     PointMap,
@@ -44,9 +44,9 @@ class TestGroundSet:
     def test_mask_check(self):
         g = GroundSet(3)
         g.check_mask(0b111)
-        with pytest.raises(PointOutOfRange):
+        with pytest.raises(InputError, match="mask 0x8 uses bits outside ground set"):
             g.check_mask(0b1000)
-        with pytest.raises(PointOutOfRange):
+        with pytest.raises(InputError, match="uses bits outside ground set"):
             Subset(g, -1)
 
 
@@ -173,7 +173,7 @@ class TestPointMap:
     def test_total(self):
         with pytest.raises(InputError):
             PointMap(GroundSet(3), GroundSet(2), (0, 1))
-        with pytest.raises(PointOutOfRange):
+        with pytest.raises(InputError, match="point 2 outside ground set of size 2"):
             PointMap(GroundSet(2), GroundSet(2), (0, 2))
 
 

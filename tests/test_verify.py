@@ -8,7 +8,8 @@ from hypothesis import given, strategies as st
 import oracles
 from supext import subbase, verify
 from supext.errors import InputError, TooLarge
-from supext.setkit import GroundSet
+from supext.inclusion import candidate_subbase_gx
+from supext.setkit import GroundSet, canonical_key
 from supext.superext import enumerate_mls
 from supext.verify import EQ1_GRID, _eq1_chunk, lambda_plus_subbase, suite_eq1
 
@@ -57,16 +58,30 @@ class TestSuiteEq1:
         assert body == {"checks_run": 10_838_016, "failures": []}
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
-def test_lambda_plus_subbase_matches_definition(n):
-    """Member F-plus has bit i set iff system i contains F, for every nonempty F."""
-    lam = enumerate_mls(GroundSet(n))
-    members = []
-    for f in range(1, 1 << n):
-        members.append(sum(1 << i for i, eta in enumerate(lam.systems) if eta.contains(f)))
-    sb = lambda_plus_subbase(n)
-    assert sb.carrier == len(lam)
-    assert sb.members == tuple(m for m in members if m)
+def _plus_members(carrier, subsets):
+    """{A : F in A} for each F, bit i standing for carrier[i]."""
+    return [sum(1 << i for i, a in enumerate(carrier) if a.contains(f)) for f in subsets]
+
+
+@pytest.mark.parametrize(
+    "n, hyperspace",
+    [pytest.param(n, False, id=str(n)) for n in range(1, 6)]
+    + [pytest.param(n, True, id=f"hyperspace-{n}") for n in range(1, 5)],
+)
+def test_lambda_plus_subbase_matches_definition(n, hyperspace):
+    """Member F-plus has bit i set iff family i of the carrier contains F, for
+    every nonempty F: over the systems of the superextension, and in the
+    containment half of the candidate subbase over the inclusion hyperspaces."""
+    ground = GroundSet(n)
+    if hyperspace:
+        sb, carrier = candidate_subbase_gx(ground)
+        subsets = sorted(ground.nonempty_subsets(), key=canonical_key)
+        members = _plus_members(carrier, subsets)
+        assert sb.members[: len(members)] == tuple(members)
+    else:
+        carrier = enumerate_mls(ground).systems
+        members = [m for m in _plus_members(carrier, ground.nonempty_subsets()) if m]
+        assert lambda_plus_subbase(n).members == tuple(members)
 
 
 def test_lambda_plus_subbase_refuses_a_large_carrier_before_the_table(monkeypatch):
@@ -75,7 +90,7 @@ def test_lambda_plus_subbase_refuses_a_large_carrier_before_the_table(monkeypatc
     before that is found."""
     calls = []
     monkeypatch.setattr(subbase, "MAX_CARRIER", 80)
-    monkeypatch.setattr(verify, "_up_bits", lambda *a: calls.append(("_up_bits", a)))
+    monkeypatch.setattr(verify, "_plus_columns", lambda *a: calls.append(("_plus_columns", a)))
     monkeypatch.setattr(verify, "enumerate_mls", lambda *a, **k: calls.append(("enumerate_mls", a)))
     with pytest.raises(TooLarge, match="carrier size 81 exceeds 80"):
         lambda_plus_subbase(5)
