@@ -251,25 +251,31 @@ class UscoMap:
         if len(self.values) != self.space.n:
             raise InputError("one value per ambient point required")
 
+    def is_usc_at(self, y: int) -> bool:
+        """r(z) lies inside r(y) for every z in the minimal neighborhood of y."""
+        ry = set(self.values[y])
+        return all(set(self.values[z]) <= ry for z in bits(self.space.min_nbhd[y]))
+
     def is_usc(self) -> bool:
         """Finite usc criterion: r shrinks along minimal neighborhoods."""
-        for y in range(self.space.n):
-            ry = set(self.values[y])
-            for z in bits(self.space.min_nbhd[y]):
-                if not set(self.values[z]) <= ry:
-                    return False
-        return True
+        return all(self.is_usc_at(y) for y in range(self.space.n))
 
 
 def usco_from_regular(e: RegularOperator, lam: Superextension | None = None) -> UscoMap:
     """r(y) = all systems containing the closure of every U with y in e(U).
 
     Points outside every e(U) get the whole superextension; embedded
-    points get exactly their principal system.
+    points get exactly their principal system.  The embedded space must be
+    T1, which for a finite space means discrete: if some U containing x has
+    a closure with a second point y, the principal system of y lies in r(x)
+    too.  Over a discrete domain the result always passes check_usco_map.
     """
     check = validate_regular(e)
     if not check.ok:
         raise InputError(f"operator fails {check.axiom}")
+    for x, nb in enumerate(e.domain.min_nbhd):
+        if nb != 1 << x:
+            raise InputError(f"domain is not T1: point {x} has a larger minimal neighborhood")
     ground = GroundSet(e.domain.n)
     if lam is None:
         lam = enumerate_mls(ground)
@@ -284,26 +290,36 @@ def usco_from_regular(e: RegularOperator, lam: Superextension | None = None) -> 
     return UscoMap(e.codomain, lam, tuple(values), e.inject)
 
 
-def check_usco_map(r: UscoMap) -> None:
-    """Raise unless r has nonempty values, fixes embedded points, and is usc."""
+def check_usco_map(r: UscoMap) -> Check:
+    """Whether r has nonempty values, fixes embedded points, and is usc.
+
+    The witness is the offending point: an ambient point with an empty
+    value, an embedded point of the domain, or an ambient point whose
+    value does not contain a neighbor's value.
+    """
     ground = r.lam.ground
     for y, vals in enumerate(r.values):
         if not vals:
-            raise InputError(f"empty value at point {y}")
+            return Check(False, "nonempty", y)
     for x in range(ground.n):
         if r.values[r.inject[x]] != (eta_point(ground, x),):
-            raise InputError(f"embedded point {x} is not sent to its principal system")
-    if not r.is_usc():
-        raise InputError("map is not upper semicontinuous")
+            return Check(False, "point-fixed", x)
+    for y in range(r.space.n):
+        if not r.is_usc_at(y):
+            return Check(False, "usc", y)
+    return Check(True)
 
 
 def regular_from_usco(r: UscoMap, domain: FiniteTopSpace | None = None) -> RegularOperator:
     """e(U) = points whose value lands inside U-plus.
 
     U-plus is generated by the closed sets contained in U: a system lies
-    in it when some closed F inside U belongs to the system.
+    in it when some closed F inside U belongs to the system.  The map must
+    pass check_usco_map.
     """
-    check_usco_map(r)
+    check = check_usco_map(r)
+    if not check.ok:
+        raise InputError(f"usco map fails {check.axiom} at point {check.witness}")
     ground = r.lam.ground
     if domain is None:
         domain = FiniteTopSpace.discrete(ground.n)

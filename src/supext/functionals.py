@@ -371,12 +371,10 @@ def separating_function(eta: MaxLinkedSystem, xi: MaxLinkedSystem) -> PointFunct
     if eta == xi:
         raise InputError("cannot separate a system from itself")
     full = eta.ground.full
-    for a in sorted(eta.ground.nonempty_subsets(), key=canonical_key):
-        if eta.contains(a) and xi.contains(full ^ a):
-            return PointFunction(
-                eta.ground, tuple(Fraction(1 if a >> x & 1 else 0) for x in eta.ground.points())
-            )
-    raise InputError("no separating member found; systems are equal")
+    subsets = sorted(eta.ground.nonempty_subsets(), key=canonical_key)
+    a = next((a for a in subsets if eta.contains(a) and xi.contains(full ^ a)), None)
+    assert a is not None, "distinct maximal linked systems have a disjoint pair of members"
+    return PointFunction(eta.ground, tuple(Fraction(a >> x & 1) for x in eta.ground.points()))
 
 
 def support_grid(ground: GroundSet) -> list[PointFunction]:

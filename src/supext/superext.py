@@ -198,8 +198,8 @@ def lambda_map(pm: PointMap, eta: MaxLinkedSystem) -> MaxLinkedSystem:
     if eta.ground != pm.dom:
         raise InputError("system does not live on the map's domain")
     fam = _pushforward_bits(pm, eta.minimal)
-    if not _is_self_dual_upclosed_bits(fam, pm.cod.n):
-        raise InputError("pushforward is not a maximal linked system")
+    # an invariant of the construction, not a precondition: no input breaks it
+    assert _is_self_dual_upclosed_bits(fam, pm.cod.n), "pushforward is not a maximal linked system"
     return MaxLinkedSystem(pm.cod, _minimal_bits(fam, pm.cod.n))
 
 

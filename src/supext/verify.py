@@ -287,11 +287,10 @@ def suite_usco_roundtrip(n: int = 0, workers: int = 1, **_: int) -> dict:
         if not v.ok:
             failures.append({"operator": name, "stage": "validate", "axiom": v.axiom})
             continue
-        try:
-            r = usco_from_regular(e)
-            check_usco_map(r)
-        except InputError as exc:
-            failures.append({"operator": name, "stage": "usco", "error": str(exc)})
+        r = usco_from_regular(e)
+        u = check_usco_map(r)
+        if not u.ok:
+            failures.append({"operator": name, "stage": "usco", "axiom": u.axiom, "witness": u.witness})
             continue
         checks += 1
         rt = regular_from_usco(r, domain=e.domain)

@@ -340,6 +340,8 @@ class TestExitContract:
             ("extend --generators {gens} --phi 3,3", "function already lies in the generated subspace"),
             ("usco --from {op}", "operator fails trace"),
             ("roundtrip {op}", "operator fails trace"),
+            ("usco --from {indiscrete}", "domain is not T1: point 0"),
+            ("roundtrip {indiscrete}", "domain is not T1: point 0"),
             ("verify --suite functor-laws --n 0", "ground set must have at least one point"),
             ("verify --suite functor-laws --n -2", "ground set must have at least one point"),
             ("verify --suite usco-roundtrip --n -7", "ground set must have at least one point"),
@@ -349,6 +351,8 @@ class TestExitContract:
             "extend-in-subspace",
             "usco-fails-trace",
             "roundtrip-fails-trace",
+            "usco-non-t1",
+            "roundtrip-non-t1",
             "functor-laws-n0",
             "functor-laws-n-2",
             "usco-roundtrip-n-7",
@@ -366,6 +370,13 @@ class TestExitContract:
             {"X": {"n": 1, "min_nbhd": ["1"]}, "Y": {"n": 2, "min_nbhd": ["1", "2"]},
              "inject": [0], "table": [["0", "0"], ["1", "2"]]}
         ))
-        code, out, err = run_quiet(command.format(gens=gens, bad_gens=bad_gens, op=op).split())
+        # the identity on the indiscrete 2-point space: regular, but not T1
+        indiscrete = tmp_path / "indiscrete.json"
+        space = {"n": 2, "min_nbhd": ["3", "3"]}
+        indiscrete.write_text(json.dumps(
+            {"X": space, "Y": space, "inject": [0, 1], "table": [["0", "0"], ["3", "3"]]}
+        ))
+        argv = command.format(gens=gens, bad_gens=bad_gens, op=op, indiscrete=indiscrete).split()
+        code, out, err = run_quiet(argv)
         assert code == 2 and out == ""
         assert f"input error: {message}" in err and "Traceback" not in err

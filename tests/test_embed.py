@@ -19,7 +19,7 @@ from supext.embed import (
     usco_from_regular,
     validate_regular,
 )
-from supext.errors import InputError
+from supext.errors import Check, InputError
 from supext.setkit import GroundSet
 from supext.superext import enumerate_mls, eta_point
 from supext.verify import standard_operators, two_in_three_operator
@@ -177,7 +177,7 @@ class TestUscoFromRegular:
         assert r.values[0] == (eta_point(g, 0),)
         assert r.values[1] == (eta_point(g, 1),)
         assert r.values[2] == tuple(enumerate_mls(g))  # fallback: whole lambda X
-        check_usco_map(r)
+        assert check_usco_map(r) == Check(True)
         assert r.is_usc()
 
     def test_invalid_operator_rejected(self):
@@ -190,17 +190,25 @@ class TestUscoFromRegular:
     def test_all_standard(self):
         for name, op in standard_operators():
             r = usco_from_regular(op)
-            check_usco_map(r)
+            assert check_usco_map(r).ok, name
             for vals in r.values:
                 assert vals, name
+
+    def test_non_t1_domain_rejected(self):
+        """On the indiscrete 2-point space the identity operator is regular,
+        but r(0) would hold both principal systems: refused up front."""
+        space = FiniteTopSpace(2, (0b11, 0b11))
+        e = RegularOperator.identity(space)
+        assert validate_regular(e).ok
+        with pytest.raises(InputError, match="domain is not T1: point 0"):
+            usco_from_regular(e)
 
 
 class TestCheckUscoMap:
     def test_empty_value(self):
         r0 = usco_from_regular(two_in_three_operator())
         broken = UscoMap(r0.space, r0.lam, (r0.values[0], (), r0.values[2]), r0.inject)
-        with pytest.raises(InputError, match="empty value at point 1"):
-            check_usco_map(broken)
+        assert check_usco_map(broken) == Check(False, "nonempty", 1)
 
     def test_not_point_fixed(self):
         r0 = usco_from_regular(two_in_three_operator())
@@ -208,8 +216,7 @@ class TestCheckUscoMap:
         swapped = UscoMap(
             r0.space, r0.lam, ((eta_point(g, 1),), r0.values[1], r0.values[2]), r0.inject
         )
-        with pytest.raises(InputError, match="embedded point 0 is not sent to its principal system"):
-            check_usco_map(swapped)
+        assert check_usco_map(swapped) == Check(False, "point-fixed", 0)
 
     def test_not_usc(self):
         # point 2's minimal nbhd is the whole space, so r(0) must sit
@@ -219,8 +226,13 @@ class TestCheckUscoMap:
         shrunk = UscoMap(
             r0.space, r0.lam, (r0.values[0], r0.values[1], (eta_point(g, 1),)), r0.inject
         )
-        with pytest.raises(InputError, match="map is not upper semicontinuous"):
-            check_usco_map(shrunk)
+        assert check_usco_map(shrunk) == Check(False, "usc", 2)
+
+    def test_regular_from_usco_needs_a_usco_map(self):
+        r0 = usco_from_regular(two_in_three_operator())
+        broken = UscoMap(r0.space, r0.lam, (r0.values[0], (), r0.values[2]), r0.inject)
+        with pytest.raises(InputError, match="usco map fails nonempty at point 1"):
+            regular_from_usco(broken)
 
 
 class TestRoundTrip:

@@ -2,7 +2,8 @@
 
 A mathematical failure is a ``Check`` or a report entry with its witness,
 never an exception; so every exception supext raises is a broken
-precondition, and the CLI exits 2 on it.  These tests read the source, so a
+precondition, and the CLI exits 2 on it.  An invariant that no input can
+break is an ``assert``: a failure there is a defect of the program.  These tests read the source, so a
 new per-case exception class or a raise of some other type fails here.
 """
 

@@ -109,7 +109,7 @@ class TestGMap:
 
     def test_formula_guard_is_live(self, monkeypatch):
         monkeypatch.setattr(inclusion, "_image_bits", lambda pm, minimal: 0)
-        with pytest.raises(InputError):
+        with pytest.raises(AssertionError, match="pushforward formulas disagree"):
             g_map(PointMap.identity(GroundSet(2)), ih(2, (0b01,)))
 
 

@@ -223,7 +223,7 @@ class TestLambdaMap:
 
     def test_self_duality_guard_is_live(self, monkeypatch):
         monkeypatch.setattr(superext, "_is_self_dual_upclosed_bits", lambda fam, n: False)
-        with pytest.raises(InputError, match="pushforward is not a maximal linked system"):
+        with pytest.raises(AssertionError, match="pushforward is not a maximal linked system"):
             lambda_map(PointMap.identity(GroundSet(2)), eta_point(GroundSet(2), 0))
 
 

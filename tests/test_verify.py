@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 
 import oracles
 from supext import subbase, verify
+from supext.embed import UscoMap, usco_from_regular
 from supext.errors import InputError, TooLarge
 from supext.inclusion import candidate_subbase_gx
 from supext.setkit import GroundSet, canonical_key
@@ -77,11 +78,14 @@ def test_lambda_plus_subbase_matches_definition(n, hyperspace):
         sb, carrier = candidate_subbase_gx(ground)
         subsets = sorted(ground.nonempty_subsets(), key=canonical_key)
         members = _plus_members(carrier, subsets)
+        assert sb.carrier == len(carrier)
         assert sb.members[: len(members)] == tuple(members)
     else:
         carrier = enumerate_mls(ground).systems
         members = [m for m in _plus_members(carrier, ground.nonempty_subsets()) if m]
-        assert lambda_plus_subbase(n).members == tuple(members)
+        sb = lambda_plus_subbase(n)
+        assert sb.carrier == len(carrier)
+        assert sb.members == tuple(members)
 
 
 def test_lambda_plus_subbase_refuses_a_large_carrier_before_the_table(monkeypatch):
@@ -95,3 +99,18 @@ def test_lambda_plus_subbase_refuses_a_large_carrier_before_the_table(monkeypatc
     with pytest.raises(TooLarge, match="carrier size 81 exceeds 80"):
         lambda_plus_subbase(5)
     assert calls == []
+
+
+def test_usco_roundtrip_reports_a_failed_usco_check_with_its_witness(monkeypatch):
+    """A usco map that fails its check is a witnessed report failure of the
+    suite, not an exception."""
+    def broken(e):
+        r = usco_from_regular(e)
+        return UscoMap(r.space, r.lam, ((),) + r.values[1:], r.inject)
+
+    monkeypatch.setattr(verify, "usco_from_regular", broken)
+    report = verify.suite_usco_roundtrip()
+    assert report["failures"][0] == {
+        "operator": "identity-discrete-1", "stage": "usco", "axiom": "nonempty", "witness": 0
+    }
+    assert len(report["failures"]) == len(verify.standard_operators())
