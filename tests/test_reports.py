@@ -3,7 +3,9 @@
 Each case runs one command through ``cli.main`` and compares its exit
 status and the sha256 of the bytes it prints with pinned values.  The
 failing cases pin the witness format of every check kind; the passing
-cases pin enumeration order and suite reports.
+cases pin enumeration order and suite reports.  The ``extend`` cases pin
+the exact interval ends for each ``--choose``, and an inconsistent
+generator file that is refused with exit 2 and no report.
 """
 
 from __future__ import annotations
@@ -25,8 +27,25 @@ TRACE_VIOLATION = RegularOperator(
     ((0, 0), (1, 3), (2, 2), (3, 7)),
 )
 
+# Generators on 4 points valued by the max-min functional of the system
+# generated by the 2-subsets of {0, 1, 2}; the phi0 of the cases below is
+# on no generator orbit.
+GENERATORS = (
+    '{"n": 4, "generators": ['
+    '{"b": ["1/2", "-3", "7/4", "2"], "v": "1/2"}, {"b": ["0", "1", "-1/3", "5/6"], "v": "0"}, '
+    '{"b": ["3", "-2/5", "1", "-1"], "v": "1"}, {"b": ["-7/2", "2", "2/3", "1/4"], "v": "2/3"}, '
+    '{"b": ["1", "1", "-1", "3/2"], "v": "1"}]}'
+)
+# Each generator is the other reversed, so the values must sum to 2.
+INCONSISTENT_GENERATORS = (
+    '{"n": 3, "generators": [{"b": ["0", "1", "2"], "v": "1"}, {"b": ["2", "1", "0"], "v": "3/2"}]}'
+)
+EMPTY = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"  # no report
+
 INPUTS = {
     "min-term.json": '{"t": "min", "F": "3"}',
+    "gens.json": GENERATORS,
+    "gens-inconsistent.json": INCONSISTENT_GENERATORS,
     "trace-op.json": operator_to_json(TRACE_VIOLATION),
     "linked-triangle.json": subbase_to_json(Subbase(3, (0b011, 0b110, 0b101))),
     "unscreened.json": subbase_to_json(Subbase(3, (0b001, 0b010))),
@@ -59,6 +78,14 @@ CASES = [
     ("verify --suite subbase-lambda --n 4", 0, "bb9266b5b9524e194a1c549640a3792c174fee48a6224d7e974c6149a3aa4eba"),
     ("verify --suite axioms --n 3 --seed 7", 0, "028a80b968a50f8f0ea5f265602b9b838eaf2bb24c95143bdac000098e344123"),
     ("verify --suite usco-roundtrip", 0, "157d0136ac2fc6e175f7fe3ea7b8eefb2015b2b7d0f052bc6f437e77f52ef309"),
+    # interval [-23/99, 1/2]
+    ("extend --generators {dir}/gens.json --phi=-2,1/3,5/2,0 --choose lower", 0,
+     "6334137a52d10ab5ef2ee5f59414fdfbfcddf0be7e074a6020f93dc8e99afa25"),
+    ("extend --generators {dir}/gens.json --phi=-2,1/3,5/2,0 --choose mid", 0,
+     "f5e39c2558455eacf31141a8052f02891a4a8997a69cc179f58c80a29bf44e3c"),
+    ("extend --generators {dir}/gens.json --phi=-2,1/3,5/2,0 --choose upper", 0,
+     "0fc76b1467260ffd3dce6f3561edb20912307920af1390f06400467044ce82ec"),
+    ("extend --generators {dir}/gens-inconsistent.json --phi=0,0,1", 2, EMPTY),
     # failing reports: exit 1 with a witness
     ("axioms --term {dir}/min-term.json --n 2", 1, "9d82436c9bd185ae41904b43c91f1e8abf6d72b5b57092c7d5f2f981ba0a4f45"),
     ("regular --validate {dir}/trace-op.json", 1, "f39ba0e37189e75a13247ed8742cfce9878d05c2056910c4fc4584d6ad62efbc"),
@@ -75,3 +102,10 @@ def test_report_bytes(cmd, code, digest, capsys, tmp_path):
     assert main(argv) == code
     out = capsys.readouterr().out.encode()
     assert hashlib.sha256(out).hexdigest() == digest
+
+
+def test_inconsistent_generators_message(capsys, tmp_path):
+    (tmp_path / "g.json").write_text(INCONSISTENT_GENERATORS)
+    assert main(["extend", "--generators", str(tmp_path / "g.json"), "--phi=0,0,1"]) == 2
+    err = capsys.readouterr().err
+    assert err == "supext: input error: generator values admit no monotone extension\n"
