@@ -125,7 +125,9 @@ def validate_regular(e: RegularOperator) -> Check:
     opens_x = e.domain.opens()
     tab = e.lookup()
     if sorted(tab) != sorted(opens_x):
-        return Check(False, "table must cover exactly the opens of the domain")
+        # the least open the table lacks, or else the least key that is not open
+        stray = set(opens_x) - tab.keys() or tab.keys() - set(opens_x)
+        return Check(False, "table must cover exactly the opens of the domain", (min(stray),))
     for u, eu in e.table:
         if not e.codomain.is_open(eu):
             return Check(False, "image not open", (u, eu))

@@ -7,7 +7,9 @@ u(k*f) = k*u(f) for every real k; u(f + c) = u(f) + c for every constant c.
 Functionals are represented by a closed term language: point evaluations,
 max-min functionals of maximal linked systems, min/max over a fixed set,
 probability-measure style linear terms, convex combinations, and
-precompositions along point maps.  Everything evaluates in exact rationals.
+precompositions along point maps.  Everything evaluates in exact rationals:
+a term compiles to a kernel on integer rows over a common denominator, and
+only the result is made a Fraction.
 """
 
 from __future__ import annotations
@@ -18,6 +20,8 @@ import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+from operator import itemgetter, mul
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import Check, InputError
@@ -186,6 +190,75 @@ class Precompose(Term):
 # --------------------------------------------------------------------------
 # Evaluation
 
+# A kernel maps a row r of integers, standing for the point function r/S
+# with S > 0, to an integer N; with D the term's own denominator the
+# term's value is N/(S*D).
+Kernel = Callable[[Sequence[int]], int]
+
+
+def _getter(points: Sequence[int]) -> Callable[[Sequence[int]], tuple[int, ...]]:
+    """The entries of a row at the given points, always as a tuple."""
+    if len(points) == 1:
+        (x,) = points
+        return lambda r: (r[x],)
+    return itemgetter(*points)
+
+
+def compile_term(term: Term) -> tuple[Kernel, int]:
+    """The term as an integer kernel and its fixed denominator D.
+
+    Point lookups, min and max commute with the positive factor 1/S, so
+    they run on the integer row as it is; linear and convex terms take
+    integer weights over the lcm of their denominators, and precomposition
+    reindexes the row.  No rational is built while a kernel runs.
+    """
+    match term:
+        case Dirac(x=x):
+            return itemgetter(x), 1
+        case MaxMin(system=eta):
+            members = [_getter(tuple(bits(m))) for m in eta.minimal]
+            return (lambda r: max([min(g(r)) for g in members])), 1
+        case MinOver(mask=m):
+            on = _getter(tuple(bits(m)))
+            return (lambda r: min(on(r))), 1
+        case MaxOver(mask=m):
+            on = _getter(tuple(bits(m)))
+            return (lambda r: max(on(r))), 1
+        case Linear(weights=ws):
+            d = lcm(*(w.denominator for w in ws))
+            iw = tuple(w.numerator * (d // w.denominator) for w in ws)
+            return (lambda r: sum(map(mul, iw, r))), d
+        case Convex(weights=ws, parts=ps):
+            kernels, dens = zip(*map(compile_term, ps))
+            d = lcm(*(w.denominator * dp for w, dp in zip(ws, dens)))
+            parts = tuple(
+                (w.numerator * (d // (w.denominator * dp)), k) for w, dp, k in zip(ws, dens, kernels)
+            )
+            return (lambda r: sum([c * k(r) for c, k in parts])), d
+        case Precompose(point_map=pm, inner=inner):
+            k, d = compile_term(inner)
+            pull = _getter(pm.image)
+            return (lambda r: k(pull(r))), d
+    raise InputError(f"unknown term {term!r}")
+
+
+def _common_scale(functions: Iterable[Sequence[Fraction]]) -> int:
+    """The lcm of the denominators of every value given."""
+    return lcm(*(v.denominator for values in functions for v in values))
+
+
+def _scaled(values: Iterable[Fraction], s: int) -> tuple[int, ...]:
+    """s * v for each value, as integers; s is a common multiple of their denominators."""
+    return tuple(v.numerator * (s // v.denominator) for v in values)
+
+
+def evaluate(term: Term, f: PointFunction) -> Fraction:
+    if f.ground != term.ground:
+        raise InputError("function and term on different grounds")
+    kernel, d = compile_term(term)
+    s = _common_scale([f.values])
+    return Fraction(kernel(_scaled(f.values, s)), s * d)
+
 
 def phi(eta: MaxLinkedSystem, f: PointFunction) -> Fraction:
     """max over members F of eta of min of f on F.
@@ -195,7 +268,7 @@ def phi(eta: MaxLinkedSystem, f: PointFunction) -> Fraction:
     """
     if f.ground != eta.ground:
         raise InputError("function and system on different grounds")
-    return max(f.min_on(m) for m in eta.minimal)
+    return evaluate(MaxMin(eta), f)
 
 
 def phi_minmax(eta: MaxLinkedSystem, f: PointFunction) -> Fraction:
@@ -227,31 +300,6 @@ def family_maxmin_minmax(fam: SetFamily, f: PointFunction) -> tuple[Fraction, Fr
     return a, b, a == b
 
 
-def evaluate(term: Term, f: PointFunction) -> Fraction:
-    if f.ground != term.ground:
-        raise InputError("function and term on different grounds")
-    match term:
-        case Dirac(x=x):
-            return f.values[x]
-        case MaxMin(system=eta):
-            return phi(eta, f)
-        case MinOver(mask=m):
-            return f.min_on(m)
-        case MaxOver(mask=m):
-            return f.max_on(m)
-        case Linear(weights=ws):
-            return sum((w * v for w, v in zip(ws, f.values)), Fraction(0))
-        case Convex(weights=ws, parts=ps):
-            return sum((w * evaluate(p, f) for w, p in zip(ws, ps)), Fraction(0))
-        case Precompose(point_map=pm, inner=inner):
-            return evaluate(inner, f.precompose(pm))
-    raise InputError(f"unknown term {term!r}")
-
-
-def as_functional(term: Term) -> Callable[[PointFunction], Fraction]:
-    return lambda f: evaluate(term, f)
-
-
 # --------------------------------------------------------------------------
 # Axiom checking
 
@@ -268,38 +316,65 @@ def _rand_function(rng: random.Random, ground: GroundSet) -> PointFunction:
 
 
 class _Trial(NamedTuple):
-    """One row of inputs for the axiom check: f, g = f + inc >= f, k*f and f + c."""
+    """One row of inputs for the axiom check: f, g = f + inc >= f, k*f and f + c.
 
-    f: PointFunction
-    g: PointFunction
-    scaled: tuple[tuple[Fraction, PointFunction], ...]  # (k, k*f); empty when normalized
-    c: Fraction
-    shifted: PointFunction
+    Each k = p/q is kept as the pair (p, q).  In the integer rows every
+    function is scaled by the table's S and c stands for c*S.
+    """
+
+    f: PointFunction | tuple[int, ...]
+    g: PointFunction | tuple[int, ...]
+    scaled: tuple  # (p, q, k*f) per k; empty when normalized
+    c: Fraction | int
+    shifted: PointFunction | tuple[int, ...]
+
+
+class _Table(NamedTuple):
+    one: PointFunction  # the constant 1, for the normalization check
+    exact: tuple[_Trial, ...]
+    scale: int  # S, the lcm of every denominator in ``exact``
+    ints: tuple[_Trial, ...]
 
 
 @functools.lru_cache(maxsize=8)
-def _trial_table(ground: GroundSet, trials: int, seed: int, normalized: bool) -> tuple[_Trial, ...]:
+def _trial_table(ground: GroundSet, trials: int, seed: int, normalized: bool) -> _Table:
     """Every trial axiom_check draws for these settings, in its RNG order.
 
     The inputs never depend on the functional under test, so a suite that
-    checks many terms with the same settings draws them once.  The table
-    holds ``trials`` rows; the cache keeps the last few tables.
+    checks many terms with the same settings draws them once, and scales
+    them to integers once.  The table holds ``trials`` rows; the cache
+    keeps the last few tables.
     """
     rng = random.Random(seed)
-    table = []
+    exact = []
     for trial in range(trials):
         f = _rand_function(rng, ground)
         inc = tuple(abs(_rand_fraction(rng)) for _ in ground.points())
         g = PointFunction(ground, tuple(a + b for a, b in zip(f.values, inc)))
-        scaled: tuple[tuple[Fraction, PointFunction], ...] = ()
+        scaled: tuple[tuple[int, int, PointFunction], ...] = ()
         if not normalized:
             ks = [_rand_fraction(rng, -8, 8, 4)]
             if trial == 0:
                 ks += [Fraction(0), Fraction(-1)]
-            scaled = tuple((k, f.scale(k)) for k in ks)
+            scaled = tuple((k.numerator, k.denominator, f.scale(k)) for k in ks)
         c = _rand_fraction(rng, -8, 8, 4)
-        table.append(_Trial(f, g, scaled, c, f.shift(c)))
-    return tuple(table)
+        exact.append(_Trial(f, g, scaled, c, f.shift(c)))
+    # c = (f + c) - f, so its denominator divides the lcm of theirs
+    s = _common_scale(
+        pf.values for t in exact for pf in (t.f, t.g, t.shifted, *(kf for *_, kf in t.scaled))
+    )
+    ints = tuple(
+        _Trial(
+            _scaled(t.f.values, s),
+            _scaled(t.g.values, s),
+            tuple((p, q, _scaled(kf.values, s)) for p, q, kf in t.scaled),
+            t.c.numerator * (s // t.c.denominator),
+            _scaled(t.shifted.values, s),
+        )
+        for t in exact
+    )
+    one = PointFunction(ground, (Fraction(1),) * ground.n)
+    return _Table(one, tuple(exact), s, ints)
 
 
 def axiom_check(
@@ -315,41 +390,51 @@ def axiom_check(
     include 0 and negative values.  With normalized=True the scaling
     axiom is replaced by u(1) = 1 (order-preserving functionals).
     An oracle that raises is reported as a counterexample.
+
+    A term runs as its compiled kernel on the integer rows, where a value
+    u stands for u/(S*D); an oracle runs on the point functions, with
+    S = D = 1.  Both go through the same comparisons, and a Fraction is
+    made only for a witness.
     """
     if trials < 1:
         raise InputError("trials must be >= 1")
     if isinstance(target, Term):
-        u: Callable[[PointFunction], Fraction] = as_functional(target)
         ground = target.ground
+    elif ground is None:
+        raise InputError("ground required for oracle functionals")
+    table = _trial_table(ground, trials, seed, normalized)
+    if isinstance(target, Term):
+        u, d = compile_term(target)
+        rows, one = table.ints, (table.scale,) * ground.n
+        unit = table.scale * d
     else:
-        u = target
-        if ground is None:
-            raise InputError("ground required for oracle functionals")
 
-    one = PointFunction(ground, tuple(Fraction(1) for _ in ground.points()))
+        def u(f: PointFunction) -> Fraction:
+            v = target(f)
+            return v if type(v) is Fraction else Fraction(v)
 
-    def run(f: PointFunction) -> Fraction:
-        v = u(f)
-        return v if type(v) is Fraction else Fraction(v)
+        rows, one, d, unit = table.exact, table.one, 1, 1
+
+    def value(v) -> Fraction:
+        return Fraction(v, unit)
 
     try:
-        if normalized and run(one) != 1:
-            return Check(False, "normalization", {"f": one.values, "u(f)": run(one)})
-        for t in _trial_table(ground, trials, seed, normalized):
-            f = t.f
-            uf = run(f)
-            if uf > run(t.g):
-                return Check(False, "monotonicity", {"f": f.values, "g": t.g.values, "u(f)": uf, "u(g)": run(t.g)})
-            for k, kf in t.scaled:
-                if run(kf) != k * uf:
-                    return Check(
-                        False, "homogeneity", {"f": f.values, "k": k, "u(kf)": run(kf), "k*u(f)": k * uf}
-                    )
-            c = t.c
-            if run(t.shifted) != uf + c:
-                return Check(
-                    False, "weak additivity", {"f": f.values, "c": c, "u(f+c)": run(t.shifted), "u(f)+c": uf + c}
-                )
+        if normalized and u(one) != unit:
+            return Check(False, "normalization", {"f": table.one.values, "u(f)": value(u(one))})
+        for t, row in zip(table.exact, rows):
+            uf = u(row.f)
+            if uf > u(row.g):
+                witness = {"f": t.f.values, "g": t.g.values, "u(f)": value(uf), "u(g)": value(u(row.g))}
+                return Check(False, "monotonicity", witness)
+            for p, q, kf in row.scaled:
+                if u(kf) * q != p * uf:
+                    k = Fraction(p, q)
+                    witness = {"f": t.f.values, "k": k, "u(kf)": value(u(kf)), "k*u(f)": k * value(uf)}
+                    return Check(False, "homogeneity", witness)
+            if u(row.shifted) != uf + row.c * d:
+                sf = value(u(row.shifted))
+                witness = {"f": t.f.values, "c": t.c, "u(f+c)": sf, "u(f)+c": value(uf) + t.c}
+                return Check(False, "weak additivity", witness)
     except Exception as exc:  # oracle blew up: report, don't propagate
         return Check(False, "error", {"exception": repr(exc)})
     return PASS
@@ -391,13 +476,14 @@ def support(term: Term) -> Subset:
     evaluate equally).
     """
     ground = term.ground
-    grid = support_grid(ground)
-    evals = [evaluate(term, f) for f in grid]
+    kernel, _ = compile_term(term)
+    grid = list(itertools.product(range(3), repeat=ground.n))  # support_grid at scale 1
+    evals = [kernel(f) for f in grid]
     for h in sorted(range(ground.full + 1), key=canonical_key):
-        groups: dict[tuple, Fraction] = {}
+        groups: dict[tuple, int] = {}
         ok = True
         for f, v in zip(grid, evals):
-            key = tuple(f.values[x] for x in bits(h))
+            key = tuple(f[x] for x in bits(h))
             if groups.setdefault(key, v) != v:
                 ok = False
                 break
@@ -466,8 +552,8 @@ def s_preimage(pm: PointMap, nu: Term) -> Term:
 # One-step extension of a partial functional
 
 
-def _concave_sup(gamma: Fraction, pieces: list[tuple[Fraction, Fraction]]) -> Fraction | None:
-    """sup over t of gamma*t + min_i(a_i*t + b_i); None means unbounded.
+def _concave_sup(gamma: int, pieces: list[tuple[int, int]]) -> tuple[int, int] | None:
+    """sup over t of gamma*t + min_i(a_i*t + b_i) as (num, den) with den > 0; None means unbounded.
 
     With c_i = a_i + gamma this is the linear program: maximize s subject
     to s <= c_i*t + b_i for every i.  Its dual is: minimize sum_i l_i*b_i
@@ -479,11 +565,12 @@ def _concave_sup(gamma: Fraction, pieces: list[tuple[Fraction, Fraction]]) -> Fr
     c_j/(c_j - c_i) and -c_i/(c_j - c_i) and value
     (c_j*b_i - c_i*b_j) / (c_j - c_i); a piece with c_i = 0 has value b_i
     alone, which is also what the pair formula gives when one slope is 0.
-    The result is the same exact Fraction as evaluating the envelope at
-    every kink, from a handful of products per bracketing pair.
+    The inputs are integers, the data of one problem scaled by a common
+    denominator L, which scales the sup by L as well; the least vertex
+    value is kept by cross-multiplication, so no rational is built.
     """
-    down: list[tuple[Fraction, Fraction]] = []
-    up: list[tuple[Fraction, Fraction]] = []
+    down: list[tuple[int, int]] = []
+    up: list[tuple[int, int]] = []
     for a, b in pieces:
         c = a + gamma
         if c <= 0:
@@ -492,11 +579,13 @@ def _concave_sup(gamma: Fraction, pieces: list[tuple[Fraction, Fraction]]) -> Fr
             up.append((c, b))
     if not down or not up:
         return None
-    return min(
-        bi if ci == cj else (cj * bi - ci * bj) / (cj - ci)
-        for ci, bi in down
-        for cj, bj in up
-    )
+    best: tuple[int, int] | None = None
+    for ci, bi in down:
+        for cj, bj in up:
+            num, den = (bi, 1) if ci == cj else (cj * bi - ci * bj, cj - ci)
+            if best is None or num * best[1] < best[0] * den:
+                best = (num, den)
+    return best
 
 
 @dataclass(frozen=True)
@@ -522,13 +611,15 @@ class GeneratedSubspace:
         # Monotonicity across orbits: k*b_i + c <= k'*b_j + c' must imply
         # k*v_i + c <= k'*v_j + c'.  By positive homogeneity it suffices to
         # check the directions k = 1 and k = -1 (k = 0 is the range check).
-        for bi, vi in gens:
-            for bj, vj in gens:
+        # Every value is scaled by one common denominator S, which scales
+        # each sup by S too.
+        s = _common_scale((*b.values, v) for b, v in gens)
+        scaled = [(_scaled(b.values, s), v.numerator * (s // v.denominator)) for b, v in gens]
+        for bi, vi in scaled:
+            for bj, vj in scaled:
                 for sign in (1, -1):
-                    s = _concave_sup(
-                        -vj, [(bj.values[x], -sign * bi.values[x]) for x in self.ground.points()]
-                    )
-                    if s is None or sign * vi + s > 0:
+                    sup = _concave_sup(-vj, [(y, -sign * x) for x, y in zip(bi, bj)])
+                    if sup is None or sign * vi * sup[1] + sup[0] > 0:
                         raise InputError("generator values admit no monotone extension")
 
     def contains(self, f: PointFunction) -> bool:
@@ -562,22 +653,28 @@ def admissible_interval(
     sup_k [k*v + min_x(phi0(x) - k*b(x))], a concave piecewise-linear
     function of k maximized at a breakpoint where the minimizing point
     changes; the upper envelope is the dual inf.  Constants contribute
-    the floor min(phi0) and ceiling max(phi0) through k = 0.
+    the floor min(phi0) and ceiling max(phi0) through k = 0.  The bounds
+    are kept as (num, den) over one common denominator S of all the data
+    until the interval is returned.
     """
-    lower = min(phi0.values)
-    upper = max(phi0.values)
-    n = phi0.ground.n
-    for b, v in generators:
-        v = Fraction(v)
-        lo = _concave_sup(v, [(-b.values[x], phi0.values[x]) for x in range(n)])
-        hi = _concave_sup(-v, [(b.values[x], -phi0.values[x]) for x in range(n)])
+    gens = [(b.values, Fraction(v)) for b, v in generators]
+    s = _common_scale([phi0.values, *((*b, v) for b, v in gens)])
+    p = _scaled(phi0.values, s)
+    lower, upper = (min(p), 1), (max(p), 1)
+    for b, v in gens:
+        bs, vs = _scaled(b, s), v.numerator * (s // v.denominator)
+        lo = _concave_sup(vs, [(-bx, px) for bx, px in zip(bs, p)])
+        hi = _concave_sup(-vs, [(bx, -px) for bx, px in zip(bs, p)])
         if lo is None or hi is None:
             raise InputError("unbounded envelope; generator values are inconsistent")
-        lower = max(lower, lo)
-        upper = min(upper, -hi)
-    if lower > upper:
-        raise InputError(f"empty admissible interval ({lower}, {upper})")
-    return lower, upper
+        if lo[0] * lower[1] > lower[0] * lo[1]:
+            lower = lo
+        if -hi[0] * upper[1] < upper[0] * hi[1]:
+            upper = (-hi[0], hi[1])
+    lo_f, hi_f = Fraction(lower[0], lower[1] * s), Fraction(upper[0], upper[1] * s)
+    if lo_f > hi_f:
+        raise InputError(f"empty admissible interval ({lo_f}, {hi_f})")
+    return lo_f, hi_f
 
 
 def extend_one(

@@ -205,6 +205,52 @@ def concave_sup_kinks(
     return max(gamma * t + min(a * t + b for a, b in pieces) for t in cands)
 
 
+def points(mask: int) -> list[int]:
+    return [x for x in range(mask.bit_length()) if mask >> x & 1]
+
+
+def evaluate_obj(obj: dict, values: list[Fraction]) -> Fraction:
+    """A term in its JSON form (as ``term_to_obj`` writes it) evaluated in
+    Fractions, each node straight from its definition."""
+    tag = obj["t"]
+    if tag == "dirac":
+        return values[obj["x"]]
+    if tag == "maxmin":
+        return max(min(values[x] for x in points(int(m, 16))) for m in obj["minimal"])
+    if tag == "min":
+        return min(values[x] for x in points(int(obj["F"], 16)))
+    if tag == "max":
+        return max(values[x] for x in points(int(obj["F"], 16)))
+    if tag == "linear":
+        return sum((Fraction(w) * v for w, v in zip(obj["w"], values)), Fraction(0))
+    if tag == "convex":
+        return sum(
+            (Fraction(w) * evaluate_obj(p, values) for w, p in zip(obj["w"], obj["parts"])), Fraction(0)
+        )
+    if tag == "precompose":
+        return evaluate_obj(obj["inner"], [values[y] for y in obj["map"]])
+    raise ValueError(f"unknown term tag {tag!r}")
+
+
+def generators_consistent(gens: list[tuple[list[Fraction], Fraction]]) -> bool:
+    """Whether k*b + c -> k*v + c is a monotone assignment, in Fractions.
+
+    Each value must lie in the range of its generator, and for every pair
+    of generators and each direction k = 1, -1 the best lower bound
+    sup_t [-v_j*t + min_x(t*b_j(x) - k*b_i(x))] on k*v_i must not exceed
+    it, the sup taken by evaluating the envelope at every kink.
+    """
+    if any(not min(b) <= v <= max(b) for b, v in gens):
+        return False
+    for bi, vi in gens:
+        for bj, vj in gens:
+            for k in (1, -1):
+                s = concave_sup_kinks(-vj, [(y, -k * x) for x, y in zip(bi, bj)])
+                if s is None or k * vi + s > 0:
+                    return False
+    return True
+
+
 def eq1_chunk_literal(
     args: tuple[int, tuple[tuple[int, ...], ...]], values: tuple[int, ...]
 ) -> tuple[int, list[dict]]:

@@ -334,6 +334,23 @@ class TestExitContract:
         assert "input error" in err and "Traceback" not in err
 
     @pytest.mark.parametrize(
+        "table, witness",
+        [([], [0]), ([["0", "0"]], [1]), ([["0", "0"], ["1", "1"], ["2", "0"]], [2])],
+        ids=["empty", "open-missing", "key-not-open"],
+    )
+    def test_table_coverage_has_a_witness(self, tmp_path, table, witness):
+        """A table that does not cover the opens of the domain is a witnessed
+        failure: the least open it lacks, or else the least key that is no open."""
+        op = tmp_path / "op.json"
+        space = {"n": 1, "min_nbhd": ["1"]}
+        op.write_text(json.dumps({"X": space, "Y": space, "inject": [0], "table": table}))
+        code, out, err = run_quiet(["regular", "--validate", str(op)])
+        assert code == 1 and err == ""
+        report = json.loads(out)
+        assert report["axiom"] == "table must cover exactly the opens of the domain"
+        assert report["witness"] == witness
+
+    @pytest.mark.parametrize(
         "command, message",
         [
             ("extend --generators {bad_gens} --phi 0,1", "value 5 outside the range of its generator"),

@@ -2,9 +2,10 @@
 
 They count calls instead of timing them, so they are deterministic: a change
 that brings back per-call set-family canonicalisation in the pushforwards,
-per-term redrawing of the axiom trials, or a process pool for work smaller
-than its start-up, fails here rather than only showing up as a slower
-benchmark.
+repeated pushforwards in the functor laws, per-term redrawing of the axiom
+trials, rational arithmetic in the axiom check of a term, or a process pool
+for work smaller than its start-up, fails here rather than only showing up
+as a slower benchmark.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import concurrent.futures
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import supext
@@ -50,6 +52,50 @@ def test_pushforwards_build_no_setfamily(monkeypatch):
     report = verify.suite_functor_laws(2)
     assert report["failures"] == []
     assert {"lambda_map", "g_map"} <= set(entered)
+    assert built == []
+
+
+def test_functor_laws_push_each_pair_once(monkeypatch):
+    calls = {"lambda_map": [], "g_map": []}
+
+    def recording(fn):
+        def wrapped(pm, x):
+            calls[fn.__name__].append((pm, x))
+            return fn(pm, x)
+
+        return wrapped
+
+    monkeypatch.setattr(verify, "lambda_map", recording(verify.lambda_map))
+    monkeypatch.setattr(verify, "g_map", recording(verify.g_map))
+    report = verify.suite_functor_laws(3)
+    assert report["failures"] == [] and report["checks_run"] == 26669
+    for name, made in calls.items():
+        assert len(made) == len(set(made)), name
+    assert (len(calls["lambda_map"]), len(calls["g_map"])) == (178, 710)
+
+
+def test_passing_axiom_check_of_a_term_builds_no_fraction(monkeypatch):
+    ground = GroundSet(3)
+    terms = verify.term_zoo(ground)
+    functionals._trial_table.cache_clear()
+    try:
+        functionals._trial_table(ground, 500, 0, False)
+        built = []
+        new = Fraction.__new__
+
+        def counting(cls, *args, **kwargs):
+            built.append(args)
+            return new(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
+        Fraction(1, 2)  # the counter sees a construction
+        assert len(built) == 1
+        built.clear()
+        for term in terms:
+            assert functionals.axiom_check(term).ok
+        monkeypatch.undo()
+    finally:
+        functionals._trial_table.cache_clear()
     assert built == []
 
 

@@ -5,9 +5,10 @@ from __future__ import annotations
 import random
 import re
 from fractions import Fraction
+from math import lcm
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 import oracles
 from supext.errors import InputError
@@ -202,9 +203,53 @@ rationals = st.fractions(min_value=-6, max_value=6, max_denominator=4)
 class TestConcaveSup:
     @given(rationals, st.lists(st.tuples(rationals, rationals), min_size=1, max_size=6))
     def test_lp_dual_matches_kink_enumeration(self, gamma, pieces):
-        assert _concave_sup(gamma, pieces) == oracles.concave_sup_kinks(gamma, pieces)
+        # the integer form takes the data scaled by a common denominator s
+        # and returns s times the sup as (num, den)
+        s = lcm(gamma.denominator, *(x.denominator for piece in pieces for x in piece))
+        sup = _concave_sup(int(gamma * s), [(int(a * s), int(b * s)) for a, b in pieces])
+        assert sup is None or sup[1] > 0
+        got = None if sup is None else F(sup[0], sup[1] * s)
+        assert got == oracles.concave_sup_kinks(gamma, pieces)
 
     def test_flat_and_unbounded(self):
-        assert _concave_sup(F(0), [(F(0), F(3)), (F(0), F(-1))]) == -1
-        assert _concave_sup(F(1), [(F(0), F(3)), (F(1), F(-1))]) is None
-        assert _concave_sup(F(-2), [(F(1), F(0))]) is None
+        assert _concave_sup(0, [(0, 3), (0, -1)]) == (-1, 1)
+        assert _concave_sup(1, [(0, 3), (1, -1)]) is None
+        assert _concave_sup(-2, [(1, 0)]) is None
+
+
+@st.composite
+def generator_sets(draw):
+    """1-3 generators on 2-4 points, valued by a zoo term (always consistent,
+    flagged True) or freely inside each generator's range (often not)."""
+    n = draw(st.integers(min_value=2, max_value=4))
+    g = GroundSet(n)
+    values = st.lists(rationals, min_size=n, max_size=n)
+    bs = draw(st.lists(values, min_size=1, max_size=3))
+    if draw(st.booleans()):
+        t = draw(st.sampled_from(term_zoo(g)))
+        return g, [(b, evaluate(t, PointFunction.of(g, b))) for b in bs], True
+    fracs = st.sampled_from([F(i, 4) for i in range(5)])
+    return g, [(b, min(b) + draw(fracs) * (max(b) - min(b))) for b in bs], False
+
+
+def accepts(g, gens) -> bool:
+    try:
+        GeneratedSubspace(g, tuple((PointFunction.of(g, b), v) for b, v in gens))
+    except InputError as exc:
+        if not re.search(INCONSISTENT, str(exc)):
+            raise
+        return False
+    return True
+
+
+class TestIntegerEnvelopes:
+    @given(generator_sets())
+    @example((GroundSet(2), [([F(0), F(1)], F(1, 2)), ([F(1), F(0)], F(1, 2))], True))
+    @example((GroundSet(2), [([F(0), F(1)], F(1)), ([F(1), F(0)], F(1))], False))
+    def test_acceptance_matches_fraction_reference(self, case):
+        """Both verdicts occur: the first example is consistent, the second not."""
+        g, gens, by_term = case
+        verdict = accepts(g, gens)
+        assert verdict == oracles.generators_consistent(gens)
+        if by_term:
+            assert verdict

@@ -1,10 +1,11 @@
 from __future__ import annotations
 
+import functools
 import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import oracles
 from supext import functionals
@@ -33,6 +34,7 @@ from supext.functionals import (
     support_grid,
     term_from_json,
     term_to_json,
+    term_to_obj,
 )
 from supext.setkit import GroundSet, PointMap, SetFamily, up_closure
 from supext.superext import MaxLinkedSystem, enumerate_mls, eta_point
@@ -142,6 +144,55 @@ class TestEvaluate:
             Convex((F(0), F(1)), (Dirac(GroundSet(2), 0), Dirac(GroundSet(2), 1)))
 
 
+@functools.lru_cache(maxsize=None)
+def zoo(n: int) -> tuple:
+    return tuple(term_zoo(GroundSet(n)))
+
+
+@st.composite
+def terms(draw, ground: GroundSet, depth: int = 2):
+    """Zoo terms, random linear terms, and convex combinations and
+    precompositions of them nested up to ``depth`` levels."""
+    kind = draw(st.sampled_from(("zoo", "linear", "convex", "precompose")[: 4 if depth else 2]))
+    if kind == "zoo":
+        return draw(st.sampled_from(zoo(ground.n)))
+    if kind == "linear":
+        raw = draw(st.lists(st.integers(0, 7), min_size=ground.n, max_size=ground.n).filter(any))
+        return Linear(ground, tuple(F(r, sum(raw)) for r in raw))
+    if kind == "convex":
+        raw = draw(st.lists(st.integers(1, 9), min_size=1, max_size=3))
+        parts = tuple(draw(terms(ground, depth - 1)) for _ in raw)
+        return Convex(tuple(F(r, sum(raw)) for r in raw), parts)
+    dom = GroundSet(draw(st.integers(1, 4)))
+    image = tuple(draw(st.lists(st.integers(0, ground.n - 1), min_size=dom.n, max_size=dom.n)))
+    return Precompose(PointMap(dom, ground, image), draw(terms(dom, depth - 1)))
+
+
+@st.composite
+def term_and_row(draw):
+    ground = GroundSet(draw(st.integers(1, 4)))
+    row = draw(st.lists(st.fractions(-20, 20, max_denominator=24), min_size=ground.n, max_size=ground.n))
+    return draw(terms(ground)), row
+
+
+class TestCompiledKernel:
+    @settings(max_examples=300, deadline=None)
+    @given(term_and_row())
+    def test_matches_the_fraction_evaluator(self, case):
+        t, row = case
+        want = oracles.evaluate_obj(term_to_obj(t), row)
+        assert evaluate(t, PointFunction.of(t.ground, row)) == want
+
+    def test_scale_and_denominator(self):
+        """The kernel returns N with value N/(S*D) for a row scaled by S."""
+        g = GroundSet(3)
+        t = Convex((F(1, 3), F(2, 3)), (Linear(g, (F(1, 2), F(1, 4), F(1, 4))), MaxOver(g, 0b110)))
+        kernel, d = functionals.compile_term(t)
+        assert d == 12
+        # f = (1/2, 3/2, -1) over S = 2: the linear part is 3/8, the max 3/2
+        assert F(kernel((1, 3, -2)), 2 * d) == F(1, 3) * F(3, 8) + F(2, 3) * F(3, 2)
+
+
 class TestAxiomCheck:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_zoo_passes(self, n):
@@ -200,16 +251,22 @@ class TestAxiomCheck:
     def test_pinned_witnesses(self, monkeypatch, target, ground, seed, normalized, calls, axiom, witness):
         """Witnesses and evaluation counts recorded from the draw-per-term
         sampler: the shared trial table replays the same RNG stream and
-        stops at the same trial."""
+        stops at the same trial.  A term is counted through its compiled
+        kernel, which is what the check evaluates."""
         counted = []
         if ground is None:
-            real = functionals.evaluate
+            real = functionals.compile_term
 
-            def counting(term, f):
-                counted.append(f)
-                return real(term, f)
+            def counting_compile(term):
+                kernel, d = real(term)
 
-            monkeypatch.setattr(functionals, "evaluate", counting)
+                def counting(row):
+                    counted.append(row)
+                    return kernel(row)
+
+                return counting, d
+
+            monkeypatch.setattr(functionals, "compile_term", counting_compile)
         else:
             oracle = target
 
