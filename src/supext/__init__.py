@@ -1,13 +1,13 @@
 """supext: a finite-scale workbench for superextensions, weakly additive
 functionals, binary normal subbases, regular embeddings, and inclusion
-hyperspaces, all in exact rational arithmetic."""
+hyperspaces, all in exact rational arithmetic.
 
-from .setkit import GroundSet, PointMap, SetFamily, Subset
-from .superext import MaxLinkedSystem, Superextension, complete_linked, enumerate_mls, eta_point
-from .functionals import PointFunction, axiom_check, evaluate, phi
-from .inclusion import InclusionHyperspace, enumerate_ih
-from .subbase import Subbase, is_binary, is_normal, s_hull
-from .embed import FiniteTopSpace, RegularOperator, validate_regular
+The public names load their module on first use (PEP 562), so a command
+imports only the modules it needs.
+"""
+
+import importlib
+import sys
 
 __all__ = [
     "GroundSet",
@@ -34,4 +34,24 @@ __all__ = [
     "validate_regular",
 ]
 
+_HOME = {
+    **dict.fromkeys(("GroundSet", "PointMap", "SetFamily", "Subset"), "setkit"),
+    **dict.fromkeys(
+        ("MaxLinkedSystem", "Superextension", "complete_linked", "enumerate_mls", "eta_point"), "superext"
+    ),
+    **dict.fromkeys(("PointFunction", "axiom_check", "evaluate", "phi"), "functionals"),
+    **dict.fromkeys(("InclusionHyperspace", "enumerate_ih"), "inclusion"),
+    **dict.fromkeys(("Subbase", "is_binary", "is_normal", "s_hull"), "subbase"),
+    **dict.fromkeys(("FiniteTopSpace", "RegularOperator", "validate_regular"), "embed"),
+}
+
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    home = _HOME.get(name)
+    if home is None:
+        # the plain lookup, which fails with the AttributeError the protocol expects
+        return object.__getattribute__(sys.modules[__name__], name)
+    value = globals()[name] = getattr(importlib.import_module(f".{home}", __name__), name)
+    return value

@@ -9,15 +9,23 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from . import embed, functionals, subbase, verify
-from .errors import InputError
-from .functionals import PointFunction, evaluate, term_from_json
-from .inclusion import enumerate_ih
+from . import verify
+from .errors import InputError, json_int, json_list
 from .setkit import GroundSet
 from .superext import enumerate_mls
+
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+# Each command imports the other modules it uses: a job starts a fresh
+# interpreter, and enumerate, ghyper and the counts suite need none of
+# functionals, embed or subbase.  verify, and with it setkit and superext,
+# is loaded here: it binds superext's functions by name at import, so a
+# wrapper put on superext from outside (perfbench's tracer) reaches verify's
+# callers only if verify is already loaded when the wrapper goes in.
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -38,6 +46,8 @@ def _emit(report: dict, out: str | None, fmt: str = "json") -> None:
 
 
 def _parse_values(text: str) -> list[Fraction]:
+    from fractions import Fraction
+
     try:
         return [Fraction(tok.strip()) for tok in text.split(",") if tok.strip()]
     except (ValueError, ZeroDivisionError) as exc:
@@ -61,6 +71,8 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 
 
 def cmd_ghyper(args: argparse.Namespace) -> int:
+    from .inclusion import enumerate_ih
+
     hs = enumerate_ih(GroundSet(args.n))
     report: dict = {"n": args.n, "count": len(hs)}
     if not args.count_only:
@@ -70,6 +82,8 @@ def cmd_ghyper(args: argparse.Namespace) -> int:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
+    from .functionals import PointFunction, evaluate, term_from_json
+
     values = _parse_values(args.f)
     ground = GroundSet(len(values))
     term = term_from_json(Path(args.term).read_text(), ground)
@@ -79,8 +93,10 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_axioms(args: argparse.Namespace) -> int:
+    from . import functionals
+
     ground = GroundSet(args.n)
-    term = term_from_json(Path(args.term).read_text(), ground)
+    term = functionals.term_from_json(Path(args.term).read_text(), ground)
     res = functionals.axiom_check(
         term, trials=args.trials, seed=args.seed, normalized=args.normalized
     )
@@ -96,19 +112,23 @@ def cmd_axioms(args: argparse.Namespace) -> int:
 
 
 def cmd_extend(args: argparse.Namespace) -> int:
+    from fractions import Fraction
+
+    from . import functionals
+
     obj = json.loads(Path(args.generators).read_text())
     try:
-        ground = GroundSet(int(obj["n"]))
+        ground = GroundSet(json_int(obj["n"], "n"))
         gens = tuple(
             (
-                PointFunction(ground, tuple(Fraction(v) for v in g["b"])),
+                functionals.PointFunction(ground, tuple(Fraction(v) for v in json_list(g["b"], "b"))),
                 Fraction(g["v"]),
             )
-            for g in obj["generators"]
+            for g in json_list(obj["generators"], "generators")
         )
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise InputError(f"malformed generators file: {exc}") from exc
-    phi0 = PointFunction(ground, tuple(_parse_values(args.phi)))
+    phi0 = functionals.PointFunction(ground, tuple(_parse_values(args.phi)))
     space = functionals.GeneratedSubspace(ground, gens)
     lower, upper, p = functionals.extend_one(space, phi0, choose=args.choose)
     _emit({"lower": str(lower), "upper": str(upper), "p": str(p)}, args.out)
@@ -116,6 +136,8 @@ def cmd_extend(args: argparse.Namespace) -> int:
 
 
 def cmd_subbase(args: argparse.Namespace) -> int:
+    from . import subbase
+
     sb = subbase.subbase_from_json(Path(args.infile).read_text())
     res = subbase.is_binary(sb) if args.check == "binary" else subbase.is_normal(sb)
     witness = [format(m, "x") for m in res.witness] if res.witness else None
@@ -124,6 +146,8 @@ def cmd_subbase(args: argparse.Namespace) -> int:
 
 
 def cmd_regular(args: argparse.Namespace) -> int:
+    from . import embed
+
     op = embed.operator_from_json(Path(args.validate).read_text())
     res = embed.validate_regular(op)
     _emit(
@@ -134,6 +158,8 @@ def cmd_regular(args: argparse.Namespace) -> int:
 
 
 def cmd_usco(args: argparse.Namespace) -> int:
+    from . import embed
+
     op = embed.operator_from_json(Path(args.source).read_text())
     r = embed.usco_from_regular(op)
     report = {
@@ -147,6 +173,8 @@ def cmd_usco(args: argparse.Namespace) -> int:
 
 
 def cmd_roundtrip(args: argparse.Namespace) -> int:
+    from . import embed
+
     op = embed.operator_from_json(Path(args.op).read_text())
     r = embed.usco_from_regular(op)
     rt = embed.regular_from_usco(r, domain=op.domain)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .errors import Check, InputError, TooLarge
+from .errors import Check, InputError, TooLarge, json_int, json_list
 from .setkit import MAX_GROUND, GroundSet, bits, canonical_key
 from .superext import MaxLinkedSystem, Superextension, enumerate_mls, eta_point
 
@@ -353,7 +353,9 @@ def space_to_obj(space: FiniteTopSpace) -> dict:
 
 def space_from_obj(obj: dict) -> FiniteTopSpace:
     try:
-        return FiniteTopSpace(int(obj["n"]), tuple(int(s, 16) for s in obj["min_nbhd"]))
+        return FiniteTopSpace(
+            json_int(obj["n"], "n"), tuple(int(s, 16) for s in json_list(obj["min_nbhd"], "min_nbhd"))
+        )
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed space object: {exc}") from exc
 
@@ -376,8 +378,8 @@ def operator_from_json(text: str) -> RegularOperator:
         return RegularOperator(
             space_from_obj(obj["X"]),
             space_from_obj(obj["Y"]),
-            tuple(int(i) for i in obj["inject"]),
-            tuple((int(u, 16), int(eu, 16)) for u, eu in obj["table"]),
+            tuple(json_int(i, "inject") for i in json_list(obj["inject"], "inject")),
+            tuple((int(u, 16), int(eu, 16)) for u, eu in json_list(obj["table"], "table")),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed operator file: {exc}") from exc

@@ -1,4 +1,5 @@
-"""The check result and the input errors shared by all supext modules."""
+"""The check result, the input errors shared by all supext modules, and the
+reads of JSON integer and list fields that raise them."""
 
 from __future__ import annotations
 
@@ -31,3 +32,17 @@ class InputError(Exception):
 
 class TooLarge(InputError):
     """An input above a size cap, refused before any work on it starts."""
+
+
+def json_int(value: object, field: str) -> int:
+    """A JSON integer read from an input file; a float, a bool or a string is an input error."""
+    if type(value) is not int:
+        raise InputError(f"{field} must be an integer, got {value!r}")
+    return value
+
+
+def json_list(value: object, field: str) -> list:
+    """A JSON list read from an input file; a string or a number is an input error."""
+    if type(value) is not list:
+        raise InputError(f"{field} must be a list, got {value!r}")
+    return value

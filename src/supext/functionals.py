@@ -24,7 +24,7 @@ from math import lcm
 from operator import itemgetter, mul
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
-from .errors import Check, InputError
+from .errors import Check, InputError, json_int, json_list
 from .setkit import Antichain, GroundSet, PointMap, SetFamily, Subset, bits, canonical_key
 from .superext import MaxLinkedSystem, Superextension, enumerate_mls
 
@@ -749,9 +749,10 @@ def term_from_obj(obj: dict, ground: GroundSet) -> Term:
     try:
         tag = obj["t"]
         if tag == "dirac":
-            return Dirac(ground, int(obj["x"]))
+            return Dirac(ground, json_int(obj["x"], "x"))
         if tag == "maxmin":
-            minimal = tuple(sorted((int(s, 16) for s in obj["minimal"]), key=canonical_key))
+            members = json_list(obj["minimal"], "minimal")
+            minimal = tuple(sorted((int(s, 16) for s in members), key=canonical_key))
             if not Antichain(ground, minimal).is_maximal_linked():
                 raise InputError("maxmin needs the minimal members of a maximal linked system")
             return MaxMin(MaxLinkedSystem(ground, minimal))
@@ -760,12 +761,12 @@ def term_from_obj(obj: dict, ground: GroundSet) -> Term:
         if tag == "max":
             return MaxOver(ground, int(obj["F"], 16))
         if tag == "linear":
-            return Linear(ground, tuple(fraction_from_str(w) for w in obj["w"]))
+            return Linear(ground, tuple(fraction_from_str(w) for w in json_list(obj["w"], "w")))
         if tag == "convex":
-            parts = tuple(term_from_obj(p, ground) for p in obj["parts"])
-            return Convex(tuple(fraction_from_str(w) for w in obj["w"]), parts)
+            parts = tuple(term_from_obj(p, ground) for p in json_list(obj["parts"], "parts"))
+            return Convex(tuple(fraction_from_str(w) for w in json_list(obj["w"], "w")), parts)
         if tag == "precompose":
-            image = tuple(int(i) for i in obj["map"])
+            image = tuple(json_int(i, "map") for i in json_list(obj["map"], "map"))
             pm = PointMap(GroundSet(len(image)), ground, image)
             return Precompose(pm, term_from_obj(obj["inner"], pm.dom))
     except (KeyError, TypeError, ValueError) as exc:

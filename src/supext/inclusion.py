@@ -8,6 +8,7 @@ superextension machinery on the same antichain representation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from .errors import InputError, TooLarge
 from .setkit import (
@@ -21,8 +22,10 @@ from .setkit import (
     _up_bits,
     canonical_key,
 )
-from .subbase import Subbase
 from .superext import MaxLinkedSystem
+
+if TYPE_CHECKING:
+    from .subbase import Subbase
 
 MAX_IH_GROUND = 5
 MAX_GX_GROUND = 4
@@ -86,6 +89,8 @@ def candidate_subbase_gx(
     and the transversal sets {A : every member of A meets U} for every
     nonempty U.  Emitted for checking, never asserted binary a priori.
     """
+    from .subbase import Subbase  # here: ghyper has no use for subbases
+
     if ground.n > MAX_GX_GROUND:
         raise TooLarge(f"candidate subbase capped at n <= {MAX_GX_GROUND}")
     carrier = enumerate_ih(ground)

@@ -13,7 +13,7 @@ import json
 from dataclasses import dataclass
 from typing import ClassVar, Iterable, Iterator
 
-from .errors import InputError, TooLarge
+from .errors import InputError, TooLarge, json_int, json_list
 
 # All family-level operations stay exact and fast up to this width, on
 # ground sets and on finite spaces (embed); enumeration of maximal linked
@@ -358,8 +358,8 @@ def family_to_json(fam: SetFamily) -> str:
 def family_from_json(text: str) -> SetFamily:
     try:
         obj = json.loads(text)
-        ground = GroundSet(int(obj["n"]))
-        masks = [int(s, 16) for s in obj["sets"]]
+        ground = GroundSet(json_int(obj["n"], "n"))
+        masks = [int(s, 16) for s in json_list(obj["sets"], "sets")]
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed family file: {exc}") from exc
     return SetFamily.of(ground, masks)

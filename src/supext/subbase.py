@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .errors import Check, InputError, TooLarge
+from .errors import Check, InputError, TooLarge, json_int, json_list
 from .setkit import bits, popcount
 
 MAX_CARRIER = 1 << 16
@@ -168,6 +168,7 @@ def subbase_to_json(sb: Subbase) -> str:
 def subbase_from_json(text: str) -> Subbase:
     try:
         obj = json.loads(text)
-        return Subbase(int(obj["carrier"]), tuple(int(s, 16) for s in obj["members"]))
+        members = json_list(obj["members"], "members")
+        return Subbase(json_int(obj["carrier"], "carrier"), tuple(int(s, 16) for s in members))
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed subbase file: {exc}") from exc

@@ -13,8 +13,9 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from operator import attrgetter
-from typing import ClassVar, Iterator
+from itertools import chain
+from operator import getitem
+from typing import Callable, ClassVar, Iterator
 
 from . import parallel
 from .errors import InputError, TooLarge
@@ -25,6 +26,7 @@ from .setkit import (
     SetFamily,
     _image_bits,
     _is_self_dual_upclosed_bits,
+    _lacks,
     _minimal_bits,
     _pushforward_bits,
     bits,
@@ -42,7 +44,8 @@ class MaxLinkedSystem(Antichain):
     """A maximal linked system, canonically represented by its minimal antichain.
 
     Construction checks that the antichain is linked;
-    ``is_maximal_linked`` checks maximality.
+    ``is_maximal_linked`` checks maximality.  ``enumerate_mls`` builds its
+    systems from kernel leaves it has checked, without that scan.
     """
 
     linked: ClassVar[bool] = True
@@ -118,31 +121,99 @@ def _backtrack(n: int, fam: int, depth: int, stop: int) -> Iterator[int]:
             push((fam | 1 << a, depth))
 
 
-def _enum_subtree(args: tuple[int, int, int]) -> list[MaxLinkedSystem]:
-    """Worker: every system below a family bitset whose pair sides are chosen up to ``depth``.
+@functools.lru_cache(maxsize=MAX_N + 1)
+def _leaf_tables(n: int) -> tuple[Callable[[int], int], Callable[[int], tuple[int, ...]]]:
+    """Two readers of family bitsets over the 2^n subsets, through byte tables.
 
-    A completed family holds one side of every complementary pair and is
-    linked, so it is maximal linked and hence up-closed; its minimal members
-    read straight off the bitset.  Each system is built, and so validated,
-    in the worker.
+    ``reverse(fam)`` is the bitset of the complements of the members: bit A
+    moves to bit 2^n - 1 - A, byte by byte through ``bytes.translate``.
+    ``read(word)`` lists the sets of ``word`` in canonical order without a
+    sort: one table per byte position maps the byte to the canonical ranks
+    of its sets, and one per byte of the rank bitset gives those sets as a
+    ready-made tuple.
+    """
+    size = 1 << n
+    nbytes = (size + 7) // 8
+    shift = 8 * nbytes - size  # below n = 3 the word fills part of one byte
+    flip = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
+    by_rank = sorted(range(size), key=canonical_key)
+    rank = {s: r for r, s in enumerate(by_rank)}
+    to_rank: list[list[int]] = []
+    from_rank: list[list[tuple[int, ...]]] = []
+    for p in range(nbytes):
+        sets = [0] * 256
+        ranked: list[tuple[int, ...]] = [()] * 256
+        for v in range(1, 256):
+            top = v.bit_length() - 1
+            j = 8 * p + top
+            sets[v] = sets[v ^ 1 << top] | (1 << rank[j] if j < size else 0)
+            ranked[v] = ranked[v ^ 1 << top] + ((by_rank[j],) if j < size else ())
+        to_rank.append(sets)
+        from_rank.append(ranked)
+
+    def reverse(fam: int) -> int:
+        return int.from_bytes(fam.to_bytes(nbytes, "little").translate(flip), "big") >> shift
+
+    def read(word: int) -> tuple[int, ...]:
+        # sets of distinct bytes have distinct ranks, so the sum is their union
+        ranks = sum(map(getitem, to_rank, word.to_bytes(nbytes, "little")))
+        return sum(map(getitem, from_rank, ranks.to_bytes(nbytes, "little")), ())
+
+    return reverse, read
+
+
+def _enum_subtree(args: tuple[int, int, int]) -> list[tuple[int, ...]]:
+    """Worker: the minimal members of every system below a family bitset whose
+    pair sides are chosen up to ``depth``, in the order the tree yields them.
+
+    A leaf holds one side of every complementary pair and is linked, so it is
+    maximal linked.  One pass per leaf computes the sets one point above its
+    members, checks the leaf from them (no empty set, up-closed, one side of
+    each pair) and reads off the minimal members, the members not so covered.
+    The result is a list: the benchmark reads a tuple as an eq1 chunk.
     """
     n, fam, depth = args
-    ground = GroundSet(n)
-    return [
-        MaxLinkedSystem(ground, _minimal_bits(leaf, n))
-        for leaf in _backtrack(n, fam, depth, len(_pair_order(n)))
-    ]
+    reverse, read = _leaf_tables(n)
+    ones = (1 << (1 << n)) - 1
+    steps = [(lacks, 1 << x) for x, lacks in enumerate(_lacks(n))]
+    out = []
+    for leaf in _backtrack(n, fam, depth, len(_pair_order(n))):
+        covered = 0
+        for lacks, step in steps:
+            covered |= (leaf & lacks) << step
+        # an invariant of the kernel, not a precondition: no input breaks it
+        assert not leaf & 1 and not covered & ~leaf and leaf ^ reverse(leaf) == ones, (
+            "kernel leaf is not a maximal linked system"
+        )
+        out.append(read(leaf & ~covered))
+    return out
+
+
+def _kernel_systems(ground: GroundSet, minimals: list[tuple[int, ...]]) -> tuple[MaxLinkedSystem, ...]:
+    """Systems from minimal members that ``_enum_subtree`` has checked, built
+    in place of them in the list.
+
+    The objects skip ``__init__``, whose pair scan validates outside input.
+    """
+    new = object.__new__
+    set_ground, set_minimal = MaxLinkedSystem.ground.__set__, MaxLinkedSystem.minimal.__set__
+    for i, minimal in enumerate(minimals):
+        eta = minimals[i] = new(MaxLinkedSystem)
+        set_ground(eta, ground)
+        set_minimal(eta, minimal)
+    return tuple(minimals)
 
 
 def _split_depth(n: int) -> int:
     """Pair depth at which enumeration cuts the tree into subtrees.
 
     Measured on 2 vCPU, Python 3.11.  At n=7 the largest depth-36 subtree
-    holds 18.5 % of the 1,422,564 leaves (2105 subtrees); depth 32 leaves
-    39 % in one subtree, depth 40 8.3 % but more items to send.  Below n=7
-    a two-process pool costs more than the whole enumeration at any depth
-    (n=6: 0.11 s through one at depths 2 to 12, 0.04 s serially), so the
-    cut stays shallow there: three subtrees at n=5 and 6, little to send.
+    holds 18.5 % of the 1,422,564 leaves (2105 subtrees), and two workers
+    take 10.2 s; depth 32 leaves 39 % in one subtree (12.7 s), depth 40
+    8.3 % but more items to send (10.5 s).  Below n=7 a two-process pool
+    costs more than the whole enumeration at any depth (n=6: 0.035 to
+    0.041 s through one at depths 2 to 12, 0.018 s serially), so the cut
+    stays shallow there: three subtrees at n=5 and 6, little to send.
     """
     return min(36 if n >= 7 else 2, len(_pair_order(n)))
 
@@ -161,9 +232,8 @@ def enumerate_mls(ground: GroundSet, workers: int = 1) -> Superextension:
     root = 1 << ground.full  # the family {full set}; no pair holds it
     depth = _split_depth(n)
     items = [(n, fam, depth) for fam in _backtrack(n, root, 0, depth)]
-    results = parallel.map_chunks(_enum_subtree, items, workers)
-    systems = sorted((eta for chunk in results for eta in chunk), key=attrgetter("minimal"))
-    return Superextension(ground, tuple(systems))
+    minimals = sorted(chain.from_iterable(parallel.map_chunks(_enum_subtree, items, workers)))
+    return Superextension(ground, _kernel_systems(ground, minimals))
 
 
 def eta_point(ground: GroundSet, x: int) -> MaxLinkedSystem:

@@ -9,42 +9,20 @@ counts for equal configurations.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from . import parallel
-from .embed import (
-    FiniteTopSpace,
-    RegularOperator,
-    check_usco_map,
-    compose_operators,
-    product_operator,
-    regular_from_usco,
-    usco_from_regular,
-    validate_regular,
-)
 from .errors import InputError
-from .functionals import (
-    Convex,
-    Dirac,
-    Linear,
-    MaxMin,
-    MaxOver,
-    MinOver,
-    Precompose,
-    Term,
-    axiom_check,
-    term_to_obj,
-    witness_to_obj,
-)
-from .inclusion import enumerate_ih, g_map
 from .setkit import GroundSet, PointMap, _plus_columns, popcount
-from .subbase import Subbase, check_carrier, is_binary, is_normal
-from .superext import (
-    EXPECTED_MLS_COUNTS,
-    enumerate_mls,
-    lambda_map,
-    lambda_map_image,
-)
+from .superext import EXPECTED_MLS_COUNTS, enumerate_mls, lambda_map, lambda_map_image
+
+# Only the modules the counts and eq1 suites use are imported here; every
+# other suite imports its modules itself, so a census job never loads
+# functionals or embed.
+if TYPE_CHECKING:
+    from .embed import RegularOperator
+    from .functionals import Term
+    from .subbase import Subbase
 
 ANCHORS = {
     "counts": "maximal linked system census",
@@ -135,6 +113,10 @@ def suite_counts(n: int, workers: int = 1, **_: int) -> dict:
 
 def term_zoo(ground: GroundSet) -> list[Term]:
     """A representative spread of constructible terms on the ground set."""
+    from fractions import Fraction
+
+    from .functionals import Convex, Dirac, Linear, MaxMin, MaxOver, MinOver, Precompose
+
     n = ground.n
     half = Fraction(1, 2)
     terms: list[Term] = [Dirac(ground, x) for x in ground.points()]
@@ -170,6 +152,8 @@ def term_zoo(ground: GroundSet) -> list[Term]:
 def suite_axioms(
     n: int, seed: int = 0, trials: int = 500, terms: list[Term] | None = None, **_: int
 ) -> dict:
+    from .functionals import axiom_check, term_to_obj, witness_to_obj
+
     ground = GroundSet(n)
     if terms is None:
         terms = term_zoo(ground)
@@ -188,6 +172,8 @@ def _all_maps(a: GroundSet, b: GroundSet) -> list[PointMap]:
 
 
 def suite_functor_laws(n: int, workers: int = 1, **_: int) -> dict:
+    from .inclusion import enumerate_ih, g_map
+
     cap = min(n, 3)
     grounds = [GroundSet(k) for k in range(1, cap + 1)]
     lams = {g.n: enumerate_mls(g) for g in grounds}
@@ -246,6 +232,8 @@ def suite_functor_laws(n: int, workers: int = 1, **_: int) -> dict:
 
 def lambda_plus_subbase(n: int, workers: int = 1) -> Subbase:
     """The subbase {F-plus} over the superextension carrier."""
+    from .subbase import Subbase, check_carrier
+
     if n in EXPECTED_MLS_COUNTS:
         # one carrier point per system: refuse an oversized carrier (n=7)
         # before enumerating it
@@ -257,6 +245,8 @@ def lambda_plus_subbase(n: int, workers: int = 1) -> Subbase:
 
 
 def suite_subbase_lambda(n: int, workers: int = 1, **_: int) -> dict:
+    from .subbase import is_binary, is_normal
+
     sb = lambda_plus_subbase(n, workers=workers)
     failures = []
     b = is_binary(sb)
@@ -270,12 +260,16 @@ def suite_subbase_lambda(n: int, workers: int = 1, **_: int) -> dict:
 
 def two_in_three_operator() -> RegularOperator:
     """Discrete 2-point space inside a 3-point space whose extra point is generic."""
+    from .embed import FiniteTopSpace, RegularOperator
+
     x = FiniteTopSpace.discrete(2)
     y = FiniteTopSpace(3, (0b001, 0b010, 0b111))
     return RegularOperator(x, y, (0, 1), ((0, 0), (1, 1), (2, 2), (3, 7)))
 
 
 def standard_operators() -> list[tuple[str, RegularOperator]]:
+    from .embed import FiniteTopSpace, RegularOperator, compose_operators, product_operator
+
     ops: list[tuple[str, RegularOperator]] = []
     for k in (1, 2, 3):
         ops.append((f"identity-discrete-{k}", RegularOperator.identity(FiniteTopSpace.discrete(k))))
@@ -292,6 +286,8 @@ def standard_operators() -> list[tuple[str, RegularOperator]]:
 
 
 def suite_usco_roundtrip(n: int = 0, workers: int = 1, **_: int) -> dict:
+    from .embed import check_usco_map, regular_from_usco, usco_from_regular, validate_regular
+
     checks = 0
     failures: list[dict] = []
     for name, e in standard_operators():

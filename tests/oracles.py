@@ -288,3 +288,52 @@ def complete_linked_greedy(masks: frozenset[int], n: int) -> frozenset[int]:
         lo, hi = sorted((small, full ^ small))
         chosen.add(hi if any(not lo & c for c in chosen) else lo)
     return minimal_of(up_closure_of(frozenset(chosen), n))
+
+
+def sorted_minimal_readout(fam: int, n: int) -> tuple[int, ...]:
+    """The minimal members of a family bitset (bit A stands for subset A),
+    found by comparing every pair of members and put in (cardinality, mask)
+    order by ``sorted``."""
+    members = frozenset(a for a in range(1 << n) if fam >> a & 1)
+    return tuple(sorted(minimal_of(members), key=lambda m: (popcount(m), m)))
+
+
+def count_up_sets(poset: frozenset[int], memo: dict[frozenset[int], int]) -> int:
+    """Up-sets of a family of subsets ordered by inclusion, by the recursion
+    count(Q) = count(Q - {x}) + count(Q - up(x)) for a minimal x of Q: an
+    up-set either misses x, or holds x and so everything above it."""
+    if not poset:
+        return 1
+    got = memo.get(poset)
+    if got is None:
+        x = min(poset, key=popcount)
+        got = count_up_sets(poset - {x}, memo) + count_up_sets(
+            frozenset(y for y in poset if x & y != x), memo
+        )
+        memo[poset] = got
+    return got
+
+
+def mls_count_by_split(n: int) -> int:
+    """The number of maximal linked systems on n >= 3 points, from the
+    systems on n - 1 points, with no enumeration at n.
+
+    Fix a point p.  A maximal linked system F on n points is determined by
+    its members avoiding p, an intersecting up-set on the other n - 1 points,
+    and any such up-set arises.  Split that up-set at a second point q into
+    F0 (members avoiding q) and F1 (members containing q, with q removed),
+    families on the remaining m = n - 2 points.  F0 is an intersecting
+    up-set, so one system on n - 1 points, and F1 is any up-set with
+    F0 <= F1 <= U(F0) = {C : the complement of C is not in F0}: each F1 is F0
+    together with an up-set of the poset U(F0) - F0.
+    """
+    m = n - 2
+    full = (1 << m) - 1
+    intersecting = [frozenset()] + [
+        up_closure_of(chain, m) for chain in all_antichains(m) if is_linked_family(chain)
+    ]
+    memo: dict[frozenset[int], int] = {}
+    return sum(
+        count_up_sets(frozenset(c for c in range(full + 1) if c not in f0 and full ^ c not in f0), memo)
+        for f0 in intersecting
+    )

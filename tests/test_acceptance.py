@@ -16,7 +16,7 @@ import pytest
 
 import oracles
 from supext.cli import main
-from supext.embed import regular_from_usco, usco_from_regular, validate_regular
+from supext.embed import check_usco_map, regular_from_usco, usco_from_regular, validate_regular
 from supext.functionals import (
     GeneratedSubspace,
     PointFunction,
@@ -39,7 +39,6 @@ from supext.superext import (
 )
 from supext.subbase import is_binary, is_normal
 from supext.verify import (
-    check_usco_map,
     lambda_plus_subbase,
     run_verify_suite,
     standard_operators,

@@ -362,6 +362,12 @@ class TestExitContract:
             ("verify --suite functor-laws --n 0", "ground set must have at least one point"),
             ("verify --suite functor-laws --n -2", "ground set must have at least one point"),
             ("verify --suite usco-roundtrip --n -7", "ground set must have at least one point"),
+            ("eval --term {dirac_float} --f 0,1", "x must be an integer, got 0.7"),
+            ("eval --term {dirac_bool} --f 0,1", "x must be an integer, got True"),
+            ("eval --term {maxmin_str} --f 0,1", "minimal must be a list, got '1'"),
+            ("regular --validate {op_float}", "n must be an integer, got 1.9"),
+            ("extend --generators {gens_float} --phi 0,1", "n must be an integer, got 2.5"),
+            ("subbase --check binary --in {sb_str}", "members must be a list, got '12'"),
         ],
         ids=[
             "extend-value-out-of-range",
@@ -373,6 +379,12 @@ class TestExitContract:
             "functor-laws-n0",
             "functor-laws-n-2",
             "usco-roundtrip-n-7",
+            "dirac-float-point",
+            "dirac-bool-point",
+            "maxmin-string-members",
+            "operator-float-size",
+            "extend-float-size",
+            "subbase-string-members",
         ],
     )
     def test_precondition_errors(self, tmp_path, command, message):
@@ -393,7 +405,20 @@ class TestExitContract:
         indiscrete.write_text(json.dumps(
             {"X": space, "Y": space, "inject": [0, 1], "table": [["0", "0"], ["3", "3"]]}
         ))
-        argv = command.format(gens=gens, bad_gens=bad_gens, op=op, indiscrete=indiscrete).split()
+        # JSON fields of the wrong type: never truncated, coerced or iterated
+        files = {
+            "dirac_float": {"t": "dirac", "x": 0.7},
+            "dirac_bool": {"t": "dirac", "x": True},
+            "maxmin_str": {"t": "maxmin", "minimal": "1"},
+            "op_float": {"X": {"n": 1.9, "min_nbhd": ["1"]}, "Y": {"n": 1, "min_nbhd": ["1"]},
+                         "inject": [0], "table": [["0", "0"], ["1", "1"]]},
+            "gens_float": {"n": 2.5, "generators": [{"b": ["0", "1"], "v": "1"}]},
+            "sb_str": {"carrier": 2, "members": "12"},
+        }
+        for name, obj in files.items():
+            files[name] = tmp_path / f"{name}.json"
+            files[name].write_text(json.dumps(obj))
+        argv = command.format(gens=gens, bad_gens=bad_gens, op=op, indiscrete=indiscrete, **files).split()
         code, out, err = run_quiet(argv)
         assert code == 2 and out == ""
         assert f"input error: {message}" in err and "Traceback" not in err

@@ -17,7 +17,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import supext
-from supext import functionals, parallel, setkit, verify
+from supext import functionals, inclusion, parallel, setkit, verify
 from supext.setkit import GroundSet, SetFamily
 
 
@@ -48,7 +48,7 @@ def test_pushforwards_build_no_setfamily(monkeypatch):
     assert len(built) == 1
     built.clear()
     monkeypatch.setattr(verify, "lambda_map", scoped(verify.lambda_map))
-    monkeypatch.setattr(verify, "g_map", scoped(verify.g_map))
+    monkeypatch.setattr(inclusion, "g_map", scoped(inclusion.g_map))
     report = verify.suite_functor_laws(2)
     assert report["failures"] == []
     assert {"lambda_map", "g_map"} <= set(entered)
@@ -66,7 +66,7 @@ def test_functor_laws_push_each_pair_once(monkeypatch):
         return wrapped
 
     monkeypatch.setattr(verify, "lambda_map", recording(verify.lambda_map))
-    monkeypatch.setattr(verify, "g_map", recording(verify.g_map))
+    monkeypatch.setattr(inclusion, "g_map", recording(inclusion.g_map))
     report = verify.suite_functor_laws(3)
     assert report["failures"] == [] and report["checks_run"] == 26669
     for name, made in calls.items():
@@ -136,10 +136,26 @@ def test_no_pool_for_eq1_below_n6(monkeypatch):
 
 
 def test_cli_import_leaves_out_concurrent_futures():
+    """A command loads only the modules it uses, and the package's names load
+    theirs on first use; each case runs in a fresh interpreter without a
+    bytecode cache, as the benchmark runs its jobs."""
     src = str(Path(supext.__file__).resolve().parents[1])
-    code = "import sys, supext.cli; print('concurrent.futures' in sys.modules)"
-    out = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
-        env={"PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"},
-    ).stdout
-    assert out.strip() == "False"
+    unused = ["concurrent.futures", "supext.functionals", "supext.embed", "supext.subbase", "supext.inclusion"]
+    report = f"import sys; print(sorted(set({unused!r}) & set(sys.modules)))"
+    command = "import contextlib, io, supext.cli\nwith contextlib.redirect_stdout(io.StringIO()): supext.cli.main({})\n"
+    star = (
+        "import supext\nnames = {}\nexec('from supext import *', names)\n"
+        "print(all(getattr(supext, k) is names[k] for k in supext.__all__))"
+    )
+    cases = [
+        ("import supext.cli\n" + report, "[]"),
+        (command.format(["enumerate", "--n", "3"]) + report, "[]"),
+        (command.format(["verify", "--suite", "counts", "--n", "3"]) + report, "[]"),
+        (star, "True"),
+    ]
+    for code, expected in cases:
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+            env={"PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"},
+        ).stdout
+        assert out.strip() == expected, code

@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import itertools
-import os
 import time
 
 import pytest
@@ -66,16 +65,19 @@ class TestEnumerate:
         with pytest.raises(TooLarge):
             enumerate_mls(GroundSet(8))
 
-    @pytest.mark.skipif(
-        not os.environ.get("SUPEXT_RUN_SLOW"),
-        reason="n=7 takes about 50 s on 2 cores; set SUPEXT_RUN_SLOW=1 to run",
-    )
     def test_n7_count_and_runtime(self):
         start = time.monotonic()
         count = len(enumerate_mls(GroundSet(7), workers=4))
         elapsed = time.monotonic() - start
         assert count == EXPECTED_MLS_COUNTS[7] == 1_422_564
         assert elapsed < 300.0
+
+    def test_count_oracle_by_split(self):
+        """The counts at n = 4 to 7 follow from the systems one point smaller,
+        counted by an oracle that enumerates nothing at n."""
+        assert [oracles.mls_count_by_split(n) for n in (4, 5, 6, 7)] == [
+            EXPECTED_MLS_COUNTS[n] for n in (4, 5, 6, 7)
+        ] == [12, 81, 2646, 1_422_564]
 
     def test_worker_independence(self):
         base = [s.minimal for s in enumerate_mls(GroundSet(5))]
@@ -90,12 +92,52 @@ class TestKernel:
         of the serial enumeration, each exactly once, whatever d is."""
         root = 1 << GroundSet(n).full
         pairs = len(superext._pair_order(n))
-        serial = [eta.minimal for eta in superext._enum_subtree((n, root, 0))]
+        serial = superext._enum_subtree((n, root, 0))
         assert len(serial) == len(set(serial)) == EXPECTED_MLS_COUNTS[n]
         for depth in sorted({min(d, pairs) for d in (0, 1, 2, pairs // 2, pairs)}):
             prefixes = list(superext._backtrack(n, root, 0, depth))
-            split = [eta.minimal for fam in prefixes for eta in superext._enum_subtree((n, fam, depth))]
+            split = [m for fam in prefixes for m in superext._enum_subtree((n, fam, depth))]
             assert sorted(split) == sorted(serial)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_readout_of_every_leaf(self, n):
+        """The table readout of each leaf is its minimal members, found pair by
+        pair and sorted."""
+        root = 1 << GroundSet(n).full
+        leaves = list(superext._backtrack(n, root, 0, len(superext._pair_order(n))))
+        got = superext._enum_subtree((n, root, 0))
+        assert got == [oracles.sorted_minimal_readout(leaf, n) for leaf in leaves]
+
+    @settings(max_examples=100, deadline=None)
+    @given(masks=st.lists(st.integers(min_value=1, max_value=127), min_size=1, max_size=12))
+    def test_readout_tables_at_n7(self, masks):
+        """At n = 7 the tables list the minimal members of an up-closed family in
+        canonical order, and reverse the family into its complements."""
+        n = 7
+        fam = oracles.up_closure_of(frozenset(masks), n)
+        minimal = oracles.minimal_of(fam)
+        reverse, read = superext._leaf_tables(n)
+        assert read(sum(1 << m for m in minimal)) == oracles.sorted_minimal_readout(sum(1 << a for a in fam), n)
+        assert reverse(sum(1 << a for a in fam)) == sum(1 << (127 ^ a) for a in fam)
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda fam: fam | 1 << 0b110,  # {1,2} beside {0}: both sides of a pair
+            lambda fam: fam & ~(1 << 0b001),  # {0} dropped: neither {0} nor {1,2}
+            lambda fam: fam & ~(1 << 0b011) | 1 << 0b100,  # {0,1} swapped for {2}: not up-closed
+        ],
+        ids=["both-sides", "neither-side", "not-up-closed"],
+    )
+    def test_kernel_leaf_check_is_live(self, monkeypatch, corrupt):
+        """A leaf that is not a maximal linked system fails the kernel's check."""
+        principal = sum(1 << a for a in range(8) if a & 1)  # every set holding point 0
+        leaves = [principal]
+        monkeypatch.setattr(superext, "_backtrack", lambda n, fam, depth, stop: iter(leaves))
+        assert superext._enum_subtree((3, 0, 0)) == [(0b001,)]
+        leaves[0] = corrupt(principal)
+        with pytest.raises(AssertionError, match="kernel leaf is not a maximal linked system"):
+            superext._enum_subtree((3, 0, 0))
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_disjoint_table(self, n):

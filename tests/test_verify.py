@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import oracles
-from supext import subbase, verify
+from supext import embed, subbase, verify
 from supext.embed import UscoMap, usco_from_regular
 from supext.errors import InputError, TooLarge
 from supext.inclusion import candidate_subbase_gx
@@ -108,7 +108,7 @@ def test_usco_roundtrip_reports_a_failed_usco_check_with_its_witness(monkeypatch
         r = usco_from_regular(e)
         return UscoMap(r.space, r.lam, ((),) + r.values[1:], r.inject)
 
-    monkeypatch.setattr(verify, "usco_from_regular", broken)
+    monkeypatch.setattr(embed, "usco_from_regular", broken)
     report = verify.suite_usco_roundtrip()
     assert report["failures"][0] == {
         "operator": "identity-discrete-1", "stage": "usco", "axiom": "nonempty", "witness": 0
