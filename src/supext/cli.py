@@ -13,7 +13,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from . import verify
-from .errors import InputError, json_int, json_list
+from .errors import InputError, json_int, json_list, json_rational
 from .setkit import GroundSet
 from .superext import enumerate_mls
 
@@ -112,8 +112,6 @@ def cmd_axioms(args: argparse.Namespace) -> int:
 
 
 def cmd_extend(args: argparse.Namespace) -> int:
-    from fractions import Fraction
-
     from . import functionals
 
     obj = json.loads(Path(args.generators).read_text())
@@ -121,12 +119,12 @@ def cmd_extend(args: argparse.Namespace) -> int:
         ground = GroundSet(json_int(obj["n"], "n"))
         gens = tuple(
             (
-                functionals.PointFunction(ground, tuple(Fraction(v) for v in json_list(g["b"], "b"))),
-                Fraction(g["v"]),
+                functionals.PointFunction(ground, tuple(json_rational(v, "b") for v in json_list(g["b"], "b"))),
+                json_rational(g["v"], "v"),
             )
             for g in json_list(obj["generators"], "generators")
         )
-    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+    except (KeyError, TypeError) as exc:
         raise InputError(f"malformed generators file: {exc}") from exc
     phi0 = functionals.PointFunction(ground, tuple(_parse_values(args.phi)))
     space = functionals.GeneratedSubspace(ground, gens)

@@ -1,9 +1,13 @@
 """The check result, the input errors shared by all supext modules, and the
-reads of JSON integer and list fields that raise them."""
+reads of JSON integer, rational and list fields that raise them."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 @dataclass(frozen=True)
@@ -39,6 +43,21 @@ def json_int(value: object, field: str) -> int:
     if type(value) is not int:
         raise InputError(f"{field} must be an integer, got {value!r}")
     return value
+
+
+def json_rational(value: object, field: str) -> Fraction:
+    """An exact rational read from an input file: a string such as "p/q" or
+    an integer; a float, a bool or a malformed string is an input error."""
+    from fractions import Fraction  # here: most commands read no rationals
+
+    if type(value) is int:
+        return Fraction(value)
+    if type(value) is str:
+        try:
+            return Fraction(value)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise InputError(f"bad rational {value!r} in {field}: {exc}") from exc
+    raise InputError(f"{field} must be a rational string or an integer, got {value!r}")
 
 
 def json_list(value: object, field: str) -> list:

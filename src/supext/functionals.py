@@ -24,7 +24,7 @@ from math import lcm
 from operator import itemgetter, mul
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
-from .errors import Check, InputError, json_int, json_list
+from .errors import Check, InputError, json_int, json_list, json_rational
 from .setkit import Antichain, GroundSet, PointMap, SetFamily, Subset, bits, canonical_key
 from .superext import MaxLinkedSystem, Superextension, enumerate_mls
 
@@ -706,13 +706,6 @@ def extend_one(
 # Serialization
 
 
-def fraction_from_str(s: str) -> Fraction:
-    try:
-        return Fraction(s)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise InputError(f"bad rational {s!r}: {exc}") from exc
-
-
 def term_to_obj(term: Term) -> dict:
     match term:
         case Dirac(x=x):
@@ -761,10 +754,10 @@ def term_from_obj(obj: dict, ground: GroundSet) -> Term:
         if tag == "max":
             return MaxOver(ground, int(obj["F"], 16))
         if tag == "linear":
-            return Linear(ground, tuple(fraction_from_str(w) for w in json_list(obj["w"], "w")))
+            return Linear(ground, tuple(json_rational(w, "w") for w in json_list(obj["w"], "w")))
         if tag == "convex":
             parts = tuple(term_from_obj(p, ground) for p in json_list(obj["parts"], "parts"))
-            return Convex(tuple(fraction_from_str(w) for w in json_list(obj["w"], "w")), parts)
+            return Convex(tuple(json_rational(w, "w") for w in json_list(obj["w"], "w")), parts)
         if tag == "precompose":
             image = tuple(json_int(i, "map") for i in json_list(obj["map"], "map"))
             pm = PointMap(GroundSet(len(image)), ground, image)

@@ -19,6 +19,7 @@ from .setkit import (
     _minimal_bits,
     _plus_columns,
     _pushforward_bits,
+    _trusted,
     _up_bits,
     canonical_key,
 )
@@ -64,7 +65,7 @@ def enumerate_ih(ground: GroundSet) -> tuple[InclusionHyperspace, ...]:
 
     extend(0, [], 0)
     out.sort()
-    return tuple(InclusionHyperspace(ground, ac) for ac in out)
+    return _trusted(InclusionHyperspace, ground, out)
 
 
 def g_map(pm: PointMap, a: InclusionHyperspace) -> InclusionHyperspace:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import functools
 import json
 from dataclasses import dataclass
-from typing import ClassVar, Iterable, Iterator
+from typing import ClassVar, Iterable, Iterator, TypeVar
 
 from .errors import InputError, TooLarge, json_int, json_list
 
@@ -345,6 +345,24 @@ class Antichain:
         """Whether the full family is a maximal linked system (exponential in n)."""
         n = self.ground.n
         return _is_self_dual_upclosed_bits(_up_bits(self.minimal, n), n)
+
+
+_A = TypeVar("_A", bound=Antichain)
+
+
+def _trusted(cls: type[_A], ground: GroundSet, minimals: list[tuple[int, ...]]) -> tuple[_A, ...]:
+    """Antichains of class ``cls`` from minimal members that the caller built
+    and checked itself, made in place of them in the list.
+
+    The objects skip ``__init__``, whose pair scan validates outside input.
+    """
+    new = object.__new__
+    set_ground, set_minimal = Antichain.ground.__set__, Antichain.minimal.__set__
+    for i, minimal in enumerate(minimals):
+        a = minimals[i] = new(cls)
+        set_ground(a, ground)
+        set_minimal(a, minimal)
+    return tuple(minimals)
 
 
 def family_to_json(fam: SetFamily) -> str:

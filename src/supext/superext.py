@@ -29,6 +29,7 @@ from .setkit import (
     _lacks,
     _minimal_bits,
     _pushforward_bits,
+    _trusted,
     bits,
     canonical_key,
     is_linked,
@@ -189,21 +190,6 @@ def _enum_subtree(args: tuple[int, int, int]) -> list[tuple[int, ...]]:
     return out
 
 
-def _kernel_systems(ground: GroundSet, minimals: list[tuple[int, ...]]) -> tuple[MaxLinkedSystem, ...]:
-    """Systems from minimal members that ``_enum_subtree`` has checked, built
-    in place of them in the list.
-
-    The objects skip ``__init__``, whose pair scan validates outside input.
-    """
-    new = object.__new__
-    set_ground, set_minimal = MaxLinkedSystem.ground.__set__, MaxLinkedSystem.minimal.__set__
-    for i, minimal in enumerate(minimals):
-        eta = minimals[i] = new(MaxLinkedSystem)
-        set_ground(eta, ground)
-        set_minimal(eta, minimal)
-    return tuple(minimals)
-
-
 def _split_depth(n: int) -> int:
     """Pair depth at which enumeration cuts the tree into subtrees.
 
@@ -233,7 +219,7 @@ def enumerate_mls(ground: GroundSet, workers: int = 1) -> Superextension:
     depth = _split_depth(n)
     items = [(n, fam, depth) for fam in _backtrack(n, root, 0, depth)]
     minimals = sorted(chain.from_iterable(parallel.map_chunks(_enum_subtree, items, workers)))
-    return Superextension(ground, _kernel_systems(ground, minimals))
+    return Superextension(ground, _trusted(MaxLinkedSystem, ground, minimals))
 
 
 def eta_point(ground: GroundSet, x: int) -> MaxLinkedSystem:

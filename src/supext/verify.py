@@ -36,48 +36,81 @@ ANCHORS = {
 EQ1_GRID = (-1, 0, 1, 2)
 
 
+def _level_sets(n: int) -> list[int]:
+    """The level sets {f : f_x >= t} of each point x as one bitset over
+    (threshold, grid point), for the thresholds t above the least grid value.
+
+    Bit j*v^n + i stands for threshold j and grid point i in
+    ``itertools.product`` order, where coordinate x has stride v^(n-1-x)
+    for v grid values: within each block of v strides, the strides of the
+    values >= t are set, and the block repeats v^x times.
+    """
+    v = len(EQ1_GRID)
+    points = v**n
+    sets = [0] * n
+    for j, t in enumerate(sorted(EQ1_GRID)[1:]):
+        for x in range(n):
+            stride = v ** (n - 1 - x)
+            block = sum(((1 << stride) - 1) << (d * stride) for d, a in enumerate(EQ1_GRID) if a >= t)
+            w = v * stride  # times 1 + 2^w + 2^2w + ...: v^x copies of the block
+            sets[x] |= block * (((1 << (w * v**x)) - 1) // ((1 << w) - 1)) << (j * points)
+    return sets
+
+
 def _eq1_chunk(args: tuple[int, tuple[tuple[int, ...], ...]]) -> tuple[int, list[dict]]:
     """Worker: exchange identity over the full grid for a chunk of systems.
 
-    ``lo[m]`` and ``hi[m]`` hold min_m f and max_m f for every grid point f,
-    each built from the column of m without its lowest point.  A system's
-    max-min column is then the elementwise max of its members' ``lo``
-    columns, and its min-max column the elementwise min of their ``hi``.
+    Max-min and min-max forms commute with monotone maps of the value
+    scale, so either form is at least t at f exactly where it is 1 on the
+    indicator of {f >= t}: on a grid of v values the identity is v - 1
+    Boolean identities, one per threshold above the least value.  They sit
+    side by side in one bitset (see ``_level_sets``).  ``lo[m]`` is the set
+    where min_m f >= t, the AND of the level sets of the points of m, and
+    ``hi[m]`` where max_m f >= t, their OR; each is built from the set of m
+    without its lowest point.  A system's max-min is at least t on the OR
+    of its members' ``lo`` and its min-max on the AND of their ``hi``, and
+    the two forms differ at f exactly when some threshold separates them.
     """
     n, antichains = args
-    failures: list[dict] = []
-    grid = list(itertools.product(EQ1_GRID, repeat=n))
-    lo: list[list[int]] = [[]] * (1 << n)
-    hi: list[list[int]] = [[]] * (1 << n)
-    for m in range(1, 1 << n):
+    points = len(EQ1_GRID) ** n
+    size = 1 << n
+    lo, hi = [0] * size, [0] * size
+    for x, level in enumerate(_level_sets(n)):
+        lo[1 << x] = hi[1 << x] = level
+    for m in range(1, size):
         low = m & -m
-        if m == low:
-            x = low.bit_length() - 1
-            lo[m] = hi[m] = [f[x] for f in grid]
-        else:
-            lo[m] = list(map(min, lo[low], lo[m ^ low]))
-            hi[m] = list(map(max, hi[low], hi[m ^ low]))
+        if m != low:
+            lo[m] = lo[low] & lo[m ^ low]
+            hi[m] = hi[low] | hi[m ^ low]
+    failures: list[dict] = []
+    grid: list[tuple[int, ...]] = []
     for minimal in antichains:
-        # map(max, col) would call max() on single ints
-        if len(minimal) == 1:
-            mm, nm = lo[minimal[0]], hi[minimal[0]]
-        else:
-            mm = list(map(max, *(lo[m] for m in minimal)))
-            nm = list(map(min, *(hi[m] for m in minimal)))
+        mm, nm = 0, -1
+        for m in minimal:
+            mm |= lo[m]
+            nm &= hi[m]
         if mm != nm:
-            failures.extend(
-                {"system": [format(m, "x") for m in minimal], "f": list(f)}
-                for f, a, b in zip(grid, mm, nm)
-                if a != b
-            )
-    return len(grid) * len(antichains), failures
+            grid = grid or list(itertools.product(EQ1_GRID, repeat=n))
+            split = mm ^ nm
+            bad = 0
+            while split:
+                bad |= split & ((1 << points) - 1)
+                split >>= points
+            while bad:
+                low = bad & -bad
+                failures.append(
+                    {"system": [format(m, "x") for m in minimal], "f": list(grid[low.bit_length() - 1])}
+                )
+                bad ^= low
+    return points * len(antichains), failures
 
 
-# Measured on 2 vCPU, Python 3.11: at n=5 a two-process pool gains nothing
-# (61 ms serially, 64 ms through one, before the 30 ms it takes to import
-# concurrent.futures); at n=6 it halves the check (11.5 s -> 6.7 s).  Below
-# n=6 the suite, enumeration included, runs in this process.
-_EQ1_POOL_FROM_N = 6
+# Measured on 2 vCPU, Python 3.11, suite in one process: at n=6 the whole
+# suite takes 23-33 ms serially and 76-116 ms with a two-process pool,
+# which costs about 28 ms to import and 14 ms to start before any work;
+# at n=5 it takes 2 ms against 65 ms.  Below n=7 the suite, enumeration
+# included, runs in this process.
+_EQ1_POOL_FROM_N = 7
 
 
 def suite_eq1(n: int, workers: int = 1, **_: int) -> dict:

@@ -368,6 +368,9 @@ class TestExitContract:
             ("regular --validate {op_float}", "n must be an integer, got 1.9"),
             ("extend --generators {gens_float} --phi 0,1", "n must be an integer, got 2.5"),
             ("subbase --check binary --in {sb_str}", "members must be a list, got '12'"),
+            ("extend --generators {gens_bool} --phi 0,1", "v must be a rational string or an integer, got True"),
+            ("extend --generators {gens_float_value} --phi 0,1", "v must be a rational string or an integer, got 0.1"),
+            ("eval --term {linear_bool} --f 0,1", "w must be a rational string or an integer, got True"),
         ],
         ids=[
             "extend-value-out-of-range",
@@ -385,6 +388,9 @@ class TestExitContract:
             "operator-float-size",
             "extend-float-size",
             "subbase-string-members",
+            "extend-bool-value",
+            "extend-float-value",
+            "linear-bool-weights",
         ],
     )
     def test_precondition_errors(self, tmp_path, command, message):
@@ -414,6 +420,9 @@ class TestExitContract:
                          "inject": [0], "table": [["0", "0"], ["1", "1"]]},
             "gens_float": {"n": 2.5, "generators": [{"b": ["0", "1"], "v": "1"}]},
             "sb_str": {"carrier": 2, "members": "12"},
+            "gens_bool": {"n": 2, "generators": [{"b": ["0", "1"], "v": True}]},
+            "gens_float_value": {"n": 2, "generators": [{"b": ["0", "1"], "v": 0.1}]},
+            "linear_bool": {"t": "linear", "w": [True, False]},
         }
         for name, obj in files.items():
             files[name] = tmp_path / f"{name}.json"

@@ -119,7 +119,7 @@ def test_axiom_suite_draws_one_trial_table(monkeypatch):
     assert len(draws) == 50
 
 
-def test_no_pool_for_eq1_below_n6(monkeypatch):
+def test_no_pool_for_eq1_below_n7(monkeypatch):
     started = []
 
     class NoPool:
@@ -132,6 +132,7 @@ def test_no_pool_for_eq1_below_n6(monkeypatch):
     assert len(started) == 1
     started.clear()
     assert verify.suite_eq1(5, workers=2)["checks_run"] == 82944
+    assert verify.suite_eq1(6, workers=2)["checks_run"] == 10_838_016
     assert started == []
 
 
@@ -151,6 +152,7 @@ def test_cli_import_leaves_out_concurrent_futures():
         ("import supext.cli\n" + report, "[]"),
         (command.format(["enumerate", "--n", "3"]) + report, "[]"),
         (command.format(["verify", "--suite", "counts", "--n", "3"]) + report, "[]"),
+        (command.format(["verify", "--suite", "eq1", "--n", "5", "--workers", "2"]) + report, "[]"),
         (star, "True"),
     ]
     for code, expected in cases:

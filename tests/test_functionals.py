@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from supext import functionals
-from supext.errors import InputError
+from supext.errors import InputError, json_rational
 from supext.functionals import (
     Convex,
     Dirac,
@@ -24,7 +24,6 @@ from supext.functionals import (
     evaluate,
     extender_to_lambda,
     family_maxmin_minmax,
-    fraction_from_str,
     phi,
     phi_minmax,
     retraction_from_extender,
@@ -433,12 +432,13 @@ class TestTermJson:
                 assert evaluate(back, f) == evaluate(t, f)
 
     def test_fraction_parse(self):
-        assert fraction_from_str("3/4") == F(3, 4)
-        assert fraction_from_str("-2") == -2
-        with pytest.raises(InputError):
-            fraction_from_str("x/y")
+        assert json_rational("3/4", "w") == F(3, 4)
+        assert json_rational("-2", "w") == json_rational(-2, "w") == -2
+        for bad in ("x/y", "1/0", True, 0.5, None, ["1"]):
+            with pytest.raises(InputError):
+                json_rational(bad, "w")
 
     @given(st.integers(-50, 50), st.integers(1, 20))
     def test_fraction_round_trip(self, p, q):
         f = F(p, q)
-        assert fraction_from_str(f"{f.numerator}/{f.denominator}") == f
+        assert json_rational(f"{f.numerator}/{f.denominator}", "w") == f

@@ -39,6 +39,15 @@ class TestEnumerate:
     def test_matches_antichain_count(self, n):
         assert len(enumerate_ih(GroundSet(n))) == len(oracles.all_antichains(n))
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_equals_the_validated_construction(self, n):
+        """The search builds its hyperspaces without the constructor's pair
+        scan; each must equal the one that scan accepts."""
+        ground = GroundSet(n)
+        for a in enumerate_ih(ground):
+            assert type(a) is InclusionHyperspace
+            assert a == InclusionHyperspace(ground, a.minimal)
+
     def test_n2_explicit(self):
         got = {h.minimal for h in enumerate_ih(GroundSet(2))}
         assert got == {(0b01,), (0b10,), (0b11,), (0b01, 0b10)}

@@ -1,7 +1,8 @@
 """parallel.map_chunks with a real process pool against the serial sweep.
 
 The library starts a pool for enumeration with workers > 1 at any n, and
-for the eq1 checks only from n = 6; these tests drive map_chunks directly.
+for the eq1 checks only from n = 7, a size too slow for these tests; they
+drive map_chunks directly.
 """
 
 from __future__ import annotations

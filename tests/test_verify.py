@@ -1,7 +1,5 @@
 from __future__ import annotations
 
-import os
-
 import pytest
 from hypothesis import given, strategies as st
 
@@ -35,8 +33,15 @@ class TestEq1Chunk:
 
     @pytest.mark.parametrize(
         "args",
-        [(2, ((0b01, 0b10),)), (3, ((0b011,), (0b011, 0b101, 0b110), (0b001, 0b110))), (1, ())],
-        ids=["disjoint-pair", "mixed", "empty-chunk"],
+        [
+            (2, ((0b01, 0b10),)),
+            (3, ((0b011,), (0b011, 0b101, 0b110), (0b001, 0b110))),
+            (1, ()),
+            # a maximal linked system, a non-linked antichain (failures at
+            # every threshold, the top one included) and a principal system
+            (5, ((0b00011, 0b00101, 0b00110), (0b00011, 0b01100, 0b10000), (0b00100,))),
+        ],
+        ids=["disjoint-pair", "mixed", "empty-chunk", "n5-non-linked"],
     )
     def test_failures_match_literal_loop(self, args):
         got = _eq1_chunk(args)
@@ -50,10 +55,6 @@ class TestSuiteEq1:
         with pytest.raises(InputError):
             suite_eq1(3, workers=workers)
 
-    @pytest.mark.skipif(
-        not os.environ.get("SUPEXT_RUN_SLOW"),
-        reason="eq1 at n=6 takes about ten seconds; set SUPEXT_RUN_SLOW=1 to run",
-    )
     def test_n6(self):
         body = suite_eq1(6)
         assert body == {"checks_run": 10_838_016, "failures": []}
