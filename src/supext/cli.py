@@ -13,7 +13,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from . import verify
-from .errors import InputError, json_int, json_list, json_rational
+from .errors import InputError, json_int, json_list, json_rational, parse_rational
 from .setkit import GroundSet
 from .superext import enumerate_mls
 
@@ -45,13 +45,8 @@ def _emit(report: dict, out: str | None, fmt: str = "json") -> None:
         sys.stdout.write(text)
 
 
-def _parse_values(text: str) -> list[Fraction]:
-    from fractions import Fraction
-
-    try:
-        return [Fraction(tok.strip()) for tok in text.split(",") if tok.strip()]
-    except (ValueError, ZeroDivisionError) as exc:
-        raise InputError(f"bad rational list {text!r}: {exc}") from exc
+def _parse_values(text: str, option: str) -> list[Fraction]:
+    return [parse_rational(tok, option) for tok in text.split(",") if tok.strip()]
 
 
 def _worker_count(text: str) -> int:
@@ -84,7 +79,7 @@ def cmd_ghyper(args: argparse.Namespace) -> int:
 def cmd_eval(args: argparse.Namespace) -> int:
     from .functionals import PointFunction, evaluate, term_from_json
 
-    values = _parse_values(args.f)
+    values = _parse_values(args.f, "--f")
     ground = GroundSet(len(values))
     term = term_from_json(Path(args.term).read_text(), ground)
     result = evaluate(term, PointFunction(ground, tuple(values)))
@@ -114,8 +109,8 @@ def cmd_axioms(args: argparse.Namespace) -> int:
 def cmd_extend(args: argparse.Namespace) -> int:
     from . import functionals
 
-    obj = json.loads(Path(args.generators).read_text())
     try:
+        obj = json.loads(Path(args.generators).read_text())
         ground = GroundSet(json_int(obj["n"], "n"))
         gens = tuple(
             (
@@ -124,9 +119,9 @@ def cmd_extend(args: argparse.Namespace) -> int:
             )
             for g in json_list(obj["generators"], "generators")
         )
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, RecursionError) as exc:
         raise InputError(f"malformed generators file: {exc}") from exc
-    phi0 = functionals.PointFunction(ground, tuple(_parse_values(args.phi)))
+    phi0 = functionals.PointFunction(ground, tuple(_parse_values(args.phi, "--phi")))
     space = functionals.GeneratedSubspace(ground, gens)
     lower, upper, p = functionals.extend_one(space, phi0, choose=args.choose)
     _emit({"lower": str(lower), "upper": str(upper), "p": str(p)}, args.out)

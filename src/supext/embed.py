@@ -381,5 +381,5 @@ def operator_from_json(text: str) -> RegularOperator:
             tuple(json_int(i, "inject") for i in json_list(obj["inject"], "inject")),
             tuple((int(u, 16), int(eu, 16)) for u, eu in json_list(obj["table"], "table")),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, RecursionError) as exc:
         raise InputError(f"malformed operator file: {exc}") from exc

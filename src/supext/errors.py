@@ -3,6 +3,7 @@ reads of JSON integer, rational and list fields that raise them."""
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -45,19 +46,36 @@ def json_int(value: object, field: str) -> int:
     return value
 
 
-def json_rational(value: object, field: str) -> Fraction:
-    """An exact rational read from an input file: a string such as "p/q" or
-    an integer; a float, a bool or a malformed string is an input error."""
+# The written forms of an exact rational: an integer, "p/q" or a decimal
+# such as "-0.25".  Fraction also reads an exponent, and builds the value of
+# "1e10000000" digit by digit (15 s) before any size check can run, so a
+# string is matched against these forms first.
+_RATIONAL = re.compile(r"\s*[+-]?(\d+(/\d+|\.\d*)?|\.\d+)\s*")
+
+
+def parse_rational(text: str, field: str) -> Fraction:
+    """An exact rational written as an integer, "p/q" or a decimal; any
+    other string, an exponent or a zero denominator is an input error."""
     from fractions import Fraction  # here: most commands read no rationals
 
-    if type(value) is int:
-        return Fraction(value)
+    if not _RATIONAL.fullmatch(text):
+        raise InputError(f"bad rational {text!r} in {field}: write an integer, p/q or a decimal")
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise InputError(f"bad rational {text!r} in {field}: {exc}") from exc
+
+
+def json_rational(value: object, field: str) -> Fraction:
+    """An exact rational read from an input file: a string that
+    ``parse_rational`` reads, or an integer; a float or a bool is an input error."""
     if type(value) is str:
-        try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise InputError(f"bad rational {value!r} in {field}: {exc}") from exc
-    raise InputError(f"{field} must be a rational string or an integer, got {value!r}")
+        return parse_rational(value, field)
+    if type(value) is not int:
+        raise InputError(f"{field} must be a rational string or an integer, got {value!r}")
+    from fractions import Fraction
+
+    return Fraction(value)
 
 
 def json_list(value: object, field: str) -> list:

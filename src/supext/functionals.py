@@ -24,7 +24,7 @@ from math import lcm
 from operator import itemgetter, mul
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
-from .errors import Check, InputError, json_int, json_list, json_rational
+from .errors import Check, InputError, TooLarge, json_int, json_list, json_rational
 from .setkit import Antichain, GroundSet, PointMap, SetFamily, Subset, bits, canonical_key
 from .superext import MaxLinkedSystem, Superextension, enumerate_mls
 
@@ -738,7 +738,16 @@ def witness_to_obj(witness: dict | None) -> dict | None:
     return out
 
 
-def term_from_obj(obj: dict, ground: GroundSet) -> Term:
+# Terms are read, compiled and evaluated by recursion, so a term file may
+# nest at most this many nodes from the root to a leaf.  On Python 3.11,
+# reading 490 nested convex nodes already exceeded the default limit of
+# 1000 frames and ended in a RecursionError, not a report.
+MAX_TERM_DEPTH = 100
+
+
+def term_from_obj(obj: dict, ground: GroundSet, depth: int = 1) -> Term:
+    if depth > MAX_TERM_DEPTH:
+        raise TooLarge(f"term nested deeper than {MAX_TERM_DEPTH} nodes")
     try:
         tag = obj["t"]
         if tag == "dirac":
@@ -756,12 +765,12 @@ def term_from_obj(obj: dict, ground: GroundSet) -> Term:
         if tag == "linear":
             return Linear(ground, tuple(json_rational(w, "w") for w in json_list(obj["w"], "w")))
         if tag == "convex":
-            parts = tuple(term_from_obj(p, ground) for p in json_list(obj["parts"], "parts"))
+            parts = tuple(term_from_obj(p, ground, depth + 1) for p in json_list(obj["parts"], "parts"))
             return Convex(tuple(json_rational(w, "w") for w in json_list(obj["w"], "w")), parts)
         if tag == "precompose":
             image = tuple(json_int(i, "map") for i in json_list(obj["map"], "map"))
             pm = PointMap(GroundSet(len(image)), ground, image)
-            return Precompose(pm, term_from_obj(obj["inner"], pm.dom))
+            return Precompose(pm, term_from_obj(obj["inner"], pm.dom, depth + 1))
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed term node: {exc}") from exc
     raise InputError(f"unknown term tag {obj.get('t')!r}")
@@ -774,6 +783,6 @@ def term_to_json(term: Term) -> str:
 def term_from_json(text: str, ground: GroundSet) -> Term:
     try:
         obj = json.loads(text)
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise InputError(f"malformed term file: {exc}") from exc
     return term_from_obj(obj, ground)

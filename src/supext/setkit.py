@@ -378,6 +378,6 @@ def family_from_json(text: str) -> SetFamily:
         obj = json.loads(text)
         ground = GroundSet(json_int(obj["n"], "n"))
         masks = [int(s, 16) for s in json_list(obj["sets"], "sets")]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, RecursionError) as exc:
         raise InputError(f"malformed family file: {exc}") from exc
     return SetFamily.of(ground, masks)

@@ -170,5 +170,5 @@ def subbase_from_json(text: str) -> Subbase:
         obj = json.loads(text)
         members = json_list(obj["members"], "members")
         return Subbase(json_int(obj["carrier"], "carrier"), tuple(int(s, 16) for s in members))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, RecursionError) as exc:
         raise InputError(f"malformed subbase file: {exc}") from exc

@@ -11,10 +11,9 @@ from __future__ import annotations
 import itertools
 from typing import TYPE_CHECKING
 
-from . import parallel
 from .errors import InputError
-from .setkit import GroundSet, PointMap, _plus_columns, popcount
-from .superext import EXPECTED_MLS_COUNTS, enumerate_mls, lambda_map, lambda_map_image
+from .setkit import GroundSet, PointMap, _plus_columns, _up_bits, popcount
+from .superext import EXPECTED_MLS_COUNTS, _disjoint, enumerate_mls, lambda_map, lambda_map_image
 
 # Only the modules the counts and eq1 suites use are imported here; every
 # other suite imports its modules itself, so a census job never loads
@@ -36,80 +35,51 @@ ANCHORS = {
 EQ1_GRID = (-1, 0, 1, 2)
 
 
-def _level_sets(n: int) -> list[int]:
-    """The level sets {f : f_x >= t} of each point x as one bitset over
-    (threshold, grid point), for the thresholds t above the least grid value.
-
-    Bit j*v^n + i stands for threshold j and grid point i in
-    ``itertools.product`` order, where coordinate x has stride v^(n-1-x)
-    for v grid values: within each block of v strides, the strides of the
-    values >= t are set, and the block repeats v^x times.
-    """
-    v = len(EQ1_GRID)
-    points = v**n
-    sets = [0] * n
-    for j, t in enumerate(sorted(EQ1_GRID)[1:]):
-        for x in range(n):
-            stride = v ** (n - 1 - x)
-            block = sum(((1 << stride) - 1) << (d * stride) for d, a in enumerate(EQ1_GRID) if a >= t)
-            w = v * stride  # times 1 + 2^w + 2^2w + ...: v^x copies of the block
-            sets[x] |= block * (((1 << (w * v**x)) - 1) // ((1 << w) - 1)) << (j * points)
-    return sets
-
-
 def _eq1_chunk(args: tuple[int, tuple[tuple[int, ...], ...]]) -> tuple[int, list[dict]]:
-    """Worker: exchange identity over the full grid for a chunk of systems.
+    """Exchange identity over the full grid for a chunk of systems.
 
     Max-min and min-max forms commute with monotone maps of the value
-    scale, so either form is at least t at f exactly where it is 1 on the
-    indicator of {f >= t}: on a grid of v values the identity is v - 1
-    Boolean identities, one per threshold above the least value.  They sit
-    side by side in one bitset (see ``_level_sets``).  ``lo[m]`` is the set
-    where min_m f >= t, the AND of the level sets of the points of m, and
-    ``hi[m]`` where max_m f >= t, their OR; each is built from the set of m
-    without its lowest point.  A system's max-min is at least t on the OR
-    of its members' ``lo`` and its min-max on the AND of their ``hi``, and
-    the two forms differ at f exactly when some threshold separates them.
+    scale, so each is at least t at f exactly where it is 1 on the
+    indicator of the level set S = {x : f_x >= t}: max-min iff S contains
+    a member, min-max iff S meets every member.  Per system, over the 2^n
+    subsets S, ``up`` is the OR of the members' superset bitsets and ``tr``
+    the AND of their meeting bitsets, each built from the members alone;
+    the forms differ at f exactly when one of its level sets, at a
+    threshold above the least grid value, lies in ``up ^ tr``.
     """
     n, antichains = args
-    points = len(EQ1_GRID) ** n
     size = 1 << n
-    lo, hi = [0] * size, [0] * size
-    for x, level in enumerate(_level_sets(n)):
-        lo[1 << x] = hi[1 << x] = level
-    for m in range(1, size):
-        low = m & -m
-        if m != low:
-            lo[m] = lo[low] & lo[m ^ low]
-            hi[m] = hi[low] | hi[m ^ low]
+    everything = (1 << size) - 1
+    supersets = [_up_bits((m,), n) for m in range(size)]
+    meets = [everything ^ d for d in _disjoint(n)]
     failures: list[dict] = []
-    grid: list[tuple[int, ...]] = []
+    grid: list[tuple[tuple[int, ...], int]] = []
     for minimal in antichains:
-        mm, nm = 0, -1
+        up, tr = 0, everything
         for m in minimal:
-            mm |= lo[m]
-            nm &= hi[m]
-        if mm != nm:
-            grid = grid or list(itertools.product(EQ1_GRID, repeat=n))
-            split = mm ^ nm
-            bad = 0
-            while split:
-                bad |= split & ((1 << points) - 1)
-                split >>= points
-            while bad:
-                low = bad & -bad
-                failures.append(
-                    {"system": [format(m, "x") for m in minimal], "f": list(grid[low.bit_length() - 1])}
-                )
-                bad ^= low
-    return points * len(antichains), failures
+            up |= supersets[m]
+            tr &= meets[m]
+        split = up ^ tr
+        if split:
+            if not grid:
+                # each grid point, in itertools.product order, with the
+                # bitset of its level sets, one per threshold
+                for f in itertools.product(EQ1_GRID, repeat=n):
+                    levels = 0
+                    for t in sorted(EQ1_GRID)[1:]:
+                        levels |= 1 << sum(1 << x for x, a in enumerate(f) if a >= t)
+                    grid.append((f, levels))
+            system = [format(m, "x") for m in minimal]
+            failures += ({"system": system, "f": list(f)} for f, levels in grid if levels & split)
+    return len(EQ1_GRID) ** n * len(antichains), failures
 
 
-# Measured on 2 vCPU, Python 3.11, suite in one process: at n=6 the whole
-# suite takes 23-33 ms serially and 76-116 ms with a two-process pool,
-# which costs about 28 ms to import and 14 ms to start before any work;
-# at n=5 it takes 2 ms against 65 ms.  Below n=7 the suite, enumeration
-# included, runs in this process.
+# The eq1 kernel always runs in this process; this keeps the enumeration
+# it checks there too below n=7, whatever the worker count, so that
+# `verify --suite eq1 --n 5 --workers 2` starts no pool.  Measured on
+# 2 vCPU, Python 3.11: at n=6 the suite took 23-33 ms serially and
+# 76-116 ms with a two-process pool, which costs about 28 ms to import and
+# 14 ms to start before any work.
 _EQ1_POOL_FROM_N = 7
 
 
@@ -119,13 +89,8 @@ def suite_eq1(n: int, workers: int = 1, **_: int) -> dict:
     if n < _EQ1_POOL_FROM_N:
         workers = 1
     lam = enumerate_mls(GroundSet(n), workers=workers)
-    antichains = [eta.minimal for eta in lam.systems]
-    chunks = [tuple(antichains[i::workers]) for i in range(workers)]
-    results = parallel.map_chunks(_eq1_chunk, [(n, c) for c in chunks if c], workers)
-    checks = sum(c for c, _ in results)
-    failures = sorted(
-        (f for _, fs in results for f in fs), key=lambda d: (d["system"], d["f"])
-    )
+    checks, failures = _eq1_chunk((n, tuple(eta.minimal for eta in lam.systems)))
+    failures.sort(key=lambda d: (d["system"], d["f"]))
     return {"checks_run": checks, "failures": failures}
 
 

@@ -371,6 +371,14 @@ class TestExitContract:
             ("extend --generators {gens_bool} --phi 0,1", "v must be a rational string or an integer, got True"),
             ("extend --generators {gens_float_value} --phi 0,1", "v must be a rational string or an integer, got 0.1"),
             ("eval --term {linear_bool} --f 0,1", "w must be a rational string or an integer, got True"),
+            ("eval --term {precompose_3000} --f 1", "malformed term file: maximum recursion depth exceeded"),
+            ("eval --term {convex_600} --f 1", "malformed term file: maximum recursion depth exceeded"),
+            ("eval --term {convex_100} --f 1", "term nested deeper than 100 nodes"),
+            ("eval --term {dirac} --f 1e5000", "bad rational '1e5000' in --f"),
+            ("eval --term {dirac} --f 1e10000000", "bad rational '1e10000000' in --f"),
+            ("eval --term {linear_exponent} --f 0,1", "bad rational '1E3' in w"),
+            ("extend --generators {gens_exponent} --phi 0,1", "bad rational '1e5000' in v"),
+            ("extend --generators {gens} --phi 0,2.5e1", "bad rational '2.5e1' in --phi"),
         ],
         ids=[
             "extend-value-out-of-range",
@@ -391,6 +399,14 @@ class TestExitContract:
             "extend-bool-value",
             "extend-float-value",
             "linear-bool-weights",
+            "precompose-3000-deep",
+            "convex-600-deep",
+            "convex-100-deep",
+            "eval-exponent",
+            "eval-huge-exponent",
+            "linear-exponent-weight",
+            "extend-exponent-value",
+            "extend-exponent-phi",
         ],
     )
     def test_precondition_errors(self, tmp_path, command, message):
@@ -423,10 +439,21 @@ class TestExitContract:
             "gens_bool": {"n": 2, "generators": [{"b": ["0", "1"], "v": True}]},
             "gens_float_value": {"n": 2, "generators": [{"b": ["0", "1"], "v": 0.1}]},
             "linear_bool": {"t": "linear", "w": [True, False]},
+            # Fraction reads an exponent, and would build 10**10000000 digit by digit
+            "dirac": {"t": "dirac", "x": 0},
+            "linear_exponent": {"t": "linear", "w": ["1E3", "0"]},
+            "gens_exponent": {"n": 2, "generators": [{"b": ["1", "1"], "v": "1e5000"}]},
         }
-        for name, obj in files.items():
+        files = {name: json.dumps(obj) for name, obj in files.items()}
+        # nested past the depth cap, or too deep for the JSON reader itself
+        # (json.dumps cannot write these): no RecursionError may escape
+        dirac = '{"t": "dirac", "x": 0}'
+        files["precompose_3000"] = '{"t": "precompose", "map": [0], "inner": ' * 3000 + dirac + "}" * 3000
+        files["convex_600"] = '{"t": "convex", "w": ["1"], "parts": [' * 600 + dirac + "]}" * 600
+        files["convex_100"] = '{"t": "convex", "w": ["1"], "parts": [' * 100 + dirac + "]}" * 100
+        for name, text in files.items():
             files[name] = tmp_path / f"{name}.json"
-            files[name].write_text(json.dumps(obj))
+            files[name].write_text(text)
         argv = command.format(gens=gens, bad_gens=bad_gens, op=op, indiscrete=indiscrete, **files).split()
         code, out, err = run_quiet(argv)
         assert code == 2 and out == ""

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from supext import functionals
-from supext.errors import InputError, json_rational
+from supext.errors import InputError, json_rational, parse_rational
 from supext.functionals import (
     Convex,
     Dirac,
@@ -435,6 +435,17 @@ class TestTermJson:
         assert json_rational("3/4", "w") == F(3, 4)
         assert json_rational("-2", "w") == json_rational(-2, "w") == -2
         for bad in ("x/y", "1/0", True, 0.5, None, ["1"]):
+            with pytest.raises(InputError):
+                json_rational(bad, "w")
+
+    def test_rational_forms(self):
+        """Integers, p/q and decimals are read; an exponent or any other
+        form Fraction would take is refused before Fraction builds it."""
+        for text, value in (("7", 7), (" -3/4 ", F(-3, 4)), ("0.25", F(1, 4)), ("-.5", F(-1, 2)), ("2.", 2)):
+            assert parse_rational(text, "--f") == json_rational(text, "w") == value
+        for bad in ("1e5000", "1E3", "2.5e-1", "1_000", "inf", "nan", "1/2/3", "", "+"):
+            with pytest.raises(InputError):
+                parse_rational(bad, "--f")
             with pytest.raises(InputError):
                 json_rational(bad, "w")
 

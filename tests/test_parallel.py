@@ -1,17 +1,16 @@
 """parallel.map_chunks with a real process pool against the serial sweep.
 
-The library starts a pool for enumeration with workers > 1 at any n, and
-for the eq1 checks only from n = 7, a size too slow for these tests; they
-drive map_chunks directly.
+The library starts a pool only to split an enumeration, with workers > 1
+at any n (for the eq1 suite only from n = 7); the eq1 kernel always runs
+in the calling process.
 """
 
 from __future__ import annotations
 
 import os
 
-from supext import parallel, superext
+from supext import parallel, superext, verify
 from supext.setkit import GroundSet
-from supext.verify import _eq1_chunk
 
 
 def _pid(_: int) -> int:
@@ -33,12 +32,18 @@ def test_enum_subtrees_through_a_pool():
     assert sum(map(len, serial)) == superext.EXPECTED_MLS_COUNTS[n]
 
 
-def test_eq1_chunks_through_a_pool():
-    n = 4
-    antichains = [eta.minimal for eta in superext.enumerate_mls(GroundSet(n))]
-    # a non-linked antichain, so the chunks also carry failures
-    antichains.append((0b0001, 0b0010))
-    items = [(n, tuple(antichains[i::3])) for i in range(3)]
-    serial = parallel.map_chunks(_eq1_chunk, items, 1)
-    assert parallel.map_chunks(_eq1_chunk, items, 2) == serial
-    assert any(failures for _, failures in serial)
+def test_eq1_never_pools_its_kernel(monkeypatch):
+    """Even where eq1 enumerates through a pool, only the enumeration's
+    subtrees go to it, and the report is the serial one."""
+    pooled = []
+    real = parallel.map_chunks
+
+    def recording(fn, items, workers):
+        pooled.append(fn)
+        return real(fn, items, workers)
+
+    monkeypatch.setattr(verify, "_EQ1_POOL_FROM_N", 5)
+    monkeypatch.setattr(parallel, "map_chunks", recording)
+    report = verify.suite_eq1(5, workers=2)
+    assert pooled == [superext._enum_subtree]
+    assert report == verify.suite_eq1(5, workers=1)

@@ -15,8 +15,8 @@ from supext.verify import EQ1_GRID, _eq1_chunk, lambda_plus_subbase, suite_eq1
 
 @st.composite
 def antichain_chunk(draw):
-    """A ground size n <= 4 and a few antichains on it, linked or not."""
-    n = draw(st.integers(min_value=1, max_value=4))
+    """A ground size n <= 5 and a few antichains on it, linked or not."""
+    n = draw(st.integers(min_value=1, max_value=5))
     full = (1 << n) - 1
     sets = st.lists(st.integers(min_value=1, max_value=full), min_size=1, max_size=5)
     chunk = []
