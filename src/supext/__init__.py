@@ -9,33 +9,8 @@ imports only the modules it needs.
 import importlib
 import sys
 
-__all__ = [
-    "GroundSet",
-    "PointMap",
-    "SetFamily",
-    "Subset",
-    "MaxLinkedSystem",
-    "Superextension",
-    "complete_linked",
-    "enumerate_mls",
-    "eta_point",
-    "PointFunction",
-    "axiom_check",
-    "evaluate",
-    "phi",
-    "InclusionHyperspace",
-    "enumerate_ih",
-    "Subbase",
-    "is_binary",
-    "is_normal",
-    "s_hull",
-    "FiniteTopSpace",
-    "RegularOperator",
-    "validate_regular",
-]
-
 _HOME = {
-    **dict.fromkeys(("GroundSet", "PointMap", "SetFamily", "Subset"), "setkit"),
+    **dict.fromkeys(("GroundSet", "PointMap", "SetFamily"), "setkit"),
     **dict.fromkeys(
         ("MaxLinkedSystem", "Superextension", "complete_linked", "enumerate_mls", "eta_point"), "superext"
     ),
@@ -44,6 +19,7 @@ _HOME = {
     **dict.fromkeys(("Subbase", "is_binary", "is_normal", "s_hull"), "subbase"),
     **dict.fromkeys(("FiniteTopSpace", "RegularOperator", "validate_regular"), "embed"),
 }
+__all__ = list(_HOME)
 
 __version__ = "0.1.0"
 

@@ -45,6 +45,16 @@ def _emit(report: dict, out: str | None, fmt: str = "json") -> None:
         sys.stdout.write(text)
 
 
+def _exact(value: Fraction) -> str:
+    """An exact result as report text.  Python writes no integer of more
+    digits than its conversion limit, so a result past it is refused."""
+    try:
+        return str(value)
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        raise InputError(f"result has more than {limit} digits, the integer string conversion limit") from None
+
+
 def _parse_values(text: str, option: str) -> list[Fraction]:
     return [parse_rational(tok, option) for tok in text.split(",") if tok.strip()]
 
@@ -83,7 +93,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     ground = GroundSet(len(values))
     term = term_from_json(Path(args.term).read_text(), ground)
     result = evaluate(term, PointFunction(ground, tuple(values)))
-    _emit({"value": str(result)}, args.out)
+    _emit({"value": _exact(result)}, args.out)
     return EXIT_OK
 
 
@@ -124,7 +134,7 @@ def cmd_extend(args: argparse.Namespace) -> int:
     phi0 = functionals.PointFunction(ground, tuple(_parse_values(args.phi, "--phi")))
     space = functionals.GeneratedSubspace(ground, gens)
     lower, upper, p = functionals.extend_one(space, phi0, choose=args.choose)
-    _emit({"lower": str(lower), "upper": str(upper), "p": str(p)}, args.out)
+    _emit({"lower": _exact(lower), "upper": _exact(upper), "p": _exact(p)}, args.out)
     return EXIT_OK
 
 

@@ -25,7 +25,7 @@ from operator import itemgetter, mul
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import Check, InputError, TooLarge, json_int, json_list, json_rational
-from .setkit import Antichain, GroundSet, PointMap, SetFamily, Subset, bits, canonical_key
+from .setkit import Antichain, GroundSet, PointMap, bits, canonical_key
 from .superext import MaxLinkedSystem, Superextension, enumerate_mls
 
 
@@ -58,22 +58,11 @@ class PointFunction:
         k = Fraction(k)
         return PointFunction(self.ground, tuple(k * v for v in self.values))
 
-    def plus(self, other: "PointFunction") -> "PointFunction":
-        if other.ground != self.ground:
-            raise InputError("point functions on different grounds")
-        return PointFunction(self.ground, tuple(a + b for a, b in zip(self.values, other.values)))
-
     def precompose(self, pm: PointMap) -> "PointFunction":
         """self o pm, a function on pm's domain."""
         if pm.cod != self.ground:
             raise InputError("map codomain does not match function ground")
         return PointFunction(pm.dom, tuple(self.values[pm.image[x]] for x in range(pm.dom.n)))
-
-    def min_on(self, mask: int) -> Fraction:
-        return min(self.values[x] for x in bits(mask))
-
-    def max_on(self, mask: int) -> Fraction:
-        return max(self.values[x] for x in bits(mask))
 
 
 # --------------------------------------------------------------------------
@@ -271,35 +260,6 @@ def phi(eta: MaxLinkedSystem, f: PointFunction) -> Fraction:
     return evaluate(MaxMin(eta), f)
 
 
-def phi_minmax(eta: MaxLinkedSystem, f: PointFunction) -> Fraction:
-    """min over members F of eta of max of f on F (the dual form)."""
-    if f.ground != eta.ground:
-        raise InputError("function and system on different grounds")
-    return min(f.max_on(m) for m in eta.minimal)
-
-
-def check_eq1(eta: MaxLinkedSystem, f: PointFunction) -> tuple[Fraction, Fraction, bool]:
-    """Both sides of the max-min / min-max exchange; equal for maximal systems."""
-    a = phi(eta, f)
-    b = phi_minmax(eta, f)
-    return a, b, a == b
-
-
-def family_maxmin_minmax(fam: SetFamily, f: PointFunction) -> tuple[Fraction, Fraction, bool]:
-    """The exchange identity evaluated on an arbitrary family as given.
-
-    Test harness for non-maximal linked families, where the two sides
-    genuinely differ; maximality is what closes the gap.
-    """
-    if f.ground != fam.ground:
-        raise InputError("function and family on different grounds")
-    if not fam.masks:
-        raise InputError("family must be nonempty")
-    a = max(f.min_on(m) for m in fam.masks)
-    b = min(f.max_on(m) for m in fam.masks)
-    return a, b, a == b
-
-
 # --------------------------------------------------------------------------
 # Axiom checking
 
@@ -468,8 +428,8 @@ def support_grid(ground: GroundSet) -> list[PointFunction]:
     return [PointFunction(ground, combo) for combo in itertools.product(vals, repeat=ground.n)]
 
 
-def support(term: Term) -> Subset:
-    """The smallest H such that evaluation depends only on values inside H.
+def support(term: Term) -> int:
+    """The mask of the smallest H such that evaluation depends only on values inside H.
 
     Brute force: subsets in increasing cardinality, factorization tested
     exhaustively on the {0,1,2}^n grid (grid functions agreeing on H must
@@ -488,8 +448,8 @@ def support(term: Term) -> Subset:
                 ok = False
                 break
         if ok:
-            return Subset(ground, h)
-    return Subset(ground, ground.full)
+            return h
+    return ground.full
 
 
 def extender_to_lambda(

@@ -15,13 +15,12 @@ from .setkit import (
     Antichain,
     GroundSet,
     PointMap,
-    _image_bits,
-    _minimal_bits,
     _plus_columns,
     _pushforward_bits,
+    _supersets,
     _trusted,
-    _up_bits,
     canonical_key,
+    minimal_members,
 )
 from .superext import MaxLinkedSystem
 
@@ -46,7 +45,7 @@ def enumerate_ih(ground: GroundSet) -> tuple[InclusionHyperspace, ...]:
         raise TooLarge(f"hyperspace enumeration capped at n <= {MAX_IH_GROUND}")
     n = ground.n
     subsets = sorted(ground.nonempty_subsets(), key=canonical_key)
-    supersets = [_up_bits((s,), n) for s in range(1 << n)]
+    supersets = _supersets(n)
     out: list[tuple[int, ...]] = []
 
     def extend(start: int, chain: list[int], up: int) -> None:
@@ -69,16 +68,10 @@ def enumerate_ih(ground: GroundSet) -> tuple[InclusionHyperspace, ...]:
 
 
 def g_map(pm: PointMap, a: InclusionHyperspace) -> InclusionHyperspace:
-    """Push a hyperspace forward along a point map.
-
-    Computed as {B : preimage(B) in A} and cross-checked against the
-    up-closure of member images; the two agree for total maps.
-    """
+    """Push a hyperspace forward along a point map: {B : preimage(B) in A}."""
     if a.ground != pm.dom:
         raise InputError("hyperspace does not live on the map's domain")
-    by_preimage = _pushforward_bits(pm, a.minimal)
-    assert by_preimage == _image_bits(pm, a.minimal), "pushforward formulas disagree"
-    return InclusionHyperspace(pm.cod, _minimal_bits(by_preimage, pm.cod.n))
+    return InclusionHyperspace(pm.cod, minimal_members(_pushforward_bits(pm, a.minimal), pm.cod.n))
 
 
 def candidate_subbase_gx(

@@ -1,19 +1,19 @@
 """Bit-encoded subsets and set families over a small finite ground set.
 
 Points are 0-indexed; a subset of an n-point ground set is an int mask
-with bit i standing for point i.  Families are duplicate-free and kept
-in the canonical (cardinality, mask) order, which makes every
-enumeration downstream deterministic and diffable.
+with bit i standing for point i.  A family is a 2^n-bit family bitset,
+bit A standing for the subset with mask A, or an ``Antichain`` of its
+minimal members, kept in the canonical (cardinality, mask) order, which
+makes every enumeration downstream deterministic and diffable.
 """
 
 from __future__ import annotations
 
 import functools
-import json
 from dataclasses import dataclass
 from typing import ClassVar, Iterable, Iterator, TypeVar
 
-from .errors import InputError, TooLarge, json_int, json_list
+from .errors import InputError, TooLarge
 
 # All family-level operations stay exact and fast up to this width, on
 # ground sets and on finite spaces (embed); enumeration of maximal linked
@@ -73,31 +73,10 @@ class GroundSet:
 
 
 @dataclass(frozen=True)
-class Subset:
-    """A subset of a ground set, encoded as a bitmask."""
-
-    ground: GroundSet
-    mask: int
-
-    def __post_init__(self) -> None:
-        self.ground.check_mask(self.mask)
-
-    def members(self) -> tuple[int, ...]:
-        return tuple(bits(self.mask))
-
-    def complement(self) -> "Subset":
-        return Subset(self.ground, self.ground.full ^ self.mask)
-
-    def __len__(self) -> int:
-        return popcount(self.mask)
-
-    def __contains__(self, x: int) -> bool:
-        return bool(self.mask >> x & 1)
-
-
-@dataclass(frozen=True)
 class SetFamily:
-    """A duplicate-free, canonically ordered family of subsets."""
+    """A duplicate-free, canonically ordered family of subsets: the checked
+    input of ``superext.complete_linked``.  Every other family operation
+    works on masks and family bitsets."""
 
     ground: GroundSet
     masks: tuple[int, ...]
@@ -112,15 +91,6 @@ class SetFamily:
     @classmethod
     def of(cls, ground: GroundSet, masks: Iterable[int]) -> "SetFamily":
         return cls(ground, tuple(sorted(set(masks), key=canonical_key)))
-
-    def subsets(self) -> tuple[Subset, ...]:
-        return tuple(Subset(self.ground, m) for m in self.masks)
-
-    def __len__(self) -> int:
-        return len(self.masks)
-
-    def __contains__(self, mask: int) -> bool:
-        return mask in set(self.masks)
 
 
 @dataclass(frozen=True)
@@ -202,8 +172,14 @@ def _lacks(n: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _up_bits(masks: Iterable[int], n: int) -> int:
-    """The up-closure of ``masks`` within an n-point ground, as a bitset."""
+@functools.lru_cache(maxsize=MAX_GROUND)
+def _supersets(n: int) -> tuple[int, ...]:
+    """Per subset s, the bitset over the 2^n subsets of the supersets of s."""
+    return tuple(up_closure((s,), n) for s in range(1 << n))
+
+
+def up_closure(masks: Iterable[int], n: int) -> int:
+    """The up-closure of ``masks`` within an n-point ground, as a family bitset."""
     fam = 0
     for m in masks:
         fam |= 1 << m
@@ -212,7 +188,7 @@ def _up_bits(masks: Iterable[int], n: int) -> int:
     return fam
 
 
-def _minimal_bits(fam: int, n: int) -> tuple[int, ...]:
+def minimal_members(fam: int, n: int) -> tuple[int, ...]:
     """The minimal members of an up-closed family bitset, in canonical order.
 
     In an up-closed family a member is minimal iff removing any one of its
@@ -225,11 +201,13 @@ def _minimal_bits(fam: int, n: int) -> tuple[int, ...]:
     return tuple(sorted(bits(fam & ~covered), key=canonical_key))
 
 
-def _is_self_dual_upclosed_bits(fam: int, n: int) -> bool:
-    """is_self_dual_upclosed on a family bitset.
+def is_self_dual_upclosed(fam: int, n: int) -> bool:
+    """Up-closed, empty-set-free, and containing exactly one of A / complement(A).
 
-    Complementation sends bit A to bit full ^ A = 2^n - 1 - A, so the
-    complements of the members are the 2^n-bit word read backwards.
+    This is the combinatorial characterization of maximal linked
+    families on a finite discrete space.  Complementation sends bit A to
+    bit full ^ A = 2^n - 1 - A, so the complements of the members are the
+    2^n-bit word read backwards.
     """
     if fam & 1:
         return False
@@ -250,7 +228,7 @@ def _plus_columns(minimals: Iterable[tuple[int, ...]], n: int) -> list[int]:
     transposed table, read as a binary number, is then column f.
     """
     size = 1 << n
-    rows = [format(_up_bits(m, n), f"0{size}b") for m in minimals][::-1]
+    rows = [format(up_closure(m, n), f"0{size}b") for m in minimals][::-1]
     columns = list(zip(*rows))
     return [int("".join(columns[size - 1 - f]), 2) for f in range(size)]
 
@@ -264,7 +242,7 @@ def _preimage_table(image: tuple[int, ...], m: int) -> tuple[int, ...]:
 
 def _pushforward_bits(pm: PointMap, minimal: Iterable[int]) -> int:
     """{B : preimage(B) in the up-closure of ``minimal``}, as a bitset over pm.cod."""
-    up = _up_bits(minimal, pm.dom.n)
+    up = up_closure(minimal, pm.dom.n)
     out = 0
     for b, pre in enumerate(_preimage_table(pm.image, pm.cod.n)):
         if up >> pre & 1:
@@ -274,32 +252,12 @@ def _pushforward_bits(pm: PointMap, minimal: Iterable[int]) -> int:
 
 def _image_bits(pm: PointMap, minimal: Iterable[int]) -> int:
     """The up-closure of {pm(F) : F in ``minimal``}, as a bitset over pm.cod."""
-    return _up_bits((pm.image_mask(m) for m in minimal), pm.cod.n)
-
-
-def up_closure(fam: SetFamily) -> SetFamily:
-    """All supersets (within the ground set) of members of the family."""
-    return SetFamily.of(fam.ground, bits(_up_bits(fam.masks, fam.ground.n)))
-
-
-def minimal_members(fam: SetFamily) -> SetFamily:
-    """The inclusion-minimal members; an antichain with the same up-closure."""
-    n = fam.ground.n
-    return SetFamily(fam.ground, _minimal_bits(_up_bits(fam.masks, n), n))
+    return up_closure((pm.image_mask(m) for m in minimal), pm.cod.n)
 
 
 def up_contains(minimal: tuple[int, ...], mask: int) -> bool:
     """Whether ``mask`` lies in the up-closure generated by ``minimal``."""
     return any(m & mask == m for m in minimal)
-
-
-def is_self_dual_upclosed(fam: SetFamily) -> bool:
-    """Up-closed, empty-set-free, and containing exactly one of A / complement(A).
-
-    This is the combinatorial characterization of maximal linked
-    families on a finite discrete space.
-    """
-    return _is_self_dual_upclosed_bits(sum(1 << m for m in fam.masks), fam.ground.n)
 
 
 @dataclass(frozen=True, slots=True)
@@ -338,13 +296,10 @@ class Antichain:
         """Membership of a subset in the full (up-closed) family."""
         return up_contains(self.minimal, mask)
 
-    def full_family(self) -> SetFamily:
-        return up_closure(SetFamily.of(self.ground, self.minimal))
-
     def is_maximal_linked(self) -> bool:
         """Whether the full family is a maximal linked system (exponential in n)."""
         n = self.ground.n
-        return _is_self_dual_upclosed_bits(_up_bits(self.minimal, n), n)
+        return is_self_dual_upclosed(up_closure(self.minimal, n), n)
 
 
 _A = TypeVar("_A", bound=Antichain)
@@ -363,21 +318,3 @@ def _trusted(cls: type[_A], ground: GroundSet, minimals: list[tuple[int, ...]]) 
         set_ground(a, ground)
         set_minimal(a, minimal)
     return tuple(minimals)
-
-
-def family_to_json(fam: SetFamily) -> str:
-    """Serialize as {"n": int, "sets": [lowercase hex masks]}."""
-    return json.dumps(
-        {"n": fam.ground.n, "sets": [format(m, "x") for m in fam.masks]},
-        sort_keys=True,
-    )
-
-
-def family_from_json(text: str) -> SetFamily:
-    try:
-        obj = json.loads(text)
-        ground = GroundSet(json_int(obj["n"], "n"))
-        masks = [int(s, 16) for s in json_list(obj["sets"], "sets")]
-    except (KeyError, TypeError, ValueError, RecursionError) as exc:
-        raise InputError(f"malformed family file: {exc}") from exc
-    return SetFamily.of(ground, masks)

@@ -25,14 +25,14 @@ from .setkit import (
     PointMap,
     SetFamily,
     _image_bits,
-    _is_self_dual_upclosed_bits,
     _lacks,
-    _minimal_bits,
     _pushforward_bits,
     _trusted,
     bits,
     canonical_key,
     is_linked,
+    is_self_dual_upclosed,
+    minimal_members,
 )
 
 # Enumeration cap: the last n in EXPECTED_MLS_COUNTS.  n = 8 has
@@ -246,7 +246,7 @@ def complete_linked(fam: SetFamily) -> MaxLinkedSystem:
         lo, hi = (a, b) if a < b else (b, a)
         chosen |= 1 << (hi if chosen & disjoint[lo] else lo)
     # one side of every pair and linked: maximal linked, so up-closed
-    return MaxLinkedSystem(fam.ground, _minimal_bits(chosen, n))
+    return MaxLinkedSystem(fam.ground, minimal_members(chosen, n))
 
 
 def lambda_map(pm: PointMap, eta: MaxLinkedSystem) -> MaxLinkedSystem:
@@ -255,8 +255,8 @@ def lambda_map(pm: PointMap, eta: MaxLinkedSystem) -> MaxLinkedSystem:
         raise InputError("system does not live on the map's domain")
     fam = _pushforward_bits(pm, eta.minimal)
     # an invariant of the construction, not a precondition: no input breaks it
-    assert _is_self_dual_upclosed_bits(fam, pm.cod.n), "pushforward is not a maximal linked system"
-    return MaxLinkedSystem(pm.cod, _minimal_bits(fam, pm.cod.n))
+    assert is_self_dual_upclosed(fam, pm.cod.n), "pushforward is not a maximal linked system"
+    return MaxLinkedSystem(pm.cod, minimal_members(fam, pm.cod.n))
 
 
 def lambda_map_image(pm: PointMap, eta: MaxLinkedSystem) -> MaxLinkedSystem:
@@ -267,15 +267,7 @@ def lambda_map_image(pm: PointMap, eta: MaxLinkedSystem) -> MaxLinkedSystem:
     """
     if eta.ground != pm.dom:
         raise InputError("system does not live on the map's domain")
-    return MaxLinkedSystem(pm.cod, _minimal_bits(_image_bits(pm, eta.minimal), pm.cod.n))
-
-
-def plus_set(f_mask: int, lam: Superextension) -> tuple[MaxLinkedSystem, ...]:
-    """All systems of the superextension containing the given nonempty set."""
-    if f_mask == 0:
-        raise InputError("plus_set of the empty set is undefined")
-    lam.ground.check_mask(f_mask)
-    return tuple(eta for eta in lam.systems if eta.contains(f_mask))
+    return MaxLinkedSystem(pm.cod, minimal_members(_image_bits(pm, eta.minimal), pm.cod.n))
 
 
 EXPECTED_MLS_COUNTS = {1: 1, 2: 2, 3: 4, 4: 12, 5: 81, 6: 2646, 7: 1422564}

@@ -12,7 +12,7 @@ import itertools
 from typing import TYPE_CHECKING
 
 from .errors import InputError
-from .setkit import GroundSet, PointMap, _plus_columns, _up_bits, popcount
+from .setkit import GroundSet, PointMap, _plus_columns, _supersets, popcount
 from .superext import EXPECTED_MLS_COUNTS, _disjoint, enumerate_mls, lambda_map, lambda_map_image
 
 # Only the modules the counts and eq1 suites use are imported here; every
@@ -50,7 +50,7 @@ def _eq1_chunk(args: tuple[int, tuple[tuple[int, ...], ...]]) -> tuple[int, list
     n, antichains = args
     size = 1 << n
     everything = (1 << size) - 1
-    supersets = [_up_bits((m,), n) for m in range(size)]
+    supersets = _supersets(n)
     meets = [everything ^ d for d in _disjoint(n)]
     failures: list[dict] = []
     grid: list[tuple[tuple[int, ...], int]] = []

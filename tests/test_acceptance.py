@@ -24,12 +24,11 @@ from supext.functionals import (
     axiom_check,
     evaluate,
     extend_one,
-    family_maxmin_minmax,
     phi,
     separating_function,
 )
 from supext.inclusion import enumerate_ih
-from supext.setkit import GroundSet, PointMap, SetFamily, up_closure
+from supext.setkit import GroundSet, PointMap, bits, up_closure
 from supext.superext import (
     EXPECTED_MLS_COUNTS,
     eta_point,
@@ -39,6 +38,7 @@ from supext.superext import (
 )
 from supext.subbase import is_binary, is_normal
 from supext.verify import (
+    _eq1_chunk,
     lambda_plus_subbase,
     run_verify_suite,
     standard_operators,
@@ -61,7 +61,7 @@ def test_c01_mls_counts(capfd):
     expected = {1: 1, 2: 2, 3: 4, 4: 12, 5: 81, 6: 2646}
     ok = True
     for n in (1, 2, 3, 4):
-        got = {frozenset(s.full_family().masks) for s in enumerate_mls(GroundSet(n))}
+        got = {frozenset(bits(up_closure(s.minimal, n))) for s in enumerate_mls(GroundSet(n))}
         ok &= got == set(oracles.scan_maximal_linked(n)) and len(got) == expected[n]
     got5 = {frozenset(s.minimal) for s in enumerate_mls(GroundSet(5))}
     ok &= got5 == set(oracles.antichain_maximal_linked(5))
@@ -79,10 +79,11 @@ def test_c02_exchange_identity(capfd):
         body = suite_eq1(n)
         ok &= not body["failures"]
         checks += body["checks_run"]
-    # negative control: a deliberately non-maximal linked family
-    control = up_closure(SetFamily.of(GroundSet(3), [0b111]))
-    lo, hi, eq = family_maxmin_minmax(control, PointFunction.of(GroundSet(3), [0, 1, 2]))
-    ok &= (lo, hi, eq) == (0, 2, False)
+    # negative control: a deliberately non-maximal linked family, {111},
+    # where max-min is 0 and min-max is 2 at f = (0, 1, 2)
+    _, failures = _eq1_chunk((3, ((0b111,),)))
+    ok &= {"system": ["7"], "f": [0, 1, 2]} in failures
+    ok &= (oracles.naive_maxmin((0b111,), [0, 1, 2]), oracles.naive_minmax((0b111,), [0, 1, 2])) == (0, 2)
     verdict(capfd, "criterion 2: max-min equals min-max on the full grid, n <= 5", ok, f"{checks} checks")
 
 

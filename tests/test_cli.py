@@ -379,6 +379,8 @@ class TestExitContract:
             ("eval --term {linear_exponent} --f 0,1", "bad rational '1E3' in w"),
             ("extend --generators {gens_exponent} --phi 0,1", "bad rational '1e5000' in v"),
             ("extend --generators {gens} --phi 0,2.5e1", "bad rational '2.5e1' in --phi"),
+            ("eval --term {convex_diracs} --f {tiny}", "result has more than 4300 digits"),
+            ("extend --generators {gens3} --phi {tiny},0", "result has more than 4300 digits"),
         ],
         ids=[
             "extend-value-out-of-range",
@@ -407,6 +409,8 @@ class TestExitContract:
             "linear-exponent-weight",
             "extend-exponent-value",
             "extend-exponent-phi",
+            "eval-huge-result",
+            "extend-huge-result",
         ],
     )
     def test_precondition_errors(self, tmp_path, command, message):
@@ -443,6 +447,10 @@ class TestExitContract:
             "dirac": {"t": "dirac", "x": 0},
             "linear_exponent": {"t": "linear", "w": ["1E3", "0"]},
             "gens_exponent": {"n": 2, "generators": [{"b": ["1", "1"], "v": "1e5000"}]},
+            # exact results whose 4201-digit denominators multiply past the
+            # digit limit of Python's integer-to-string conversion
+            "convex_diracs": {"t": "convex", "w": ["1/3", "2/3"], "parts": [{"t": "dirac", "x": 0}, {"t": "dirac", "x": 1}]},
+            "gens3": {"n": 3, "generators": [{"b": ["0", "1", "2"], "v": "1"}]},
         }
         files = {name: json.dumps(obj) for name, obj in files.items()}
         # nested past the depth cap, or too deep for the JSON reader itself
@@ -454,7 +462,8 @@ class TestExitContract:
         for name, text in files.items():
             files[name] = tmp_path / f"{name}.json"
             files[name].write_text(text)
-        argv = command.format(gens=gens, bad_gens=bad_gens, op=op, indiscrete=indiscrete, **files).split()
+        tiny = ",".join(f"1/1{'0' * 4199}{d}" for d in (1, 3))
+        argv = command.format(gens=gens, bad_gens=bad_gens, op=op, indiscrete=indiscrete, tiny=tiny, **files).split()
         code, out, err = run_quiet(argv)
         assert code == 2 and out == ""
         assert f"input error: {message}" in err and "Traceback" not in err

@@ -20,12 +20,9 @@ from supext.functionals import (
     PointFunction,
     Precompose,
     axiom_check,
-    check_eq1,
     evaluate,
     extender_to_lambda,
-    family_maxmin_minmax,
     phi,
-    phi_minmax,
     retraction_from_extender,
     s_preimage,
     separating_function,
@@ -35,9 +32,9 @@ from supext.functionals import (
     term_to_json,
     term_to_obj,
 )
-from supext.setkit import GroundSet, PointMap, SetFamily, up_closure
+from supext.setkit import GroundSet, PointMap
 from supext.superext import MaxLinkedSystem, enumerate_mls, eta_point
-from supext.verify import term_zoo
+from supext.verify import _eq1_chunk, term_zoo
 
 NONPRINCIPAL3 = MaxLinkedSystem(GroundSet(3), (0b011, 0b101, 0b110))
 
@@ -89,27 +86,30 @@ class TestPhi:
 
 
 class TestCheckEq1:
+    """phi against the dual min-max form, which oracles.naive_minmax computes
+    over every member of the up-closure."""
+
     def test_nonprincipal(self):
-        assert check_eq1(NONPRINCIPAL3, pf(0, 1, 2)) == (1, 1, True)
+        assert phi(NONPRINCIPAL3, pf(0, 1, 2)) == oracles.naive_minmax(NONPRINCIPAL3.minimal, [0, 1, 2]) == 1
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_grid_exhaustive(self, n):
         for eta in enumerate_mls(GroundSet(n)):
             for f in eq1_grid(n):
-                lo, hi, ok = check_eq1(eta, f)
-                assert ok and lo == hi
+                assert phi(eta, f) == oracles.naive_minmax(eta.minimal, list(f.values))
 
     def test_against_naive_oracle(self):
         for eta in enumerate_mls(GroundSet(3)):
             for f in eq1_grid(3):
                 vals = list(f.values)
                 assert phi(eta, f) == oracles.naive_maxmin(eta.minimal, vals)
-                assert phi_minmax(eta, f) == oracles.naive_minmax(eta.minimal, vals)
 
     def test_negative_control(self):
-        """A non-maximal linked family breaks the exchange identity."""
-        fam = up_closure(SetFamily.of(GroundSet(3), [0b111]))
-        assert family_maxmin_minmax(fam, pf(0, 1, 2)) == (0, 2, False)
+        """A non-maximal linked family breaks the exchange identity: on {111}
+        max-min is 0 and min-max is 2 at f = (0, 1, 2)."""
+        assert (oracles.naive_maxmin((0b111,), [0, 1, 2]), oracles.naive_minmax((0b111,), [0, 1, 2])) == (0, 2)
+        _, failures = _eq1_chunk((3, ((0b111,),)))
+        assert {"system": ["7"], "f": [0, 1, 2]} in failures
 
 
 class TestEvaluate:
@@ -323,26 +323,26 @@ class TestSeparation:
 
 class TestSupport:
     def test_dirac(self):
-        assert support(Dirac(GroundSet(3), 1)).mask == 0b010
+        assert support(Dirac(GroundSet(3), 1)) == 0b010
 
     def test_maxmin_nonprincipal(self):
-        assert support(MaxMin(NONPRINCIPAL3)).mask == 0b111
+        assert support(MaxMin(NONPRINCIPAL3)) == 0b111
 
     def test_linear_zero_weight(self):
         t = Linear(GroundSet(3), (F(1, 2), F(1, 2), F(0)))
-        assert support(t).mask == 0b011
+        assert support(t) == 0b011
 
     def test_precompose_inclusion(self):
         # support of the pushforward sits inside the image of the support
         for t in term_zoo(GroundSet(3)):
             pm = PointMap(GroundSet(3), GroundSet(3), (2, 1, 0))
             pre = Precompose(pm, t)
-            assert support(pre).mask & ~pm.image_mask(support(t).mask) == 0
+            assert support(pre) & ~pm.image_mask(support(t)) == 0
 
     def test_factorization_is_genuine(self):
         """Two grid functions agreeing on the support evaluate equally."""
         t = MaxMin(NONPRINCIPAL3)
-        h = support(t).mask
+        h = support(t)
         grid = support_grid(GroundSet(3))
         seen: dict[tuple, Fraction] = {}
         for f in grid:

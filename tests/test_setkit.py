@@ -1,7 +1,7 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import oracles
 from supext.errors import InputError, TooLarge
@@ -9,10 +9,8 @@ from supext.setkit import (
     GroundSet,
     PointMap,
     SetFamily,
-    Subset,
+    bits,
     canonical_key,
-    family_from_json,
-    family_to_json,
     is_linked,
     is_self_dual_upclosed,
     minimal_members,
@@ -25,12 +23,16 @@ def family(n: int, masks) -> SetFamily:
     return SetFamily.of(GroundSet(n), masks)
 
 
+def members(fam: int) -> set[int]:
+    """The masks whose bits a family bitset holds."""
+    return set(bits(fam))
+
+
 @st.composite
-def ground_and_family(draw):
-    n = draw(st.integers(min_value=1, max_value=6))
+def ground_and_masks(draw, max_n=6, least=0):
+    n = draw(st.integers(min_value=1, max_value=max_n))
     full = (1 << n) - 1
-    masks = draw(st.lists(st.integers(min_value=0, max_value=full), max_size=8))
-    return GroundSet(n), SetFamily.of(GroundSet(n), masks)
+    return n, draw(st.lists(st.integers(min_value=least, max_value=full), max_size=8))
 
 
 class TestGroundSet:
@@ -47,16 +49,7 @@ class TestGroundSet:
         with pytest.raises(InputError, match="mask 0x8 uses bits outside ground set"):
             g.check_mask(0b1000)
         with pytest.raises(InputError, match="uses bits outside ground set"):
-            Subset(g, -1)
-
-
-class TestSubset:
-    def test_members_and_complement(self):
-        s = Subset(GroundSet(4), 0b1010)
-        assert s.members() == (1, 3)
-        assert s.complement().mask == 0b0101
-        assert len(s) == 2
-        assert 1 in s and 0 not in s
+            g.check_mask(-1)
 
 
 class TestSetFamily:
@@ -79,9 +72,10 @@ class TestLinked:
         assert not is_linked(family(3, [0, 0b111]))
         assert is_linked(family(3, []))
 
-    @given(ground_and_family())
-    def test_matches_oracle(self, gf):
-        _, fam = gf
+    @given(ground_and_masks())
+    def test_matches_oracle(self, nm):
+        n, masks = nm
+        fam = SetFamily.of(GroundSet(n), masks)
         assert is_linked(fam) == (
             0 not in fam.masks
             and oracles.is_linked_family(frozenset(fam.masks))
@@ -90,48 +84,47 @@ class TestLinked:
 
 class TestUpClosure:
     def test_example(self):
-        fam = up_closure(family(3, [0b001]))
-        assert fam.masks == (0b001, 0b011, 0b101, 0b111)
+        assert members(up_closure([0b001], 3)) == {0b001, 0b011, 0b101, 0b111}
 
-    @given(ground_and_family())
-    def test_idempotent(self, gf):
-        _, fam = gf
-        once = up_closure(fam)
-        assert up_closure(once) == once
+    @given(ground_and_masks())
+    def test_idempotent(self, nm):
+        n, masks = nm
+        once = up_closure(masks, n)
+        assert up_closure(bits(once), n) == once
 
-    @given(ground_and_family())
-    def test_monotone_and_contains(self, gf):
-        _, fam = gf
-        closed = set(up_closure(fam).masks)
-        assert set(fam.masks) <= closed
-        for m in fam.masks:
-            for sup in range(fam.ground.full + 1):
+    @given(ground_and_masks())
+    def test_monotone_and_contains(self, nm):
+        n, masks = nm
+        closed = members(up_closure(masks, n))
+        assert set(masks) <= closed
+        for m in masks:
+            for sup in range(1 << n):
                 if m & sup == m:
                     assert sup in closed
 
 
 class TestMinimalMembers:
     def test_example(self):
-        fam = family(3, [0b001, 0b011, 0b110, 0b111])
-        assert minimal_members(fam).masks == (0b001, 0b110)
+        fam = up_closure([0b001, 0b011, 0b110, 0b111], 3)
+        assert minimal_members(fam, 3) == (0b001, 0b110)
 
-    @given(ground_and_family())
-    def test_antichain_with_same_closure(self, gf):
-        _, fam = gf
-        mins = minimal_members(fam)
-        for a in mins.masks:
-            for b in mins.masks:
+    @given(ground_and_masks())
+    def test_antichain_with_same_closure(self, nm):
+        n, masks = nm
+        mins = minimal_members(up_closure(masks, n), n)
+        for a in mins:
+            for b in mins:
                 if a != b:
                     assert a & b != a
-        assert up_closure(mins) == up_closure(fam)
+        assert up_closure(mins, n) == up_closure(masks, n)
 
-    @given(ground_and_family())
-    def test_up_contains_agrees(self, gf):
-        g, fam = gf
-        mins = minimal_members(fam).masks
-        closed = set(up_closure(fam).masks)
-        for mask in range(g.full + 1):
-            assert up_contains(mins, mask) == (mask in closed)
+    @given(ground_and_masks())
+    def test_up_contains_agrees(self, nm):
+        n, masks = nm
+        closed = up_closure(masks, n)
+        mins = minimal_members(closed, n)
+        for mask in range(1 << n):
+            assert up_contains(mins, mask) == bool(closed >> mask & 1)
 
 
 class TestSelfDual:
@@ -140,17 +133,33 @@ class TestSelfDual:
         """Self-dual up-closed families are exactly the maximal linked
         ones found by the brute-force scan."""
         expected = set(oracles.scan_maximal_linked(n))
-        g = GroundSet(n)
         hits = set()
         for chain in oracles.all_antichains(n):
-            fam = up_closure(SetFamily.of(g, chain))
-            if is_self_dual_upclosed(fam):
-                hits.add(frozenset(fam.masks))
+            fam = up_closure(chain, n)
+            if is_self_dual_upclosed(fam, n):
+                hits.add(frozenset(bits(fam)))
         assert hits == expected
 
     def test_negative(self):
-        assert not is_self_dual_upclosed(up_closure(family(2, [0b11])))
-        assert not is_self_dual_upclosed(family(2, [0b01]))
+        assert not is_self_dual_upclosed(up_closure([0b11], 2), 2)
+        assert not is_self_dual_upclosed(1 << 0b01, 2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(ground_and_masks(max_n=5, least=1))
+def test_bitset_operations_match_oracles(nm):
+    """The three family operations against the definitions, on the up-closure
+    of the drawn sets and, for self-duality, on the drawn sets as they are."""
+    n, masks = nm
+    fam = oracles.up_closure_of(frozenset(masks), n)
+    closed = up_closure(masks, n)
+    assert members(closed) == fam
+    assert minimal_members(closed, n) == tuple(sorted(oracles.minimal_of(fam), key=canonical_key))
+    assert is_self_dual_upclosed(closed, n) == oracles.is_maximal_linked(fam, n)
+    drawn = frozenset(masks)
+    assert is_self_dual_upclosed(sum(1 << m for m in drawn), n) == (
+        oracles.is_up_closed(drawn, n) and oracles.is_maximal_linked(drawn, n)
+    )
 
 
 class TestPointMap:
@@ -175,22 +184,3 @@ class TestPointMap:
             PointMap(GroundSet(3), GroundSet(2), (0, 1))
         with pytest.raises(InputError, match="point 2 outside ground set of size 2"):
             PointMap(GroundSet(2), GroundSet(2), (0, 2))
-
-
-class TestJson:
-    def test_round_trip(self):
-        fam = family(5, [0b00111, 0b11000, 0b10101])
-        text = family_to_json(fam)
-        assert '"sets"' in text and '"n": 5' in text
-        assert family_from_json(text) == fam
-
-    def test_hex_lowercase(self):
-        assert '"1f"' in family_to_json(family(5, [0b11111]))
-
-    @pytest.mark.parametrize(
-        "bad",
-        ['{"n": 3}', '{"n": "x", "sets": []}', '{"n": 3, "sets": ["zz"]}', "[]"],
-    )
-    def test_malformed(self, bad):
-        with pytest.raises(InputError):
-            family_from_json(bad)

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from supext import superext
 from supext.errors import InputError, TooLarge
-from supext.setkit import GroundSet, PointMap, SetFamily, is_self_dual_upclosed, up_closure
+from supext.setkit import GroundSet, PointMap, SetFamily, _plus_columns, bits, up_closure
 from supext.superext import (
     EXPECTED_MLS_COUNTS,
     MaxLinkedSystem,
@@ -18,7 +18,6 @@ from supext.superext import (
     eta_point,
     lambda_map,
     lambda_map_image,
-    plus_set,
 )
 
 NONPRINCIPAL3 = (0b011, 0b101, 0b110)
@@ -28,14 +27,17 @@ def mls(n: int, minimal) -> MaxLinkedSystem:
     return MaxLinkedSystem(GroundSet(n), tuple(minimal))
 
 
+def full_family(eta: MaxLinkedSystem) -> frozenset[int]:
+    """Every member of the system, not only the minimal ones."""
+    return frozenset(bits(up_closure(eta.minimal, eta.ground.n)))
+
+
 class TestEnumerate:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_matches_direct_scan(self, n):
         """The backtracking enumerator agrees with the brute-force scan of
         all families of nonempty subsets, system by system."""
-        got = {
-            frozenset(s.full_family().masks) for s in enumerate_mls(GroundSet(n))
-        }
+        got = {full_family(s) for s in enumerate_mls(GroundSet(n))}
         assert got == set(oracles.scan_maximal_linked(n))
 
     def test_n5_matches_antichain_oracle(self):
@@ -196,7 +198,7 @@ class TestCompleteLinked:
                 fam = SetFamily.of(GroundSet(n), s.minimal)
                 done = complete_linked(fam)
                 assert done.is_maximal_linked()
-                assert set(fam.masks) <= set(done.full_family().masks)
+                assert set(fam.masks) <= full_family(done)
 
     def test_not_linked(self):
         with pytest.raises(InputError, match="input family must be linked"):
@@ -208,7 +210,7 @@ class TestCompleteLinked:
         """Any subfamily of a maximal linked system is linked."""
         lam = enumerate_mls(GroundSet(n))
         eta = data.draw(st.sampled_from(lam.systems))
-        masks = data.draw(st.sets(st.sampled_from(eta.full_family().masks)))
+        masks = data.draw(st.sets(st.sampled_from(sorted(full_family(eta)))))
         done = complete_linked(SetFamily.of(GroundSet(n), masks))
         assert frozenset(done.minimal) == oracles.complete_linked_greedy(frozenset(masks), n)
 
@@ -264,9 +266,16 @@ class TestLambdaMap:
                     assert frozenset(lambda_map_image(pm, s).minimal) == want
 
     def test_self_duality_guard_is_live(self, monkeypatch):
-        monkeypatch.setattr(superext, "_is_self_dual_upclosed_bits", lambda fam, n: False)
+        monkeypatch.setattr(superext, "is_self_dual_upclosed", lambda fam, n: False)
         with pytest.raises(AssertionError, match="pushforward is not a maximal linked system"):
             lambda_map(PointMap.identity(GroundSet(2)), eta_point(GroundSet(2), 0))
+
+
+def plus_set(f: int, lam) -> tuple[MaxLinkedSystem, ...]:
+    """The systems holding the set f, read from the column that
+    verify.lambda_plus_subbase makes the subbase member of f."""
+    column = _plus_columns((eta.minimal for eta in lam), lam.ground.n)[f]
+    return tuple(lam.systems[i] for i in bits(column))
 
 
 class TestPlusSet:
@@ -287,10 +296,6 @@ class TestPlusSet:
             eta_point(GroundSet(3), 1),
             mls(3, NONPRINCIPAL3),
         }
-
-    def test_empty_rejected(self):
-        with pytest.raises(InputError, match="plus_set of the empty set is undefined"):
-            plus_set(0, enumerate_mls(GroundSet(2)))
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_binary_property(self, n):
