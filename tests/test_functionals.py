@@ -277,6 +277,26 @@ class TestAxiomCheck:
         got = {k: tuple(map(str, v)) if isinstance(v, tuple) else str(v) for k, v in res.witness.items()}
         assert (res.axiom, got, len(counted)) == (axiom, witness, calls)
 
+    @pytest.mark.parametrize("normalized", [False, True])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_term_and_its_oracle_agree_on_the_zoo(self, n, normalized):
+        """A term and the oracle that evaluates it get the same verdict,
+        axiom and witness: both run on the same trials.  The bare extrema
+        over the whole ground fail homogeneity from n = 2 on."""
+        g = GroundSet(n)
+        for t in (*zoo(n), MinOver(g, g.full), MaxOver(g, g.full)):
+            oracle = lambda f: evaluate(t, f)
+            want = axiom_check(t, trials=40, seed=3, normalized=normalized)
+            assert axiom_check(oracle, ground=t.ground, trials=40, seed=3, normalized=normalized) == want, t
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 3), normalized=st.booleans())
+    def test_term_and_its_oracle_agree(self, data, n, normalized):
+        t = data.draw(terms(GroundSet(n)))
+        want = axiom_check(t, trials=20, seed=1, normalized=normalized)
+        oracle = lambda f: evaluate(t, f)
+        assert axiom_check(oracle, ground=t.ground, trials=20, seed=1, normalized=normalized) == want
+
     def test_raising_oracle(self):
         def boom(f):
             raise ZeroDivisionError
