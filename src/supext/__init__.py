@@ -11,9 +11,7 @@ import sys
 
 _HOME = {
     **dict.fromkeys(("GroundSet", "PointMap", "SetFamily"), "setkit"),
-    **dict.fromkeys(
-        ("MaxLinkedSystem", "Superextension", "complete_linked", "enumerate_mls", "eta_point"), "superext"
-    ),
+    **dict.fromkeys(("MaxLinkedSystem", "complete_linked", "enumerate_mls", "eta_point"), "superext"),
     **dict.fromkeys(("PointFunction", "axiom_check", "evaluate", "phi"), "functionals"),
     **dict.fromkeys(("InclusionHyperspace", "enumerate_ih"), "inclusion"),
     **dict.fromkeys(("Subbase", "is_binary", "is_normal", "s_hull"), "subbase"),

@@ -70,7 +70,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     lam = enumerate_mls(GroundSet(args.n), workers=args.workers)
     report: dict = {"n": args.n, "count": len(lam)}
     if not args.count_only:
-        report["systems"] = [[format(m, "x") for m in eta.minimal] for eta in lam.systems]
+        report["systems"] = [[format(m, "x") for m in eta.minimal] for eta in lam]
     _emit(report, args.out)
     return EXIT_OK
 
@@ -108,7 +108,7 @@ def cmd_axioms(args: argparse.Namespace) -> int:
     report = {
         "pass": res.ok,
         "axiom": res.axiom,
-        "witness": functionals.witness_to_obj(res.witness),
+        "witness": functionals.witness_to_obj(res.witness, _exact),
         "trials": args.trials,
         "seed": args.seed,
     }

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .errors import Check, InputError, TooLarge, json_int, json_list
 from .setkit import MAX_GROUND, GroundSet, bits, canonical_key
-from .superext import MaxLinkedSystem, Superextension, enumerate_mls, eta_point
+from .superext import MaxLinkedSystem, enumerate_mls, eta_point
 
 
 @dataclass(frozen=True)
@@ -242,10 +242,10 @@ def find_regular_operator(
 
 @dataclass(frozen=True)
 class UscoMap:
-    """A set-valued map from an ambient space into a superextension."""
+    """A set-valued map from an ambient space into the superextension of
+    the embedded discrete space, whose points ``inject`` places."""
 
     space: FiniteTopSpace
-    lam: Superextension
     values: tuple[tuple[MaxLinkedSystem, ...], ...]
     inject: tuple[int, ...]
 
@@ -263,7 +263,7 @@ class UscoMap:
         return all(self.is_usc_at(y) for y in range(self.space.n))
 
 
-def usco_from_regular(e: RegularOperator, lam: Superextension | None = None) -> UscoMap:
+def usco_from_regular(e: RegularOperator) -> UscoMap:
     """r(y) = all systems containing the closure of every U with y in e(U).
 
     Points outside every e(U) get the whole superextension; embedded
@@ -278,18 +278,16 @@ def usco_from_regular(e: RegularOperator, lam: Superextension | None = None) -> 
     for x, nb in enumerate(e.domain.min_nbhd):
         if nb != 1 << x:
             raise InputError(f"domain is not T1: point {x} has a larger minimal neighborhood")
-    ground = GroundSet(e.domain.n)
-    if lam is None:
-        lam = enumerate_mls(ground)
+    lam = enumerate_mls(GroundSet(e.domain.n))
     values = []
     for y in range(e.codomain.n):
         closures = [e.domain.closure(u) for u, eu in e.table if u and (eu >> y & 1)]
         if closures:
-            vals = tuple(eta for eta in lam.systems if all(eta.contains(c) for c in closures))
+            vals = tuple(eta for eta in lam if all(eta.contains(c) for c in closures))
         else:
-            vals = lam.systems
+            vals = lam
         values.append(vals)
-    return UscoMap(e.codomain, lam, tuple(values), e.inject)
+    return UscoMap(e.codomain, tuple(values), e.inject)
 
 
 def check_usco_map(r: UscoMap) -> Check:
@@ -299,7 +297,7 @@ def check_usco_map(r: UscoMap) -> Check:
     value, an embedded point of the domain, or an ambient point whose
     value does not contain a neighbor's value.
     """
-    ground = r.lam.ground
+    ground = GroundSet(len(r.inject))
     for y, vals in enumerate(r.values):
         if not vals:
             return Check(False, "nonempty", y)
@@ -322,9 +320,8 @@ def regular_from_usco(r: UscoMap, domain: FiniteTopSpace | None = None) -> Regul
     check = check_usco_map(r)
     if not check.ok:
         raise InputError(f"usco map fails {check.axiom} at point {check.witness}")
-    ground = r.lam.ground
     if domain is None:
-        domain = FiniteTopSpace.discrete(ground.n)
+        domain = FiniteTopSpace.discrete(len(r.inject))
     closed = [domain.full ^ o for o in domain.opens()]
 
     def in_uplus(eta: MaxLinkedSystem, u: int) -> bool:
@@ -372,6 +369,15 @@ def operator_to_json(e: RegularOperator) -> str:
     )
 
 
+def _table_entry(entry: object) -> tuple[int, int]:
+    """One (open of X, its image) pair of an operator file, each in hex."""
+    pair = json_list(entry, "table entry")
+    if len(pair) != 2:
+        raise InputError(f"table entry must have two items, got {pair!r}")
+    u, eu = pair
+    return int(u, 16), int(eu, 16)
+
+
 def operator_from_json(text: str) -> RegularOperator:
     try:
         obj = json.loads(text)
@@ -379,7 +385,7 @@ def operator_from_json(text: str) -> RegularOperator:
             space_from_obj(obj["X"]),
             space_from_obj(obj["Y"]),
             tuple(json_int(i, "inject") for i in json_list(obj["inject"], "inject")),
-            tuple((int(u, 16), int(eu, 16)) for u, eu in json_list(obj["table"], "table")),
+            tuple(map(_table_entry, json_list(obj["table"], "table"))),
         )
     except (KeyError, TypeError, ValueError, RecursionError) as exc:
         raise InputError(f"malformed operator file: {exc}") from exc

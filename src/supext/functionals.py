@@ -22,11 +22,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from operator import itemgetter, mul
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .errors import Check, InputError, TooLarge, json_int, json_list, json_rational
 from .setkit import Antichain, GroundSet, PointMap, bits, canonical_key
-from .superext import MaxLinkedSystem, Superextension, enumerate_mls
+from .superext import MaxLinkedSystem, enumerate_mls
 
 
 @dataclass(frozen=True)
@@ -49,14 +49,6 @@ class PointFunction:
 
     def __call__(self, x: int) -> Fraction:
         return self.values[x]
-
-    def shift(self, c) -> "PointFunction":
-        c = Fraction(c)
-        return PointFunction(self.ground, tuple(v + c for v in self.values))
-
-    def scale(self, k) -> "PointFunction":
-        k = Fraction(k)
-        return PointFunction(self.ground, tuple(k * v for v in self.values))
 
     def precompose(self, pm: PointMap) -> "PointFunction":
         """self o pm, a function on pm's domain."""
@@ -278,27 +270,20 @@ def _rand_function(rng: random.Random, ground: GroundSet) -> PointFunction:
 class _Trial(NamedTuple):
     """One row of inputs for the axiom check: f, g = f + inc >= f, k*f and f + c.
 
-    Each k = p/q is kept as the pair (p, q).  In the integer rows every
-    function is scaled by the table's S and c stands for c*S.
+    Every function is scaled to integers by the table's S, and c stands
+    for c*S; each k = p/q is kept as the pair (p, q).
     """
 
-    f: PointFunction | tuple[int, ...]
-    g: PointFunction | tuple[int, ...]
-    scaled: tuple  # (p, q, k*f) per k; empty when normalized
-    c: Fraction | int
-    shifted: PointFunction | tuple[int, ...]
-
-
-class _Table(NamedTuple):
-    one: PointFunction  # the constant 1, for the normalization check
-    exact: tuple[_Trial, ...]
-    scale: int  # S, the lcm of every denominator in ``exact``
-    ints: tuple[_Trial, ...]
+    f: tuple[int, ...]
+    g: tuple[int, ...]
+    scaled: tuple[tuple[int, int, tuple[int, ...]], ...]  # (p, q, k*f) per k; empty when normalized
+    c: int
+    shifted: tuple[int, ...]
 
 
 @functools.lru_cache(maxsize=8)
-def _trial_table(ground: GroundSet, trials: int, seed: int, normalized: bool) -> _Table:
-    """Every trial axiom_check draws for these settings, in its RNG order.
+def _trial_table(ground: GroundSet, trials: int, seed: int, normalized: bool) -> tuple[int, tuple[_Trial, ...]]:
+    """S and every trial axiom_check draws for these settings, in its RNG order.
 
     The inputs never depend on the functional under test, so a suite that
     checks many terms with the same settings draws them once, and scales
@@ -306,35 +291,30 @@ def _trial_table(ground: GroundSet, trials: int, seed: int, normalized: bool) ->
     keeps the last few tables.
     """
     rng = random.Random(seed)
-    exact = []
+    drawn = []
     for trial in range(trials):
-        f = _rand_function(rng, ground)
-        inc = tuple(abs(_rand_fraction(rng)) for _ in ground.points())
-        g = PointFunction(ground, tuple(a + b for a, b in zip(f.values, inc)))
-        scaled: tuple[tuple[int, int, PointFunction], ...] = ()
+        f = _rand_function(rng, ground).values
+        g = tuple(a + abs(_rand_fraction(rng)) for a in f)
+        ks = []
         if not normalized:
             ks = [_rand_fraction(rng, -8, 8, 4)]
             if trial == 0:
                 ks += [Fraction(0), Fraction(-1)]
-            scaled = tuple((k.numerator, k.denominator, f.scale(k)) for k in ks)
         c = _rand_fraction(rng, -8, 8, 4)
-        exact.append(_Trial(f, g, scaled, c, f.shift(c)))
+        drawn.append((f, g, [(k, tuple(k * v for v in f)) for k in ks], c, tuple(v + c for v in f)))
     # c = (f + c) - f, so its denominator divides the lcm of theirs
-    s = _common_scale(
-        pf.values for t in exact for pf in (t.f, t.g, t.shifted, *(kf for *_, kf in t.scaled))
-    )
-    ints = tuple(
+    s = _common_scale(fn for f, g, scaled, _, shifted in drawn for fn in (f, g, shifted, *(kf for _, kf in scaled)))
+    rows = tuple(
         _Trial(
-            _scaled(t.f.values, s),
-            _scaled(t.g.values, s),
-            tuple((p, q, _scaled(kf.values, s)) for p, q, kf in t.scaled),
-            t.c.numerator * (s // t.c.denominator),
-            _scaled(t.shifted.values, s),
+            _scaled(f, s),
+            _scaled(g, s),
+            tuple((k.numerator, k.denominator, _scaled(kf, s)) for k, kf in scaled),
+            c.numerator * (s // c.denominator),
+            _scaled(shifted, s),
         )
-        for t in exact
+        for f, g, scaled, c, shifted in drawn
     )
-    one = PointFunction(ground, (Fraction(1),) * ground.n)
-    return _Table(one, tuple(exact), s, ints)
+    return s, rows
 
 
 def axiom_check(
@@ -351,10 +331,10 @@ def axiom_check(
     axiom is replaced by u(1) = 1 (order-preserving functionals).
     An oracle that raises is reported as a counterexample.
 
-    A term runs as its compiled kernel on the integer rows, where a value
-    u stands for u/(S*D); an oracle runs on the point functions, with
-    S = D = 1.  Both go through the same comparisons, and a Fraction is
-    made only for a witness.
+    Every target runs as a kernel on the integer rows, where a value u
+    stands for u/(S*D): a term as its compiled kernel, an oracle with
+    D = 1, called on the point function row/S and its value multiplied by
+    S.  A Fraction is made only for a witness.
     """
     if trials < 1:
         raise InputError("trials must be >= 1")
@@ -362,38 +342,41 @@ def axiom_check(
         ground = target.ground
     elif ground is None:
         raise InputError("ground required for oracle functionals")
-    table = _trial_table(ground, trials, seed, normalized)
+    s, rows = _trial_table(ground, trials, seed, normalized)
+
+    def function(row: Sequence[int]) -> tuple[Fraction, ...]:
+        return tuple(Fraction(x, s) for x in row)
+
     if isinstance(target, Term):
         u, d = compile_term(target)
-        rows, one = table.ints, (table.scale,) * ground.n
-        unit = table.scale * d
     else:
 
-        def u(f: PointFunction) -> Fraction:
-            v = target(f)
-            return v if type(v) is Fraction else Fraction(v)
+        def u(row: Sequence[int]) -> Fraction:
+            v = target(PointFunction(ground, function(row)))
+            return (v if type(v) is Fraction else Fraction(v)) * s
 
-        rows, one, d, unit = table.exact, table.one, 1, 1
+        d = 1
+    unit, one = s * d, (s,) * ground.n
 
     def value(v) -> Fraction:
         return Fraction(v, unit)
 
     try:
         if normalized and u(one) != unit:
-            return Check(False, "normalization", {"f": table.one.values, "u(f)": value(u(one))})
-        for t, row in zip(table.exact, rows):
+            return Check(False, "normalization", {"f": function(one), "u(f)": value(u(one))})
+        for row in rows:
             uf = u(row.f)
             if uf > u(row.g):
-                witness = {"f": t.f.values, "g": t.g.values, "u(f)": value(uf), "u(g)": value(u(row.g))}
+                witness = {"f": function(row.f), "g": function(row.g), "u(f)": value(uf), "u(g)": value(u(row.g))}
                 return Check(False, "monotonicity", witness)
             for p, q, kf in row.scaled:
                 if u(kf) * q != p * uf:
                     k = Fraction(p, q)
-                    witness = {"f": t.f.values, "k": k, "u(kf)": value(u(kf)), "k*u(f)": k * value(uf)}
+                    witness = {"f": function(row.f), "k": k, "u(kf)": value(u(kf)), "k*u(f)": k * value(uf)}
                     return Check(False, "homogeneity", witness)
             if u(row.shifted) != uf + row.c * d:
-                sf = value(u(row.shifted))
-                witness = {"f": t.f.values, "c": t.c, "u(f+c)": sf, "u(f)+c": value(uf) + t.c}
+                c = Fraction(row.c, s)
+                witness = {"f": function(row.f), "c": c, "u(f+c)": value(u(row.shifted)), "u(f)+c": value(uf) + c}
                 return Check(False, "weak additivity", witness)
     except Exception as exc:  # oracle blew up: report, don't propagate
         return Check(False, "error", {"exception": repr(exc)})
@@ -452,17 +435,13 @@ def support(term: Term) -> int:
     return ground.full
 
 
-def extender_to_lambda(
-    f: PointFunction, lam: Superextension | None = None
-) -> dict[MaxLinkedSystem, Fraction]:
+def extender_to_lambda(f: PointFunction) -> dict[MaxLinkedSystem, Fraction]:
     """Extend a function on X to the superextension: eta -> phi(eta, f).
 
     Restricted to principal systems this returns f(x), so the assignment
     is a genuine extender.
     """
-    if lam is None:
-        lam = enumerate_mls(f.ground)
-    return {eta: phi(eta, f) for eta in lam.systems}
+    return {eta: phi(eta, f) for eta in enumerate_mls(f.ground)}
 
 
 def retraction_from_extender(
@@ -569,18 +548,16 @@ class GeneratedSubspace:
             if not min(b.values) <= v <= max(b.values):
                 raise InputError(f"value {v} outside the range of its generator")
         # Monotonicity across orbits: k*b_i + c <= k'*b_j + c' must imply
-        # k*v_i + c <= k'*v_j + c'.  By positive homogeneity it suffices to
-        # check the directions k = 1 and k = -1 (k = 0 is the range check).
-        # Every value is scaled by one common denominator S, which scales
-        # each sup by S too.
-        s = _common_scale((*b.values, v) for b, v in gens)
-        scaled = [(_scaled(b.values, s), v.numerator * (s // v.denominator)) for b, v in gens]
-        for bi, vi in scaled:
-            for bj, vj in scaled:
-                for sign in (1, -1):
-                    sup = _concave_sup(-vj, [(y, -sign * x) for x, y in zip(bi, bj)])
-                    if sup is None or sign * vi * sup[1] + sup[0] > 0:
-                        raise InputError("generator values admit no monotone extension")
+        # k*v_i + c <= k'*v_j + c', that is, each value lies in the interval
+        # the other generators (itself included) admit for its generator.
+        for b, v in gens:
+            try:
+                lower, upper = admissible_interval(gens, b)
+                consistent = lower <= v <= upper
+            except InputError:  # an unbounded or empty envelope
+                consistent = False
+            if not consistent:
+                raise InputError("generator values admit no monotone extension")
 
     def contains(self, f: PointFunction) -> bool:
         """Whether f lies on some generator orbit k*b + c (constants included)."""
@@ -685,17 +662,11 @@ def term_to_obj(term: Term) -> dict:
     raise InputError(f"unknown term {term!r}")
 
 
-def witness_to_obj(witness: dict | None) -> dict | None:
-    """A check witness as JSON: rationals as strings, tuples as lists of strings."""
+def witness_to_obj(witness: dict | None, text: Callable[[Fraction], str] = str) -> dict | None:
+    """A check witness as JSON: rationals as ``text`` writes them, tuples as lists of such strings."""
     if witness is None:
         return None
-    out = {}
-    for k, v in witness.items():
-        if isinstance(v, tuple):
-            out[k] = [str(x) for x in v]
-        else:
-            out[k] = str(v)
-    return out
+    return {k: [text(x) for x in v] if isinstance(v, tuple) else text(v) for k, v in witness.items()}
 
 
 # Terms are read, compiled and evaluated by recursion, so a term file may

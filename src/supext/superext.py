@@ -52,23 +52,6 @@ class MaxLinkedSystem(Antichain):
     linked: ClassVar[bool] = True
 
 
-@dataclass(frozen=True)
-class Superextension:
-    """All maximal linked systems on a ground set, canonically ordered."""
-
-    ground: GroundSet
-    systems: tuple[MaxLinkedSystem, ...]
-
-    def __len__(self) -> int:
-        return len(self.systems)
-
-    def __iter__(self):
-        return iter(self.systems)
-
-    def index(self, eta: MaxLinkedSystem) -> int:
-        return self.systems.index(eta)
-
-
 @functools.lru_cache(maxsize=MAX_N + 1)
 def _pair_order(n: int) -> tuple[tuple[int, int], ...]:
     """Complementary pairs {A, A^c}, small side first, hardest pairs earliest."""
@@ -204,8 +187,9 @@ def _split_depth(n: int) -> int:
     return min(36 if n >= 7 else 2, len(_pair_order(n)))
 
 
-def enumerate_mls(ground: GroundSet, workers: int = 1) -> Superextension:
-    """Enumerate every maximal linked system on the ground set.
+def enumerate_mls(ground: GroundSet, workers: int = 1) -> tuple[MaxLinkedSystem, ...]:
+    """Every maximal linked system on the ground set, canonically ordered:
+    the superextension of a finite discrete space.
 
     The backtracking tree is split at a fixed pair depth and the subtrees
     are processed independently, in ``workers`` processes when there are
@@ -219,7 +203,7 @@ def enumerate_mls(ground: GroundSet, workers: int = 1) -> Superextension:
     depth = _split_depth(n)
     items = [(n, fam, depth) for fam in _backtrack(n, root, 0, depth)]
     minimals = sorted(chain.from_iterable(parallel.map_chunks(_enum_subtree, items, workers)))
-    return Superextension(ground, _trusted(MaxLinkedSystem, ground, minimals))
+    return _trusted(MaxLinkedSystem, ground, minimals)
 
 
 def eta_point(ground: GroundSet, x: int) -> MaxLinkedSystem:

@@ -89,7 +89,7 @@ def suite_eq1(n: int, workers: int = 1, **_: int) -> dict:
     if n < _EQ1_POOL_FROM_N:
         workers = 1
     lam = enumerate_mls(GroundSet(n), workers=workers)
-    checks, failures = _eq1_chunk((n, tuple(eta.minimal for eta in lam.systems)))
+    checks, failures = _eq1_chunk((n, tuple(eta.minimal for eta in lam)))
     failures.sort(key=lambda d: (d["system"], d["f"]))
     return {"checks_run": checks, "failures": failures}
 
@@ -236,10 +236,11 @@ def lambda_plus_subbase(n: int, workers: int = 1) -> Subbase:
         # one carrier point per system: refuse an oversized carrier (n=7)
         # before enumerating it
         check_carrier(EXPECTED_MLS_COUNTS[n])
-    lam = enumerate_mls(GroundSet(n), workers=workers)
-    plus = _plus_columns((eta.minimal for eta in lam.systems), n)
-    members = [plus[f] for f in lam.ground.nonempty_subsets()]
-    return Subbase(len(lam.systems), tuple(m for m in members if m))
+    ground = GroundSet(n)
+    lam = enumerate_mls(ground, workers=workers)
+    plus = _plus_columns((eta.minimal for eta in lam), n)
+    members = [plus[f] for f in ground.nonempty_subsets()]
+    return Subbase(len(lam), tuple(m for m in members if m))
 
 
 def suite_subbase_lambda(n: int, workers: int = 1, **_: int) -> dict:

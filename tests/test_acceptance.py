@@ -139,7 +139,7 @@ def test_c07_usco_constructions(capfd):
         assert e.codomain.n <= 9
         r = usco_from_regular(e)
         ok &= check_usco_map(r).ok  # nonempty, point-fixed, usc
-        g = r.lam.ground
+        g = GroundSet(len(r.inject))
         for x in range(g.n):
             ok &= r.values[r.inject[x]] == (eta_point(g, x),)
         ok &= validate_regular(regular_from_usco(r, domain=e.domain)).ok

@@ -381,6 +381,9 @@ class TestExitContract:
             ("extend --generators {gens} --phi 0,2.5e1", "bad rational '2.5e1' in --phi"),
             ("eval --term {convex_diracs} --f {tiny}", "result has more than 4300 digits"),
             ("extend --generators {gens3} --phi {tiny},0", "result has more than 4300 digits"),
+            ("axioms --n 2 --term {convex_huge}", "result has more than 4300 digits"),
+            ("regular --validate {op_str_entries}", "table entry must be a list, got '00'"),
+            ("regular --validate {op_long_entry}", "table entry must have two items, got ['1', '1', '1']"),
         ],
         ids=[
             "extend-value-out-of-range",
@@ -411,6 +414,9 @@ class TestExitContract:
             "extend-exponent-phi",
             "eval-huge-result",
             "extend-huge-result",
+            "axioms-huge-witness",
+            "operator-string-entries",
+            "operator-long-entry",
         ],
     )
     def test_precondition_errors(self, tmp_path, command, message):
@@ -431,6 +437,8 @@ class TestExitContract:
         indiscrete.write_text(json.dumps(
             {"X": space, "Y": space, "inject": [0, 1], "table": [["0", "0"], ["3", "3"]]}
         ))
+        q1, q2 = 10**3000 + 1, 10**3000 + 3
+        point = {"n": 1, "min_nbhd": ["1"]}
         # JSON fields of the wrong type: never truncated, coerced or iterated
         files = {
             "dirac_float": {"t": "dirac", "x": 0.7},
@@ -451,6 +459,15 @@ class TestExitContract:
             # digit limit of Python's integer-to-string conversion
             "convex_diracs": {"t": "convex", "w": ["1/3", "2/3"], "parts": [{"t": "dirac", "x": 0}, {"t": "dirac", "x": 1}]},
             "gens3": {"n": 3, "generators": [{"b": ["0", "1", "2"], "v": "1"}]},
+            # fails homogeneity with a witness whose denominators are q1*q2
+            "convex_huge": {"t": "convex", "w": [f"1/{q1}", f"{q1 - 1}/{q1}"], "parts": [
+                {"t": "min", "F": "3"},
+                {"t": "convex", "w": [f"1/{q2}", f"{q2 - 1}/{q2}"],
+                 "parts": [{"t": "dirac", "x": 0}, {"t": "dirac", "x": 1}]},
+            ]},
+            # a table entry is a pair, never a string read character by character
+            "op_str_entries": {"X": point, "Y": point, "inject": [0], "table": ["00", "11"]},
+            "op_long_entry": {"X": point, "Y": point, "inject": [0], "table": [["0", "0"], ["1", "1", "1"]]},
         }
         files = {name: json.dumps(obj) for name, obj in files.items()}
         # nested past the depth cap, or too deep for the JSON reader itself

@@ -207,14 +207,14 @@ class TestUscoFromRegular:
 class TestCheckUscoMap:
     def test_empty_value(self):
         r0 = usco_from_regular(two_in_three_operator())
-        broken = UscoMap(r0.space, r0.lam, (r0.values[0], (), r0.values[2]), r0.inject)
+        broken = UscoMap(r0.space, (r0.values[0], (), r0.values[2]), r0.inject)
         assert check_usco_map(broken) == Check(False, "nonempty", 1)
 
     def test_not_point_fixed(self):
         r0 = usco_from_regular(two_in_three_operator())
         g = GroundSet(2)
         swapped = UscoMap(
-            r0.space, r0.lam, ((eta_point(g, 1),), r0.values[1], r0.values[2]), r0.inject
+            r0.space, ((eta_point(g, 1),), r0.values[1], r0.values[2]), r0.inject
         )
         assert check_usco_map(swapped) == Check(False, "point-fixed", 0)
 
@@ -224,13 +224,13 @@ class TestCheckUscoMap:
         r0 = usco_from_regular(two_in_three_operator())
         g = GroundSet(2)
         shrunk = UscoMap(
-            r0.space, r0.lam, (r0.values[0], r0.values[1], (eta_point(g, 1),)), r0.inject
+            r0.space, (r0.values[0], r0.values[1], (eta_point(g, 1),)), r0.inject
         )
         assert check_usco_map(shrunk) == Check(False, "usc", 2)
 
     def test_regular_from_usco_needs_a_usco_map(self):
         r0 = usco_from_regular(two_in_three_operator())
-        broken = UscoMap(r0.space, r0.lam, (r0.values[0], (), r0.values[2]), r0.inject)
+        broken = UscoMap(r0.space, (r0.values[0], (), r0.values[2]), r0.inject)
         with pytest.raises(InputError, match="usco map fails nonempty at point 1"):
             regular_from_usco(broken)
 
@@ -254,9 +254,7 @@ class TestRoundTrip:
         g = GroundSet(2)
         lam = enumerate_mls(g)
         space = FiniteTopSpace.discrete(3)
-        r = UscoMap(
-            space, lam, ((eta_point(g, 0),), (eta_point(g, 1),), tuple(lam)), (0, 1)
-        )
+        r = UscoMap(space, ((eta_point(g, 0),), (eta_point(g, 1),), lam), (0, 1))
         e = regular_from_usco(r)
         look = e.lookup()
         assert look[0b01] == 0b01 and look[0b10] == 0b10

@@ -209,7 +209,7 @@ class TestCompleteLinked:
     def test_matches_greedy_loop(self, data, n):
         """Any subfamily of a maximal linked system is linked."""
         lam = enumerate_mls(GroundSet(n))
-        eta = data.draw(st.sampled_from(lam.systems))
+        eta = data.draw(st.sampled_from(lam))
         masks = data.draw(st.sets(st.sampled_from(sorted(full_family(eta)))))
         done = complete_linked(SetFamily.of(GroundSet(n), masks))
         assert frozenset(done.minimal) == oracles.complete_linked_greedy(frozenset(masks), n)
@@ -274,8 +274,8 @@ class TestLambdaMap:
 def plus_set(f: int, lam) -> tuple[MaxLinkedSystem, ...]:
     """The systems holding the set f, read from the column that
     verify.lambda_plus_subbase makes the subbase member of f."""
-    column = _plus_columns((eta.minimal for eta in lam), lam.ground.n)[f]
-    return tuple(lam.systems[i] for i in bits(column))
+    column = _plus_columns((eta.minimal for eta in lam), lam[0].ground.n)[f]
+    return tuple(lam[i] for i in bits(column))
 
 
 class TestPlusSet:

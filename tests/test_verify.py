@@ -82,7 +82,7 @@ def test_lambda_plus_subbase_matches_definition(n, hyperspace):
         assert sb.carrier == len(carrier)
         assert sb.members[: len(members)] == tuple(members)
     else:
-        carrier = enumerate_mls(ground).systems
+        carrier = enumerate_mls(ground)
         members = [m for m in _plus_members(carrier, ground.nonempty_subsets()) if m]
         sb = lambda_plus_subbase(n)
         assert sb.carrier == len(carrier)
@@ -107,7 +107,7 @@ def test_usco_roundtrip_reports_a_failed_usco_check_with_its_witness(monkeypatch
     suite, not an exception."""
     def broken(e):
         r = usco_from_regular(e)
-        return UscoMap(r.space, r.lam, ((),) + r.values[1:], r.inject)
+        return UscoMap(r.space, ((),) + r.values[1:], r.inject)
 
     monkeypatch.setattr(embed, "usco_from_regular", broken)
     report = verify.suite_usco_roundtrip()
