@@ -13,7 +13,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from . import verify
-from .errors import InputError, json_int, json_list, json_rational, parse_rational
+from .errors import InputError, _exact, json_int, json_list, json_rational, parse_rational
 from .setkit import GroundSet
 from .superext import enumerate_mls
 
@@ -43,16 +43,6 @@ def _emit(report: dict, out: str | None, fmt: str = "json") -> None:
         Path(out).write_text(text)
     else:
         sys.stdout.write(text)
-
-
-def _exact(value: Fraction) -> str:
-    """An exact result as report text.  Python writes no integer of more
-    digits than its conversion limit, so a result past it is refused."""
-    try:
-        return str(value)
-    except ValueError:
-        limit = sys.get_int_max_str_digits()
-        raise InputError(f"result has more than {limit} digits, the integer string conversion limit") from None
 
 
 def _parse_values(text: str, option: str) -> list[Fraction]:
@@ -108,7 +98,7 @@ def cmd_axioms(args: argparse.Namespace) -> int:
     report = {
         "pass": res.ok,
         "axiom": res.axiom,
-        "witness": functionals.witness_to_obj(res.witness, _exact),
+        "witness": functionals.witness_to_obj(res.witness),
         "trials": args.trials,
         "seed": args.seed,
     }

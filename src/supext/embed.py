@@ -374,8 +374,7 @@ def _table_entry(entry: object) -> tuple[int, int]:
     pair = json_list(entry, "table entry")
     if len(pair) != 2:
         raise InputError(f"table entry must have two items, got {pair!r}")
-    u, eu = pair
-    return int(u, 16), int(eu, 16)
+    return int(pair[0], 16), int(pair[1], 16)
 
 
 def operator_from_json(text: str) -> RegularOperator:

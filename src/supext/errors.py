@@ -4,6 +4,7 @@ reads of JSON integer, rational and list fields that raise them."""
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -64,6 +65,16 @@ def parse_rational(text: str, field: str) -> Fraction:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise InputError(f"bad rational {text!r} in {field}: {exc}") from exc
+
+
+def _exact(value: Fraction) -> str:
+    """An exact result as report text.  Python writes no integer of more
+    digits than its conversion limit, so a result past it is refused."""
+    try:
+        return str(value)
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        raise InputError(f"result has more than {limit} digits, the integer string conversion limit") from None
 
 
 def json_rational(value: object, field: str) -> Fraction:

@@ -24,7 +24,7 @@ from math import lcm
 from operator import itemgetter, mul
 from typing import Callable, Iterable, NamedTuple, Sequence
 
-from .errors import Check, InputError, TooLarge, json_int, json_list, json_rational
+from .errors import Check, InputError, TooLarge, _exact, json_int, json_list, json_rational
 from .setkit import Antichain, GroundSet, PointMap, bits, canonical_key
 from .superext import MaxLinkedSystem, enumerate_mls
 
@@ -662,11 +662,11 @@ def term_to_obj(term: Term) -> dict:
     raise InputError(f"unknown term {term!r}")
 
 
-def witness_to_obj(witness: dict | None, text: Callable[[Fraction], str] = str) -> dict | None:
-    """A check witness as JSON: rationals as ``text`` writes them, tuples as lists of such strings."""
+def witness_to_obj(witness: dict | None) -> dict | None:
+    """A check witness as JSON: rationals as exact strings, tuples as lists of them."""
     if witness is None:
         return None
-    return {k: [text(x) for x in v] if isinstance(v, tuple) else text(v) for k, v in witness.items()}
+    return {k: [_exact(x) for x in v] if isinstance(v, tuple) else _exact(v) for k, v in witness.items()}
 
 
 # Terms are read, compiled and evaluated by recursion, so a term file may
