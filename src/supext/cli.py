@@ -13,7 +13,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from . import verify
-from .errors import InputError, _exact, json_int, json_list, json_rational, parse_rational
+from .errors import InputError, _exact, parse_rational
 from .setkit import GroundSet
 from .superext import enumerate_mls
 
@@ -81,7 +81,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
     values = _parse_values(args.f, "--f")
     ground = GroundSet(len(values))
-    term = term_from_json(Path(args.term).read_text(), ground)
+    term = term_from_json(Path(args.term).read_bytes(), ground)
     result = evaluate(term, PointFunction(ground, tuple(values)))
     _emit({"value": _exact(result)}, args.out)
     return EXIT_OK
@@ -91,7 +91,7 @@ def cmd_axioms(args: argparse.Namespace) -> int:
     from . import functionals
 
     ground = GroundSet(args.n)
-    term = functionals.term_from_json(Path(args.term).read_text(), ground)
+    term = functionals.term_from_json(Path(args.term).read_bytes(), ground)
     res = functionals.axiom_check(
         term, trials=args.trials, seed=args.seed, normalized=args.normalized
     )
@@ -109,20 +109,8 @@ def cmd_axioms(args: argparse.Namespace) -> int:
 def cmd_extend(args: argparse.Namespace) -> int:
     from . import functionals
 
-    try:
-        obj = json.loads(Path(args.generators).read_text())
-        ground = GroundSet(json_int(obj["n"], "n"))
-        gens = tuple(
-            (
-                functionals.PointFunction(ground, tuple(json_rational(v, "b") for v in json_list(g["b"], "b"))),
-                json_rational(g["v"], "v"),
-            )
-            for g in json_list(obj["generators"], "generators")
-        )
-    except (KeyError, TypeError, RecursionError) as exc:
-        raise InputError(f"malformed generators file: {exc}") from exc
-    phi0 = functionals.PointFunction(ground, tuple(_parse_values(args.phi, "--phi")))
-    space = functionals.GeneratedSubspace(ground, gens)
+    space = functionals.generators_from_json(Path(args.generators).read_bytes())
+    phi0 = functionals.PointFunction(space.ground, tuple(_parse_values(args.phi, "--phi")))
     lower, upper, p = functionals.extend_one(space, phi0, choose=args.choose)
     _emit({"lower": _exact(lower), "upper": _exact(upper), "p": _exact(p)}, args.out)
     return EXIT_OK
@@ -131,7 +119,7 @@ def cmd_extend(args: argparse.Namespace) -> int:
 def cmd_subbase(args: argparse.Namespace) -> int:
     from . import subbase
 
-    sb = subbase.subbase_from_json(Path(args.infile).read_text())
+    sb = subbase.subbase_from_json(Path(args.infile).read_bytes())
     res = subbase.is_binary(sb) if args.check == "binary" else subbase.is_normal(sb)
     witness = [format(m, "x") for m in res.witness] if res.witness else None
     _emit({"check": args.check, "pass": res.ok, "witness": witness}, args.out)
@@ -141,7 +129,7 @@ def cmd_subbase(args: argparse.Namespace) -> int:
 def cmd_regular(args: argparse.Namespace) -> int:
     from . import embed
 
-    op = embed.operator_from_json(Path(args.validate).read_text())
+    op = embed.operator_from_json(Path(args.validate).read_bytes())
     res = embed.validate_regular(op)
     _emit(
         {"pass": res.ok, "axiom": res.axiom, "witness": list(res.witness) if res.witness else None},
@@ -153,7 +141,7 @@ def cmd_regular(args: argparse.Namespace) -> int:
 def cmd_usco(args: argparse.Namespace) -> int:
     from . import embed
 
-    op = embed.operator_from_json(Path(args.source).read_text())
+    op = embed.operator_from_json(Path(args.source).read_bytes())
     r = embed.usco_from_regular(op)
     report = {
         "values": [
@@ -168,7 +156,7 @@ def cmd_usco(args: argparse.Namespace) -> int:
 def cmd_roundtrip(args: argparse.Namespace) -> int:
     from . import embed
 
-    op = embed.operator_from_json(Path(args.op).read_text())
+    op = embed.operator_from_json(Path(args.op).read_bytes())
     r = embed.usco_from_regular(op)
     rt = embed.regular_from_usco(r, domain=op.domain)
     res = embed.validate_regular(rt)
@@ -270,7 +258,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (InputError, OSError, json.JSONDecodeError) as exc:
+    except (InputError, OSError) as exc:
         print(f"supext: input error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

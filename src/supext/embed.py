@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .errors import Check, InputError, TooLarge, json_int, json_list
+from .errors import Check, InputError, TooLarge, json_int, json_list, read_json
 from .setkit import MAX_GROUND, GroundSet, bits, canonical_key
 from .superext import MaxLinkedSystem, enumerate_mls, eta_point
 
@@ -46,7 +46,8 @@ class FiniteTopSpace:
         return (1 << self.n) - 1
 
     def is_open(self, mask: int) -> bool:
-        return all(self.min_nbhd[x] & ~mask == 0 for x in bits(mask))
+        """A mask with bits outside the space, a negative one included, is not open."""
+        return not mask & ~self.full and all(self.min_nbhd[x] & ~mask == 0 for x in bits(mask))
 
     def opens(self) -> tuple[int, ...]:
         """All open sets, canonically ordered by (cardinality, mask)."""
@@ -123,16 +124,18 @@ class RegularOperator:
 def validate_regular(e: RegularOperator) -> Check:
     """Exhaustive check of the three regular-operator axioms."""
     opens_x = e.domain.opens()
-    tab = e.lookup()
-    if sorted(tab) != sorted(opens_x):
-        # the least open the table lacks, or else the least key that is not open
-        stray = set(opens_x) - tab.keys() or tab.keys() - set(opens_x)
+    keys = [u for u, _ in e.table]  # in the canonical order of opens_x
+    if keys != list(opens_x):
+        # the least open the table lacks, else the least key that is not open,
+        # else the least open it lists twice
+        twice = {u for u, v in zip(keys, keys[1:]) if u == v}
+        stray = set(opens_x) - set(keys) or set(keys) - set(opens_x) or twice
         return Check(False, "table must cover exactly the opens of the domain", (min(stray),))
     for u, eu in e.table:
         if not e.codomain.is_open(eu):
             return Check(False, "image not open", (u, eu))
-    if tab[0] != 0:
-        return Check(False, "empty set must map to the empty set", (0, tab[0]))
+    if e.table[0][1] != 0:  # the empty set, the least open, comes first
+        return Check(False, "empty set must map to the empty set", e.table[0])
     for u, eu in e.table:
         if eu & e.x_image != e.image_mask(u):
             return Check(False, "trace", (u, eu))
@@ -349,12 +352,7 @@ def space_to_obj(space: FiniteTopSpace) -> dict:
 
 
 def space_from_obj(obj: dict) -> FiniteTopSpace:
-    try:
-        return FiniteTopSpace(
-            json_int(obj["n"], "n"), tuple(int(s, 16) for s in json_list(obj["min_nbhd"], "min_nbhd"))
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"malformed space object: {exc}") from exc
+    return FiniteTopSpace(json_int(obj["n"], "n"), tuple(int(s, 16) for s in json_list(obj["min_nbhd"], "min_nbhd")))
 
 
 def operator_to_json(e: RegularOperator) -> str:
@@ -377,14 +375,10 @@ def _table_entry(entry: object) -> tuple[int, int]:
     return int(pair[0], 16), int(pair[1], 16)
 
 
-def operator_from_json(text: str) -> RegularOperator:
-    try:
-        obj = json.loads(text)
-        return RegularOperator(
-            space_from_obj(obj["X"]),
-            space_from_obj(obj["Y"]),
-            tuple(json_int(i, "inject") for i in json_list(obj["inject"], "inject")),
-            tuple(map(_table_entry, json_list(obj["table"], "table"))),
-        )
-    except (KeyError, TypeError, ValueError, RecursionError) as exc:
-        raise InputError(f"malformed operator file: {exc}") from exc
+def operator_from_json(data: bytes | str) -> RegularOperator:
+    return read_json(data, "operator file", lambda obj: RegularOperator(
+        space_from_obj(obj["X"]),
+        space_from_obj(obj["Y"]),
+        tuple(json_int(i, "inject") for i in json_list(obj["inject"], "inject")),
+        tuple(map(_table_entry, json_list(obj["table"], "table"))),
+    ))

@@ -1,12 +1,14 @@
-"""The check result, the input errors shared by all supext modules, and the
-reads of JSON integer, rational and list fields that raise them."""
+"""The check result, the input errors shared by all supext modules, the
+one reader of input files, and the reads of JSON integer, rational and
+list fields that raise them."""
 
 from __future__ import annotations
 
+import json
 import re
 import sys
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -38,6 +40,16 @@ class InputError(Exception):
 
 class TooLarge(InputError):
     """An input above a size cap, refused before any work on it starts."""
+
+
+def read_json(data: bytes | str, what: str, build: Callable[[object], object]):
+    """``build`` applied to an input file read as JSON.  Bytes that do not
+    decode, text that is not JSON and a missing or mistyped field are all
+    "malformed <what>"; an ``InputError`` from ``build`` passes through."""
+    try:
+        return build(json.loads(data))
+    except (KeyError, TypeError, ValueError, RecursionError) as exc:
+        raise InputError(f"malformed {what}: {exc}") from exc
 
 
 def json_int(value: object, field: str) -> int:

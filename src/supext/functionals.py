@@ -24,7 +24,7 @@ from math import lcm
 from operator import itemgetter, mul
 from typing import Callable, Iterable, NamedTuple, Sequence
 
-from .errors import Check, InputError, TooLarge, _exact, json_int, json_list, json_rational
+from .errors import Check, InputError, TooLarge, _exact, json_int, json_list, json_rational, read_json
 from .setkit import Antichain, GroundSet, PointMap, bits, canonical_key
 from .superext import MaxLinkedSystem, enumerate_mls
 
@@ -679,41 +679,48 @@ MAX_TERM_DEPTH = 100
 def term_from_obj(obj: dict, ground: GroundSet, depth: int = 1) -> Term:
     if depth > MAX_TERM_DEPTH:
         raise TooLarge(f"term nested deeper than {MAX_TERM_DEPTH} nodes")
-    try:
-        tag = obj["t"]
-        if tag == "dirac":
-            return Dirac(ground, json_int(obj["x"], "x"))
-        if tag == "maxmin":
-            members = json_list(obj["minimal"], "minimal")
-            minimal = tuple(sorted((int(s, 16) for s in members), key=canonical_key))
-            if not Antichain(ground, minimal).is_maximal_linked():
-                raise InputError("maxmin needs the minimal members of a maximal linked system")
-            return MaxMin(MaxLinkedSystem(ground, minimal))
-        if tag == "min":
-            return MinOver(ground, int(obj["F"], 16))
-        if tag == "max":
-            return MaxOver(ground, int(obj["F"], 16))
-        if tag == "linear":
-            return Linear(ground, tuple(json_rational(w, "w") for w in json_list(obj["w"], "w")))
-        if tag == "convex":
-            parts = tuple(term_from_obj(p, ground, depth + 1) for p in json_list(obj["parts"], "parts"))
-            return Convex(tuple(json_rational(w, "w") for w in json_list(obj["w"], "w")), parts)
-        if tag == "precompose":
-            image = tuple(json_int(i, "map") for i in json_list(obj["map"], "map"))
-            pm = PointMap(GroundSet(len(image)), ground, image)
-            return Precompose(pm, term_from_obj(obj["inner"], pm.dom, depth + 1))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"malformed term node: {exc}") from exc
-    raise InputError(f"unknown term tag {obj.get('t')!r}")
+    tag = obj["t"]
+    if tag == "dirac":
+        return Dirac(ground, json_int(obj["x"], "x"))
+    if tag == "maxmin":
+        members = json_list(obj["minimal"], "minimal")
+        minimal = tuple(sorted((int(s, 16) for s in members), key=canonical_key))
+        if not Antichain(ground, minimal).is_maximal_linked():
+            raise InputError("maxmin needs the minimal members of a maximal linked system")
+        return MaxMin(MaxLinkedSystem(ground, minimal))
+    if tag == "min":
+        return MinOver(ground, int(obj["F"], 16))
+    if tag == "max":
+        return MaxOver(ground, int(obj["F"], 16))
+    if tag == "linear":
+        return Linear(ground, tuple(json_rational(w, "w") for w in json_list(obj["w"], "w")))
+    if tag == "convex":
+        parts = tuple(term_from_obj(p, ground, depth + 1) for p in json_list(obj["parts"], "parts"))
+        return Convex(tuple(json_rational(w, "w") for w in json_list(obj["w"], "w")), parts)
+    if tag == "precompose":
+        image = tuple(json_int(i, "map") for i in json_list(obj["map"], "map"))
+        pm = PointMap(GroundSet(len(image)), ground, image)
+        return Precompose(pm, term_from_obj(obj["inner"], pm.dom, depth + 1))
+    raise InputError(f"unknown term tag {tag!r}")
 
 
 def term_to_json(term: Term) -> str:
     return json.dumps(term_to_obj(term), sort_keys=True)
 
 
-def term_from_json(text: str, ground: GroundSet) -> Term:
-    try:
-        obj = json.loads(text)
-    except (ValueError, RecursionError) as exc:
-        raise InputError(f"malformed term file: {exc}") from exc
-    return term_from_obj(obj, ground)
+def term_from_json(data: bytes | str, ground: GroundSet) -> Term:
+    return read_json(data, "term file", lambda obj: term_from_obj(obj, ground))
+
+
+def generators_from_json(data: bytes | str) -> GeneratedSubspace:
+    """A generators file: the ground size n, and each generator b on it with its value v."""
+
+    def build(obj) -> GeneratedSubspace:
+        ground = GroundSet(json_int(obj["n"], "n"))
+        return GeneratedSubspace(ground, tuple(
+            (PointFunction(ground, tuple(json_rational(x, "b") for x in json_list(g["b"], "b"))),
+             json_rational(g["v"], "v"))
+            for g in json_list(obj["generators"], "generators")
+        ))
+
+    return read_json(data, "generators file", build)

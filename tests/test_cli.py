@@ -289,6 +289,139 @@ def run_quiet(argv: list[str]) -> tuple[int, str, str]:
     return code, out.getvalue(), err.getvalue()
 
 
+# Input files for the exit-contract fuzz test.  Each field is drawn of the
+# right shape or of any other JSON shape, each file is written as JSON,
+# truncated JSON or raw bytes, and sizes stay at most 4 so every case runs
+# in milliseconds.
+_HEX = st.one_of(
+    st.integers(min_value=0, max_value=7).map(lambda m: format(m, "x")),
+    st.sampled_from(["-1", "0x1", "1_0", "f", "10000", "zz", "", " 3"]),
+)
+_MASK = st.integers(min_value=-2, max_value=15).map(lambda m: format(m, "x"))
+_RATIONAL = st.one_of(
+    st.sampled_from(["0", "1", "-2", "1/2", "3/4", "0.25", ".5", "1e5", "1_000", "inf", "1/0", "-", ""]),
+    st.integers(min_value=-3, max_value=3),
+)
+_JSON = st.recursive(
+    st.one_of(
+        st.none(),
+        st.booleans(),
+        st.integers(min_value=-3, max_value=8),
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.text(max_size=3),
+    ),
+    lambda inner: st.one_of(st.lists(inner, max_size=3), st.dictionaries(st.text(max_size=2), inner, max_size=3)),
+    max_leaves=6,
+)
+_POINT = st.integers(min_value=-1, max_value=4)
+
+
+def _or_other(values):
+    """A field of the right shape, or any other JSON value in its place."""
+    return st.one_of(values, _JSON)
+
+
+def _near(bases, fields):
+    """A drawn valid object of ``bases`` with at most one field drawn anew,
+    so a bad field reaches the checks past those of the other fields."""
+    return st.tuples(bases, st.sampled_from([None, *fields])).flatmap(
+        lambda pair: st.just(pair[0]) if pair[1] is None else fields[pair[1]].map(lambda v: {**pair[0], pair[1]: v})
+    )
+
+
+_TERM_LEAVES = st.one_of(
+    st.fixed_dictionaries({"t": st.just("dirac"), "x": _or_other(_POINT)}),
+    st.fixed_dictionaries({"t": st.just("maxmin"), "minimal": _or_other(st.lists(_HEX, max_size=4))}),
+    st.fixed_dictionaries({"t": st.sampled_from(["min", "max"]), "F": _or_other(_HEX)}),
+    st.fixed_dictionaries({"t": st.just("linear"), "w": _or_other(st.lists(_RATIONAL, max_size=4))}),
+    # a known tag without its fields, or an unknown one
+    st.fixed_dictionaries({"t": st.sampled_from(["dirac", "maxmin", "min", "max", "linear", "convex", "precompose", "nope"])}),
+    _JSON,
+)
+_TERM = st.recursive(
+    _TERM_LEAVES,
+    lambda inner: st.one_of(
+        st.fixed_dictionaries(
+            {"t": st.just("convex"), "w": _or_other(st.lists(_RATIONAL, max_size=3)), "parts": _or_other(st.lists(inner, max_size=3))}
+        ),
+        st.fixed_dictionaries({"t": st.just("precompose"), "map": _or_other(st.lists(_POINT, max_size=4)), "inner": inner}),
+    ),
+    max_leaves=5,
+)
+_GENERATORS = _near(
+    st.sampled_from([{"n": 2, "generators": [{"b": ["0", "1"], "v": "1/2"}]}, {"n": 3, "generators": []}]),
+    {
+        "n": _or_other(_POINT),
+        "generators": _or_other(
+            st.lists(
+                _or_other(st.fixed_dictionaries({"b": _or_other(st.lists(_RATIONAL, max_size=4)), "v": _or_other(_RATIONAL)})),
+                max_size=3,
+            )
+        ),
+    },
+)
+_SUBBASE = _near(
+    st.just({"carrier": 3, "members": ["3", "6"]}),
+    {"carrier": _or_other(_POINT), "members": _or_other(st.lists(_HEX, max_size=4))},
+)
+_SPACE = _near(
+    st.sampled_from([{"n": 1, "min_nbhd": ["1"]}, {"n": 2, "min_nbhd": ["1", "2"]}, {"n": 2, "min_nbhd": ["1", "3"]}]),
+    {"n": _or_other(_POINT), "min_nbhd": _or_other(st.lists(_HEX, max_size=4))},
+)
+_OPERATOR = _near(
+    st.sampled_from(
+        [json.loads(operator_to_json(two_in_three_operator()))]
+        + [{"X": {"n": 1, "min_nbhd": ["1"]}, "Y": y, "inject": [0], "table": [["0", "0"], ["1", "1"]]}
+           for y in ({"n": 1, "min_nbhd": ["1"]}, {"n": 2, "min_nbhd": ["1", "2"]})]
+    ).flatmap(
+        # the same opens of X, each with its image kept or drawn anew
+        lambda base: st.tuples(*(st.one_of(st.just(image), _MASK) for _, image in base["table"])).map(
+            lambda images: {**base, "table": [[u, image] for (u, _), image in zip(base["table"], images)]}
+        )
+    ),
+    {
+        "X": _SPACE,
+        "Y": _SPACE,
+        "inject": _or_other(st.lists(_POINT, max_size=3)),
+        "table": _or_other(st.lists(_or_other(st.lists(_HEX, max_size=3)), max_size=5)),
+    },
+)
+
+
+def _file(objects):
+    """An input file's bytes: JSON of a drawn object, cut short, or raw bytes."""
+    text = objects.map(json.dumps)
+    return st.one_of(
+        text.map(str.encode),
+        st.one_of(
+            st.tuples(text, st.integers(min_value=0, max_value=40)).map(lambda tk: tk[0][: tk[1]].encode()),
+            st.sampled_from([b"\xff\xfe{", b"\x80", b"{\"n\": \xe9}", b"", b"[" * 2000]),
+            st.binary(max_size=6),
+        ),
+    )
+
+
+_VALUES = st.lists(_RATIONAL.map(str), max_size=4).map(",".join)
+_COMMANDS = {
+    "term": st.one_of(
+        st.builds(lambda f: ["eval", "--f=" + f], _VALUES),
+        st.builds(
+            lambda n, normalized: ["axioms", "--n", str(n), "--trials", "3"] + ["--normalized"] * normalized,
+            _POINT,
+            st.booleans(),
+        ),
+    ),
+    "generators": st.builds(
+        lambda phi, choose: ["extend", "--phi=" + phi, "--choose", choose], _VALUES, st.sampled_from(["mid", "lower", "upper"])
+    ),
+    "subbase": st.sampled_from([["subbase", "--check", "binary"], ["subbase", "--check", "normal"]]),
+    "operator": st.sampled_from([["regular"], ["usco"], ["roundtrip"]]),
+}
+_FILES = {"term": _file(_TERM), "generators": _file(_GENERATORS), "subbase": _file(_SUBBASE), "operator": _file(_OPERATOR)}
+_FILE_OPTION = {"eval": "--term", "axioms": "--term", "extend": "--generators", "subbase": "--in",
+                "regular": "--validate", "usco": "--from", "roundtrip": None}
+
+
 class TestExitContract:
     # n = 6 and 7 are valid but slow, so sizes come from below or above them
     @settings(max_examples=60, deadline=None)
@@ -350,6 +483,71 @@ class TestExitContract:
         assert report["axiom"] == "table must cover exactly the opens of the domain"
         assert report["witness"] == witness
 
+    @pytest.mark.parametrize("kind", ["term", "generators", "subbase", "operator"])
+    @settings(max_examples=400, deadline=None)
+    @given(data=st.data())
+    def test_input_files(self, tmp_path_factory, kind, data):
+        """Whatever an input file holds, and whatever --f or --phi lists,
+        every command exits 0, 1 with a witness, or 2 with no report."""
+        argv = data.draw(_COMMANDS[kind])
+        f = tmp_path_factory.getbasetemp() / f"{kind}.json"
+        f.write_bytes(data.draw(_FILES[kind]))
+        option = _FILE_OPTION[argv[0]]
+        argv = argv + ([option, str(f)] if option else [str(f)])
+        code, out, err = run_quiet(argv)
+        assert code in (0, 1, 2) and "Traceback" not in err
+        if code == 1:
+            report = json.loads(out)
+            assert report.get("witness") or report.get("failures")
+        elif code == 2:
+            assert out == "" and err.startswith("supext: input error: ")
+        else:
+            json.loads(out)
+
+    @pytest.mark.parametrize(
+        "command, kind",
+        [
+            ("eval --f 0 --term", "term"),
+            ("axioms --n 1 --term", "term"),
+            ("extend --phi 0,1 --generators", "generators"),
+            ("subbase --check binary --in", "subbase"),
+            ("regular --validate", "operator"),
+            ("usco --from", "operator"),
+            ("roundtrip", "operator"),
+        ],
+    )
+    def test_undecodable_file(self, tmp_path, command, kind):
+        """A file that is not text is a malformed file of its kind, never a
+        traceback from decoding it."""
+        f = tmp_path / "in.json"
+        f.write_bytes(b"\xff\xfe{")
+        code, out, err = run_quiet(command.split() + [str(f)])
+        assert code == 2 and out == ""
+        assert f"input error: malformed {kind} file: " in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "y, table, axiom, witness",
+        [
+            ({"n": 1, "min_nbhd": ["1"]}, [["0", "0"], ["1", "-1"]], "image not open", [1, -1]),
+            ({"n": 2, "min_nbhd": ["1", "2"]}, [["0", "0"], ["1", "5"]], "image not open", [1, 5]),
+            ({"n": 2, "min_nbhd": ["1", "2"]}, [["0", "0"], ["1", "1"], ["1", "3"]],
+             "table must cover exactly the opens of the domain", [1]),
+        ],
+        ids=["image-negative", "image-past-y", "open-listed-twice"],
+    )
+    def test_operator_failures_have_a_witness(self, tmp_path, y, table, axiom, witness):
+        """An image outside Y and an open listed twice fail ``regular`` with a
+        witness, and ``usco`` and ``roundtrip`` refuse the operator."""
+        op = tmp_path / "op.json"
+        op.write_text(json.dumps({"X": {"n": 1, "min_nbhd": ["1"]}, "Y": y, "inject": [0], "table": table}))
+        code, out, err = run_quiet(["regular", "--validate", str(op)])
+        assert code == 1 and err == ""
+        assert json.loads(out) == {"pass": False, "axiom": axiom, "witness": witness}
+        for command in (["usco", "--from"], ["roundtrip"]):
+            code, out, err = run_quiet(command + [str(op)])
+            assert code == 2 and out == ""
+            assert f"input error: operator fails {axiom}" in err and "Traceback" not in err
+
     @pytest.mark.parametrize(
         "command, message",
         [
@@ -384,6 +582,7 @@ class TestExitContract:
             ("axioms --n 2 --term {convex_huge}", "result has more than 4300 digits"),
             ("regular --validate {op_str_entries}", "table entry must be a list, got '00'"),
             ("regular --validate {op_long_entry}", "table entry must have two items, got ['1', '1', '1']"),
+            ("extend --generators {gens_truncated} --phi 0,1", "malformed generators file: Expecting"),
         ],
         ids=[
             "extend-value-out-of-range",
@@ -417,6 +616,7 @@ class TestExitContract:
             "axioms-huge-witness",
             "operator-string-entries",
             "operator-long-entry",
+            "extend-truncated-json",
         ],
     )
     def test_precondition_errors(self, tmp_path, command, message):
@@ -476,6 +676,7 @@ class TestExitContract:
         files["precompose_3000"] = '{"t": "precompose", "map": [0], "inner": ' * 3000 + dirac + "}" * 3000
         files["convex_600"] = '{"t": "convex", "w": ["1"], "parts": [' * 600 + dirac + "]}" * 600
         files["convex_100"] = '{"t": "convex", "w": ["1"], "parts": [' * 100 + dirac + "]}" * 100
+        files["gens_truncated"] = '{"n": 2, "generators": ['
         for name, text in files.items():
             files[name] = tmp_path / f"{name}.json"
             files[name].write_text(text)

@@ -70,6 +70,11 @@ class TestFiniteTopSpace:
         with pytest.raises(InputError):
             FiniteTopSpace(3, (0b011, 0b110, 0b100))  # preorder violated
 
+    def test_mask_outside_the_space_is_not_open(self):
+        space = FiniteTopSpace.discrete(2)
+        assert space.is_open(0b11)
+        assert not space.is_open(0b101) and not space.is_open(-1) and not space.is_open(-4)
+
     def test_closure(self):
         assert SIERPINSKI.closure(0b01) == 0b11
         assert SIERPINSKI.closure(0b10) == 0b10
@@ -114,6 +119,17 @@ class TestValidateRegular:
     def test_standard_operators(self):
         for name, op in standard_operators():
             assert validate_regular(op).ok, name
+
+    @pytest.mark.parametrize("image", [0b100, -1], ids=["past-y", "negative"])
+    def test_image_outside_codomain(self, image):
+        x, y = FiniteTopSpace.discrete(1), FiniteTopSpace.discrete(2)
+        e = RegularOperator(x, y, (0,), ((0, 0), (1, image)))
+        assert validate_regular(e) == Check(False, "image not open", (1, image))
+
+    def test_open_listed_twice(self):
+        x, y = FiniteTopSpace.discrete(1), FiniteTopSpace.discrete(2)
+        e = RegularOperator(x, y, (0,), ((0, 0), (1, 0b01), (1, 0b11)))
+        assert validate_regular(e) == Check(False, "table must cover exactly the opens of the domain", (1,))
 
 
 class TestProductCompose:
