@@ -32,7 +32,7 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 
 
-def _emit(report: dict, out: str | None, fmt: str = "json") -> None:
+def _emit(report: dict, out: str | None, fmt: str) -> None:
     if fmt == "csv-summary":
         keys = ["suite", "n", "checks_run"]
         line = ",".join(str(report.get(k, "")) for k in keys)
@@ -46,7 +46,7 @@ def _emit(report: dict, out: str | None, fmt: str = "json") -> None:
 
 
 def _parse_values(text: str, option: str) -> list[Fraction]:
-    return [parse_rational(tok, option) for tok in text.split(",") if tok.strip()]
+    return [parse_rational(tok, option) for tok in text.split(",")]
 
 
 def _worker_count(text: str) -> int:
@@ -56,151 +56,115 @@ def _worker_count(text: str) -> int:
     return workers
 
 
-def cmd_enumerate(args: argparse.Namespace) -> int:
+# Each command returns its report; main alone writes it and sets the exit status.
+
+
+def cmd_enumerate(args: argparse.Namespace) -> dict:
     lam = enumerate_mls(GroundSet(args.n), workers=args.workers)
     report: dict = {"n": args.n, "count": len(lam)}
     if not args.count_only:
         report["systems"] = [[format(m, "x") for m in eta.minimal] for eta in lam]
-    _emit(report, args.out)
-    return EXIT_OK
+    return report
 
 
-def cmd_ghyper(args: argparse.Namespace) -> int:
+def cmd_ghyper(args: argparse.Namespace) -> dict:
     from .inclusion import enumerate_ih
 
     hs = enumerate_ih(GroundSet(args.n))
     report: dict = {"n": args.n, "count": len(hs)}
     if not args.count_only:
         report["systems"] = [[format(m, "x") for m in a.minimal] for a in hs]
-    _emit(report, args.out)
-    return EXIT_OK
+    return report
 
 
-def cmd_eval(args: argparse.Namespace) -> int:
+def cmd_eval(args: argparse.Namespace) -> dict:
     from .functionals import PointFunction, evaluate, term_from_json
 
     values = _parse_values(args.f, "--f")
     ground = GroundSet(len(values))
     term = term_from_json(Path(args.term).read_bytes(), ground)
     result = evaluate(term, PointFunction(ground, tuple(values)))
-    _emit({"value": _exact(result)}, args.out)
-    return EXIT_OK
+    return {"value": _exact(result)}
 
 
-def cmd_axioms(args: argparse.Namespace) -> int:
+def cmd_axioms(args: argparse.Namespace) -> dict:
     from . import functionals
 
     ground = GroundSet(args.n)
     term = functionals.term_from_json(Path(args.term).read_bytes(), ground)
-    res = functionals.axiom_check(
-        term, trials=args.trials, seed=args.seed, normalized=args.normalized
-    )
-    report = {
-        "pass": res.ok,
-        "axiom": res.axiom,
-        "witness": functionals.witness_to_obj(res.witness),
-        "trials": args.trials,
-        "seed": args.seed,
-    }
-    _emit(report, args.out)
-    return EXIT_OK if res.ok else EXIT_FAIL
+    res = functionals.axiom_check(term, trials=args.trials, seed=args.seed, normalized=args.normalized)
+    witness = functionals.witness_to_obj(res.witness)
+    return {"pass": res.ok, "axiom": res.axiom, "witness": witness, "trials": args.trials, "seed": args.seed}
 
 
-def cmd_extend(args: argparse.Namespace) -> int:
+def cmd_extend(args: argparse.Namespace) -> dict:
     from . import functionals
 
     space = functionals.generators_from_json(Path(args.generators).read_bytes())
     phi0 = functionals.PointFunction(space.ground, tuple(_parse_values(args.phi, "--phi")))
     lower, upper, p = functionals.extend_one(space, phi0, choose=args.choose)
-    _emit({"lower": _exact(lower), "upper": _exact(upper), "p": _exact(p)}, args.out)
-    return EXIT_OK
+    return {"lower": _exact(lower), "upper": _exact(upper), "p": _exact(p)}
 
 
-def cmd_subbase(args: argparse.Namespace) -> int:
+def cmd_subbase(args: argparse.Namespace) -> dict:
     from . import subbase
 
     sb = subbase.subbase_from_json(Path(args.infile).read_bytes())
     res = subbase.is_binary(sb) if args.check == "binary" else subbase.is_normal(sb)
     witness = [format(m, "x") for m in res.witness] if res.witness else None
-    _emit({"check": args.check, "pass": res.ok, "witness": witness}, args.out)
-    return EXIT_OK if res.ok else EXIT_FAIL
+    return {"check": args.check, "pass": res.ok, "witness": witness}
 
 
-def cmd_regular(args: argparse.Namespace) -> int:
+def cmd_regular(args: argparse.Namespace) -> dict:
     from . import embed
 
     op = embed.operator_from_json(Path(args.validate).read_bytes())
     res = embed.validate_regular(op)
-    _emit(
-        {"pass": res.ok, "axiom": res.axiom, "witness": list(res.witness) if res.witness else None},
-        args.out,
-    )
-    return EXIT_OK if res.ok else EXIT_FAIL
+    return {"pass": res.ok, "axiom": res.axiom, "witness": list(res.witness) if res.witness else None}
 
 
-def cmd_usco(args: argparse.Namespace) -> int:
+def cmd_usco(args: argparse.Namespace) -> dict:
     from . import embed
 
     op = embed.operator_from_json(Path(args.source).read_bytes())
     r = embed.usco_from_regular(op)
-    report = {
-        "values": [
-            [[format(m, "x") for m in eta.minimal] for eta in vals] for vals in r.values
-        ],
-        "usc": r.is_usc(),
-    }
-    _emit(report, args.out)
-    return EXIT_OK
+    values = [[[format(m, "x") for m in eta.minimal] for eta in vals] for vals in r.values]
+    return {"values": values, "usc": r.is_usc()}
 
 
-def cmd_roundtrip(args: argparse.Namespace) -> int:
+def cmd_roundtrip(args: argparse.Namespace) -> dict:
     from . import embed
 
     op = embed.operator_from_json(Path(args.op).read_bytes())
     r = embed.usco_from_regular(op)
     rt = embed.regular_from_usco(r, domain=op.domain)
     res = embed.validate_regular(rt)
-    report = {
-        "pass": res.ok,
-        "axiom": res.axiom,
-        "table": [[format(u, "x"), format(eu, "x")] for u, eu in rt.table],
-    }
-    _emit(report, args.out)
-    return EXIT_OK if res.ok else EXIT_FAIL
+    table = [[format(u, "x"), format(eu, "x")] for u, eu in rt.table]
+    return {"pass": res.ok, "axiom": res.axiom, "table": table}
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
-    report = verify.run_verify_suite(
-        args.suite, args.n, seed=args.seed, trials=args.trials, workers=args.workers
-    )
-    _emit(report, args.out, fmt=args.format)
-    return EXIT_OK if not report["failures"] else EXIT_FAIL
+def cmd_verify(args: argparse.Namespace) -> dict:
+    return verify.run_verify_suite(args.suite, args.n, seed=args.seed, trials=args.trials, workers=args.workers)
 
 
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="supext", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp: argparse.ArgumentParser) -> None:
-        sp.add_argument("--out", default=None, help="write the JSON report to a file")
-
     sp = sub.add_parser("enumerate", help="enumerate maximal linked systems")
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--count-only", action="store_true")
     sp.add_argument("--workers", type=_worker_count, default=1)
-    common(sp)
     sp.set_defaults(fn=cmd_enumerate)
 
     sp = sub.add_parser("ghyper", help="enumerate inclusion hyperspaces")
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--count-only", action="store_true")
-    common(sp)
     sp.set_defaults(fn=cmd_ghyper)
 
     sp = sub.add_parser("eval", help="evaluate a functional term")
     sp.add_argument("--term", required=True)
     sp.add_argument("--f", required=True, help="comma-separated rationals, one per point")
-    common(sp)
     sp.set_defaults(fn=cmd_eval)
 
     sp = sub.add_parser("axioms", help="check the functional axioms of a term")
@@ -209,35 +173,29 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--trials", type=int, default=500)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--normalized", action="store_true")
-    common(sp)
     sp.set_defaults(fn=cmd_axioms)
 
     sp = sub.add_parser("extend", help="admissible extension interval for a new function")
     sp.add_argument("--generators", required=True)
     sp.add_argument("--phi", required=True)
     sp.add_argument("--choose", choices=("mid", "lower", "upper"), default="mid")
-    common(sp)
     sp.set_defaults(fn=cmd_extend)
 
     sp = sub.add_parser("subbase", help="binary / normal subbase checks")
     sp.add_argument("--check", choices=("binary", "normal"), required=True)
     sp.add_argument("--in", dest="infile", required=True)
-    common(sp)
     sp.set_defaults(fn=cmd_subbase)
 
     sp = sub.add_parser("regular", help="validate a regular operator")
     sp.add_argument("--validate", required=True, metavar="OP_JSON")
-    common(sp)
     sp.set_defaults(fn=cmd_regular)
 
     sp = sub.add_parser("usco", help="usco map from a regular operator")
     sp.add_argument("--from", dest="source", required=True, metavar="OP_JSON")
-    common(sp)
     sp.set_defaults(fn=cmd_usco)
 
     sp = sub.add_parser("roundtrip", help="operator -> usco map -> operator")
     sp.add_argument("op", metavar="OP_JSON")
-    common(sp)
     sp.set_defaults(fn=cmd_roundtrip)
 
     sp = sub.add_parser("verify", help="run a named verification suite")
@@ -247,9 +205,11 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--trials", type=int, default=500)
     sp.add_argument("--workers", type=_worker_count, default=1)
     sp.add_argument("--format", choices=("json", "csv-summary"), default="json")
-    common(sp)
     sp.set_defaults(fn=cmd_verify)
 
+    for sp in sub.choices.values():
+        sp.add_argument("--out", default=None, help="write the report to a file")
+    p.set_defaults(format="json")
     return p
 
 
@@ -257,10 +217,13 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        report = args.fn(args)
+        _emit(report, args.out, args.format)
     except (InputError, OSError) as exc:
         print(f"supext: input error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    # exit 1 means a witnessed failure: a failed check or a failures list
+    return EXIT_FAIL if report.get("pass") is False or report.get("failures") else EXIT_OK
 
 
 if __name__ == "__main__":

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .errors import Check, InputError, TooLarge, json_int, json_list, read_json
+from .errors import Check, InputError, TooLarge, json_int, json_list, json_masks, read_json
 from .setkit import MAX_GROUND, GroundSet, bits, canonical_key
 from .superext import MaxLinkedSystem, enumerate_mls, eta_point
 
@@ -352,7 +352,7 @@ def space_to_obj(space: FiniteTopSpace) -> dict:
 
 
 def space_from_obj(obj: dict) -> FiniteTopSpace:
-    return FiniteTopSpace(json_int(obj["n"], "n"), tuple(int(s, 16) for s in json_list(obj["min_nbhd"], "min_nbhd")))
+    return FiniteTopSpace(json_int(obj["n"], "n"), json_masks(obj["min_nbhd"], "min_nbhd"))
 
 
 def operator_to_json(e: RegularOperator) -> str:
@@ -367,12 +367,12 @@ def operator_to_json(e: RegularOperator) -> str:
     )
 
 
-def _table_entry(entry: object) -> tuple[int, int]:
+def _table_entry(entry: object) -> tuple[int, ...]:
     """One (open of X, its image) pair of an operator file, each in hex."""
     pair = json_list(entry, "table entry")
     if len(pair) != 2:
         raise InputError(f"table entry must have two items, got {pair!r}")
-    return int(pair[0], 16), int(pair[1], 16)
+    return json_masks(pair, "table entry")
 
 
 def operator_from_json(data: bytes | str) -> RegularOperator:

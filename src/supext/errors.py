@@ -1,6 +1,6 @@
 """The check result, the input errors shared by all supext modules, the
-one reader of input files, and the reads of JSON integer, rational and
-list fields that raise them."""
+one reader of input files, and the reads of JSON integer, rational, list
+and hex-mask fields that raise them."""
 
 from __future__ import annotations
 
@@ -106,3 +106,21 @@ def json_list(value: object, field: str) -> list:
     if type(value) is not list:
         raise InputError(f"{field} must be a list, got {value!r}")
     return value
+
+
+# The digits supext writes through format(m, "x"); int(s, 16) alone also
+# reads a sign, "0x", "_", spaces, upper case and other scripts' digits.
+_MASK = re.compile(r"[0-9a-f]+")
+
+
+def json_mask(value: object, field: str) -> int:
+    """A subset mask read from an input file: a JSON string of the hex
+    digits 0-9a-f, leading zeros allowed; anything else is an input error."""
+    if type(value) is not str or not _MASK.fullmatch(value):
+        raise InputError(f"a mask in {field} must be hex digits 0-9a-f, got {value!r}")
+    return int(value, 16)
+
+
+def json_masks(value: object, field: str) -> tuple[int, ...]:
+    """A JSON list of masks, each read by ``json_mask``."""
+    return tuple(json_mask(s, field) for s in json_list(value, field))

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .errors import Check, InputError, TooLarge, json_int, json_list, read_json
+from .errors import Check, InputError, TooLarge, json_int, json_masks, read_json
 from .setkit import bits, popcount
 
 MAX_CARRIER = 1 << 16
@@ -167,5 +167,5 @@ def subbase_to_json(sb: Subbase) -> str:
 
 def subbase_from_json(data: bytes | str) -> Subbase:
     return read_json(data, "subbase file", lambda obj: Subbase(
-        json_int(obj["carrier"], "carrier"), tuple(int(s, 16) for s in json_list(obj["members"], "members"))
+        json_int(obj["carrier"], "carrier"), json_masks(obj["members"], "members")
     ))

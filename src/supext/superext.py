@@ -220,7 +220,7 @@ def complete_linked(fam: SetFamily) -> MaxLinkedSystem:
     smaller mask when both sides are consistent.  A linked family never
     dead-ends: once one side conflicts, the other is forced and safe.
     """
-    if not is_linked(fam) or 0 in fam.masks:
+    if not is_linked(fam):
         raise InputError("input family must be linked and free of the empty set")
     n = fam.ground.n
     disjoint = _disjoint(n)

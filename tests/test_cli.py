@@ -528,12 +528,11 @@ class TestExitContract:
     @pytest.mark.parametrize(
         "y, table, axiom, witness",
         [
-            ({"n": 1, "min_nbhd": ["1"]}, [["0", "0"], ["1", "-1"]], "image not open", [1, -1]),
             ({"n": 2, "min_nbhd": ["1", "2"]}, [["0", "0"], ["1", "5"]], "image not open", [1, 5]),
             ({"n": 2, "min_nbhd": ["1", "2"]}, [["0", "0"], ["1", "1"], ["1", "3"]],
              "table must cover exactly the opens of the domain", [1]),
         ],
-        ids=["image-negative", "image-past-y", "open-listed-twice"],
+        ids=["image-past-y", "open-listed-twice"],
     )
     def test_operator_failures_have_a_witness(self, tmp_path, y, table, axiom, witness):
         """An image outside Y and an open listed twice fail ``regular`` with a
@@ -547,6 +546,30 @@ class TestExitContract:
             code, out, err = run_quiet(command + [str(op)])
             assert code == 2 and out == ""
             assert f"input error: operator fails {axiom}" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("kind", ["term", "subbase", "operator"])
+    @pytest.mark.parametrize(
+        "mask",
+        ["0x3", " 1_1 ", "+3", "-1", "", "A", "\uff13"],
+        ids=["prefix-0x", "spaces-underscore", "sign-plus", "sign-minus", "empty", "upper-case", "full-width"],
+    )
+    def test_mask_not_in_hex_digits(self, tmp_path, kind, mask):
+        """A mask is a string of the hex digits 0-9a-f that supext writes; a
+        sign, "0x", "_", spaces, upper case or other scripts' digits, which
+        int(s, 16) would read, are an input error naming the field."""
+        files = {
+            "term": (["eval", "--f", "1,2,3,4,5", "--term"], {"t": "min", "F": mask}, "F"),
+            "subbase": (["subbase", "--check", "binary", "--in"], {"carrier": 4, "members": ["3", mask]}, "members"),
+            "operator": (["regular", "--validate"], {"X": {"n": 1, "min_nbhd": ["1"]}, "Y": {"n": 1, "min_nbhd": ["1"]},
+                                                     "inject": [0], "table": [["0", "0"], ["1", mask]]}, "table entry"),
+        }
+        command, obj, field = files[kind]
+        f = tmp_path / "in.json"
+        f.write_text(json.dumps(obj))
+        code, out, err = run_quiet(command + [str(f)])
+        assert code == 2 and out == ""
+        assert f"input error: a mask in {field} must be hex digits 0-9a-f, got {mask!r}" in err
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize(
         "command, message",
@@ -583,6 +606,11 @@ class TestExitContract:
             ("regular --validate {op_str_entries}", "table entry must be a list, got '00'"),
             ("regular --validate {op_long_entry}", "table entry must have two items, got ['1', '1', '1']"),
             ("extend --generators {gens_truncated} --phi 0,1", "malformed generators file: Expecting"),
+            ("axioms --n 2 --term {dirac} --trials 50001", "trials 50001 exceeds 50000"),
+            ("verify --suite axioms --n 2 --trials 50001", "trials 50001 exceeds 50000"),
+            ("eval --term {dirac} --f 1,,2", "bad rational '' in --f"),
+            ("eval --term {dirac} --f 1,2,", "bad rational '' in --f"),
+            ("extend --generators {gens} --phi 0,", "bad rational '' in --phi"),
         ],
         ids=[
             "extend-value-out-of-range",
@@ -617,6 +645,11 @@ class TestExitContract:
             "operator-string-entries",
             "operator-long-entry",
             "extend-truncated-json",
+            "axioms-trials-above-cap",
+            "verify-axioms-trials-above-cap",
+            "eval-empty-value",
+            "eval-trailing-comma",
+            "extend-trailing-comma",
         ],
     )
     def test_precondition_errors(self, tmp_path, command, message):

@@ -5,6 +5,7 @@ never an exception; so every exception supext raises is a broken
 precondition, and the CLI exits 2 on it.  An invariant that no input can
 break is an ``assert``: a failure there is a defect of the program.  These tests read the source, so a
 new per-case exception class or a raise of some other type fails here.
+The mask reader accepts exactly the hex digits supext writes.
 """
 
 from __future__ import annotations
@@ -12,6 +13,9 @@ from __future__ import annotations
 import ast
 import inspect
 from pathlib import Path
+
+import pytest
+from hypothesis import given, settings, strategies as st
 
 import supext
 from supext import errors
@@ -61,3 +65,31 @@ def test_errors_defines_only_the_input_errors():
     assert classes == {"InputError", "TooLarge"}
     assert errors.InputError.__bases__ == (Exception,)
     assert errors.TooLarge.__bases__ == (errors.InputError,)
+
+
+_HEX_DIGITS = frozenset("0123456789abcdef")
+
+
+@settings(max_examples=300)
+@given(st.text(alphabet=st.sampled_from("0123456789abcdefABCDEFxX_+- \n３٣"), max_size=6) | st.text(max_size=4))
+def test_json_mask_reads_only_lower_case_hex_digits(text):
+    """A mask is accepted iff it is a nonempty string of the digits 0-9a-f."""
+    if text and set(text) <= _HEX_DIGITS:
+        assert errors.json_mask(text, "F") == int(text, 16)
+        assert errors.json_masks([text, text], "F") == (int(text, 16),) * 2
+    else:
+        with pytest.raises(errors.InputError, match="a mask in F must be hex digits 0-9a-f"):
+            errors.json_mask(text, "F")
+        with pytest.raises(errors.InputError, match="a mask in F must be hex digits 0-9a-f"):
+            errors.json_masks(["1", text], "F")
+
+
+@given(st.integers(min_value=0, max_value=2**16 - 1))
+def test_json_mask_reads_back_what_supext_writes(m):
+    assert errors.json_mask(format(m, "x"), "F") == m
+
+
+@pytest.mark.parametrize("value", [3, 3.0, None, True, ["3"]])
+def test_json_mask_is_a_string(value):
+    with pytest.raises(errors.InputError, match="a mask in F must be hex digits"):
+        errors.json_mask(value, "F")
