@@ -23,9 +23,12 @@ if TYPE_CHECKING:
 # Each command imports the other modules it uses: a job starts a fresh
 # interpreter, and enumerate, ghyper and the counts suite need none of
 # functionals, embed or subbase.  verify, and with it setkit and superext,
-# is loaded here: it binds superext's functions by name at import, so a
-# wrapper put on superext from outside (perfbench's tracer) reaches verify's
-# callers only if verify is already loaded when the wrapper goes in.
+# is loaded here although enumerate and ghyper never use it: it binds
+# superext's functions by name at import, so a wrapper put on superext from
+# outside (perfbench's tracer) reaches verify's callers only if verify is
+# already loaded when the wrapper goes in, and the tracer restores only the
+# names bound before its block; loaded inside the block, verify would keep
+# the wrappers after it.
 
 EXIT_OK = 0
 EXIT_FAIL = 1

@@ -10,31 +10,29 @@ e(empty) = empty, trace e(U) & X = U, and disjointness preservation.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from collections import namedtuple
 
-from .errors import Check, InputError, TooLarge, json_int, json_list, json_masks, read_json
+from .errors import Check, InputError, TooLarge, Value, json_int, json_list, json_masks, read_json
 from .setkit import MAX_GROUND, GroundSet, bits, canonical_key
 from .superext import MaxLinkedSystem, enumerate_mls, eta_point
 
 
-@dataclass(frozen=True)
-class FiniteTopSpace:
+class FiniteTopSpace(Value, namedtuple("FiniteTopSpace", "n min_nbhd")):
     """A finite topological space given by minimal open neighborhoods."""
 
-    n: int
-    min_nbhd: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        GroundSet(self.n)  # the size bounds of a ground set
-        if len(self.min_nbhd) != self.n:
+    def __init__(self, n: int, min_nbhd: tuple[int, ...]) -> None:
+        GroundSet(n)  # the size bounds of a ground set
+        if len(min_nbhd) != n:
             raise InputError("one minimal neighborhood per point required")
-        full = (1 << self.n) - 1
-        for x, nb in enumerate(self.min_nbhd):
+        full = (1 << n) - 1
+        for x, nb in enumerate(min_nbhd):
             if nb & ~full or not (nb >> x & 1):
                 raise InputError(f"minimal neighborhood of {x} must contain {x}")
-        for x in range(self.n):
-            for y in bits(self.min_nbhd[x]):
-                if self.min_nbhd[y] & ~self.min_nbhd[x]:
+        for x in range(n):
+            for y in bits(min_nbhd[x]):
+                if min_nbhd[y] & ~min_nbhd[x]:
                     raise InputError("minimal neighborhoods violate preorder consistency")
 
     @classmethod
@@ -80,23 +78,27 @@ def _box(m1: int, m2: int, width: int) -> int:
     return out
 
 
-@dataclass(frozen=True)
-class RegularOperator:
-    """An open-set operator witnessing a regular embedding of X into Y."""
+class RegularOperator(Value, namedtuple("RegularOperator", "domain codomain inject table")):
+    """An open-set operator witnessing a regular embedding of X into Y.
 
-    domain: FiniteTopSpace
-    codomain: FiniteTopSpace
-    inject: tuple[int, ...]
-    table: tuple[tuple[int, int], ...]  # (open of X, its image open of Y)
+    ``table`` lists pairs (open of X, its image open of Y), kept sorted by
+    the canonical order of the opens of X.
+    """
 
-    def __post_init__(self) -> None:
-        if len(self.inject) != self.domain.n or len(set(self.inject)) != self.domain.n:
+    __slots__ = ()
+
+    def __new__(cls, domain: FiniteTopSpace, codomain: FiniteTopSpace, inject: tuple[int, ...],
+                table: tuple[tuple[int, int], ...]) -> "RegularOperator":
+        ordered = tuple(sorted(table, key=lambda p: canonical_key(p[0])))
+        return super().__new__(cls, domain, codomain, inject, ordered)
+
+    def __init__(self, domain: FiniteTopSpace, codomain: FiniteTopSpace, inject: tuple[int, ...],
+                 table: tuple[tuple[int, int], ...]) -> None:
+        if len(inject) != domain.n or len(set(inject)) != domain.n:
             raise InputError("inject must be an injection of domain points")
-        for y in self.inject:
-            if not 0 <= y < self.codomain.n:
+        for y in inject:
+            if not 0 <= y < codomain.n:
                 raise InputError("inject target out of range")
-        ordered = tuple(sorted(self.table, key=lambda p: canonical_key(p[0])))
-        object.__setattr__(self, "table", ordered)
 
     def image_mask(self, x_mask: int) -> int:
         out = 0
@@ -243,17 +245,15 @@ def find_regular_operator(
 # Conversions between regular operators and usco maps into the superextension
 
 
-@dataclass(frozen=True)
-class UscoMap:
+class UscoMap(Value, namedtuple("UscoMap", "space values inject")):
     """A set-valued map from an ambient space into the superextension of
     the embedded discrete space, whose points ``inject`` places."""
 
-    space: FiniteTopSpace
-    values: tuple[tuple[MaxLinkedSystem, ...], ...]
-    inject: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if len(self.values) != self.space.n:
+    def __init__(self, space: FiniteTopSpace, values: tuple[tuple[MaxLinkedSystem, ...], ...],
+                 inject: tuple[int, ...]) -> None:
+        if len(values) != space.n:
             raise InputError("one value per ambient point required")
 
     def is_usc_at(self, y: int) -> bool:

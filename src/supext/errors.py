@@ -1,30 +1,51 @@
-"""The check result, the input errors shared by all supext modules, the
-one reader of input files, and the reads of JSON integer, rational, list
-and hex-mask fields that raise them."""
+"""The base of supext's value types, the check result, the input errors
+shared by all supext modules, the one reader of input files, and the reads
+of JSON integer, rational, list and hex-mask fields that raise them."""
 
 from __future__ import annotations
 
 import json
 import re
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import TYPE_CHECKING, Callable
 
 if TYPE_CHECKING:
     from fractions import Fraction
 
 
-@dataclass(frozen=True)
-class Check:
+class Value(tuple):
+    """The base of every supext value type: an immutable tuple of its fields.
+
+    A value type also derives from a ``namedtuple`` of its fields, which
+    reads each field through a property that cannot be assigned, and
+    validates its arguments in its own ``__init__``; one that normalises a
+    field (to Fractions, to sorted order) does so in ``__new__``, and its
+    ``__init__`` validates the stored field.  A value equals only a
+    value of the same class, never a plain tuple or a value of a sibling
+    class with the same fields; equal values are equal tuples, so the
+    tuple's hash agrees with this equality.
+    """
+
+    __slots__ = ()
+
+    def __eq__(self, other: object) -> bool:
+        return other.__class__ is self.__class__ and tuple.__eq__(self, other)
+
+    def __ne__(self, other: object) -> bool:
+        return other.__class__ is not self.__class__ or tuple.__ne__(self, other)
+
+    __hash__ = tuple.__hash__
+
+
+class Check(Value, namedtuple("Check", "ok axiom witness", defaults=(None, None))):
     """Outcome of a property check: it holds, or it fails with a witness.
 
     ``axiom`` names the failed property and ``witness`` is the offending
     input; both stay None when the check passes.
     """
 
-    ok: bool
-    axiom: str | None = None
-    witness: object = None
+    __slots__ = ()
 
     def __bool__(self) -> bool:
         return self.ok

@@ -7,7 +7,6 @@ superextension machinery on the same antichain representation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .errors import InputError, TooLarge
@@ -31,9 +30,10 @@ MAX_IH_GROUND = 5
 MAX_GX_GROUND = 4
 
 
-@dataclass(frozen=True, slots=True)
 class InclusionHyperspace(Antichain):
     """An up-closed family of nonempty subsets, stored as its minimal antichain."""
+
+    __slots__ = ()
 
     def as_mls(self) -> MaxLinkedSystem:
         return MaxLinkedSystem(self.ground, self.minimal)

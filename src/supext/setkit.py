@@ -10,10 +10,10 @@ makes every enumeration downstream deterministic and diffable.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
-from typing import ClassVar, Iterable, Iterator, TypeVar
+from collections import namedtuple
+from typing import Iterable, Iterator, TypeVar
 
-from .errors import InputError, TooLarge
+from .errors import InputError, TooLarge, Value
 
 # All family-level operations stay exact and fast up to this width, on
 # ground sets and on finite spaces (embed); enumeration of maximal linked
@@ -37,21 +37,20 @@ def canonical_key(mask: int) -> tuple[int, int]:
     return (popcount(mask), mask)
 
 
-@dataclass(frozen=True)
-class GroundSet:
+class GroundSet(Value, namedtuple("GroundSet", "n")):
     """An n-point ground set, n >= 1.
 
     Finite compact Hausdorff spaces are discrete, so every subset is
     closed; the ground set is all the topology we need here.
     """
 
-    n: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.n < 1:
+    def __init__(self, n: int) -> None:
+        if n < 1:
             raise InputError("ground set must have at least one point")
-        if self.n > MAX_GROUND:
-            raise TooLarge(f"ground set size {self.n} exceeds {MAX_GROUND}")
+        if n > MAX_GROUND:
+            raise TooLarge(f"ground set size {n} exceeds {MAX_GROUND}")
 
     @property
     def full(self) -> int:
@@ -72,20 +71,18 @@ class GroundSet:
         return range(1, self.full + 1)
 
 
-@dataclass(frozen=True)
-class SetFamily:
+class SetFamily(Value, namedtuple("SetFamily", "ground masks")):
     """A duplicate-free, canonically ordered family of subsets: the checked
     input of ``superext.complete_linked``.  Every other family operation
     works on masks and family bitsets."""
 
-    ground: GroundSet
-    masks: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        for m in self.masks:
-            self.ground.check_mask(m)
-        ordered = tuple(sorted(set(self.masks), key=canonical_key))
-        if ordered != self.masks:
+    def __init__(self, ground: GroundSet, masks: tuple[int, ...]) -> None:
+        for m in masks:
+            ground.check_mask(m)
+        ordered = tuple(sorted(set(masks), key=canonical_key))
+        if ordered != masks:
             raise InputError("family masks must be duplicate-free and canonically ordered")
 
     @classmethod
@@ -93,19 +90,16 @@ class SetFamily:
         return cls(ground, tuple(sorted(set(masks), key=canonical_key)))
 
 
-@dataclass(frozen=True)
-class PointMap:
+class PointMap(Value, namedtuple("PointMap", "dom cod image")):
     """A total map between ground sets, image[x] = f(x)."""
 
-    dom: GroundSet
-    cod: GroundSet
-    image: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if len(self.image) != self.dom.n:
+    def __init__(self, dom: GroundSet, cod: GroundSet, image: tuple[int, ...]) -> None:
+        if len(image) != dom.n:
             raise InputError("point map must assign every domain point")
-        for y in self.image:
-            self.cod.check_point(y)
+        for y in image:
+            cod.check_point(y)
 
     def __call__(self, x: int) -> int:
         self.dom.check_point(x)
@@ -260,8 +254,7 @@ def up_contains(minimal: tuple[int, ...], mask: int) -> bool:
     return any(m & mask == m for m in minimal)
 
 
-@dataclass(frozen=True, slots=True)
-class Antichain:
+class Antichain(Value, namedtuple("Antichain", "ground minimal")):
     """An up-closed family of nonempty subsets, stored as its minimal antichain.
 
     The members must be nonempty subsets of the ground set, canonically
@@ -270,22 +263,19 @@ class Antichain:
     checks both rules.
     """
 
-    ground: GroundSet
-    minimal: tuple[int, ...]
+    __slots__ = ()
+    linked = False
 
-    linked: ClassVar[bool] = False
-
-    def __post_init__(self) -> None:
-        ms = self.minimal
-        if not ms:
+    def __init__(self, ground: GroundSet, minimal: tuple[int, ...]) -> None:
+        if not minimal:
             raise InputError("an antichain needs at least one member")
-        if ms != tuple(sorted(set(ms), key=canonical_key)):
+        if minimal != tuple(sorted(set(minimal), key=canonical_key)):
             raise InputError("minimal members must be canonically ordered")
-        full = self.ground.full
-        for i, a in enumerate(ms):
+        full = ground.full
+        for i, a in enumerate(minimal):
             if not 0 < a <= full:
                 raise InputError(f"member {a:#x} is empty or leaves the ground set")
-            for b in ms[i + 1 :]:
+            for b in minimal[i + 1 :]:
                 ab = a & b
                 if ab == a or ab == b:
                     raise InputError("minimal members must form an antichain")
@@ -311,10 +301,7 @@ def _trusted(cls: type[_A], ground: GroundSet, minimals: list[tuple[int, ...]]) 
 
     The objects skip ``__init__``, whose pair scan validates outside input.
     """
-    new = object.__new__
-    set_ground, set_minimal = Antichain.ground.__set__, Antichain.minimal.__set__
+    new = tuple.__new__
     for i, minimal in enumerate(minimals):
-        a = minimals[i] = new(cls)
-        set_ground(a, ground)
-        set_minimal(a, minimal)
+        minimals[i] = new(cls, (ground, minimal))
     return tuple(minimals)

@@ -12,10 +12,9 @@ pairs ordered small-side-first so the hardest constraints land early.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from itertools import chain
 from operator import getitem
-from typing import Callable, ClassVar, Iterator
+from typing import Callable, Iterator
 
 from . import parallel
 from .errors import InputError, TooLarge
@@ -40,7 +39,6 @@ from .setkit import (
 MAX_N = 7
 
 
-@dataclass(frozen=True, slots=True)
 class MaxLinkedSystem(Antichain):
     """A maximal linked system, canonically represented by its minimal antichain.
 
@@ -49,7 +47,11 @@ class MaxLinkedSystem(Antichain):
     systems from kernel leaves it has checked, without that scan.
     """
 
-    linked: ClassVar[bool] = True
+    __slots__ = ()
+    linked = True
+    # an entry of its own, so that wrapping it (as perfbench's tracer does)
+    # leaves the other antichain classes alone
+    __init__ = Antichain.__init__
 
 
 @functools.lru_cache(maxsize=MAX_N + 1)

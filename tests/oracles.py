@@ -337,3 +337,33 @@ def mls_count_by_split(n: int) -> int:
         count_up_sets(frozenset(c for c in range(full + 1) if c not in f0 and full ^ c not in f0), memo)
         for f0 in intersecting
     )
+
+
+def subbase_binary_literal(members: tuple[int, ...]) -> bool:
+    """Whether every linked subfamily has a common point, checked on every
+    subfamily of the distinct members."""
+    distinct = sorted(set(members))
+    for r in range(1, len(distinct) + 1):
+        for sub in combinations(distinct, r):
+            if is_linked_family(frozenset(sub)):
+                common = -1
+                for m in sub:
+                    common &= m
+                if not common:
+                    return False
+    return True
+
+
+def subbase_normal_literal(members: tuple[int, ...], full: int) -> tuple[int, int] | None:
+    """The first disjoint pair (S0, S1), in member order, that no pair
+    (T0, T1) with S0 & T1 = 0 = T0 & S1 and T0 | T1 = carrier screens,
+    trying every pair of members as (T0, T1); None if there is none."""
+    for i, s0 in enumerate(members):
+        for s1 in members[i + 1 :]:
+            if s0 & s1:
+                continue
+            if not any(
+                not s0 & t1 and not t0 & s1 and t0 | t1 == full for t0, t1 in product(members, repeat=2)
+            ):
+                return (s0, s1)
+    return None

@@ -10,9 +10,9 @@ from hypothesis import given, settings, strategies as st
 from supext import verify
 from supext.cli import main
 from supext.embed import operator_to_json
-from supext.functionals import Dirac, term_to_json
+from supext.functionals import MAX_GENERATORS, Dirac, term_to_json
 from supext.setkit import GroundSet
-from supext.subbase import Subbase, subbase_to_json
+from supext.subbase import MAX_MEMBERS, Subbase, subbase_to_json
 from supext.verify import two_in_three_operator
 
 
@@ -450,19 +450,27 @@ class TestExitContract:
             "regular --validate {op}",
             "enumerate --n 8",
             "verify --suite subbase-lambda --n 7",
+            "subbase --check normal --in {sb_members}",
+            "subbase --check binary --in {sb_members}",
+            "extend --generators {gens} --phi 0,1",
         ],
     )
     def test_size_caps(self, monkeypatch, tmp_path, command):
         """Every size cap is an input error, found before any enumeration."""
         sb = tmp_path / "sb.json"
         sb.write_text(json.dumps({"carrier": 70000, "members": ["1"]}))
+        # one member and one generator above their caps
+        sb_members = tmp_path / "sb_members.json"
+        sb_members.write_text(json.dumps({"carrier": 2, "members": ["1"] * (MAX_MEMBERS + 1)}))
+        gens = tmp_path / "gens.json"
+        gens.write_text(json.dumps({"n": 2, "generators": [{"b": ["0", "1"], "v": "1/2"}] * (MAX_GENERATORS + 1)}))
         op = tmp_path / "op.json"
         y = {"n": 17, "min_nbhd": [format(1 << x, "x") for x in range(17)]}
         op.write_text(json.dumps(
             {"X": {"n": 1, "min_nbhd": ["1"]}, "Y": y, "inject": [0], "table": [["0", "0"], ["1", "1"]]}
         ))
         monkeypatch.setattr(verify, "enumerate_mls", None)
-        code, out, err = run_quiet(command.format(sb=sb, op=op).split())
+        code, out, err = run_quiet(command.format(sb=sb, op=op, sb_members=sb_members, gens=gens).split())
         assert code == 2 and out == ""
         assert "input error" in err and "Traceback" not in err
 

@@ -161,3 +161,33 @@ def test_cli_import_leaves_out_concurrent_futures():
             env={"PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"},
         ).stdout
         assert out.strip() == expected, code
+
+
+def test_benchmark_commands_load_no_dataclasses(tmp_path):
+    """The value types are plain classes: neither ``import supext.cli`` nor
+    any command the benchmark runs loads ``dataclasses`` or ``inspect``,
+    which cost each fresh interpreter about 10 ms to import."""
+    src = str(Path(supext.__file__).resolve().parents[1])
+    gens = tmp_path / "gens.json"
+    gens.write_text('{"n": 2, "generators": [{"b": ["0", "1"], "v": "1/2"}]}')
+    unused = ["dataclasses", "inspect"]
+    report = f"import sys; print(sorted(set({unused!r}) & set(sys.modules)))"
+    command = "import contextlib, io, supext.cli\nwith contextlib.redirect_stdout(io.StringIO()): supext.cli.main({})\n"
+    argvs = [
+        "enumerate --n 3",
+        "ghyper --n 3",
+        f"extend --generators {gens} --phi 1,0",
+        "verify --suite counts --n 3 --workers 2",
+        "verify --suite eq1 --n 3",
+        "verify --suite subbase-lambda --n 3",
+        "verify --suite axioms --n 2 --trials 5",
+        "verify --suite functor-laws --n 2",
+        "verify --suite usco-roundtrip",
+    ]
+    cases = ["import supext.cli\n" + report] + [command.format(argv.split()) + report for argv in argvs]
+    for code in cases:
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+            env={"PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"},
+        ).stdout
+        assert out.strip() == "[]", code

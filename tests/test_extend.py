@@ -11,8 +11,9 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 import oracles
-from supext.errors import InputError
+from supext.errors import InputError, TooLarge
 from supext.functionals import (
+    MAX_GENERATORS,
     GeneratedSubspace,
     PointFunction,
     _concave_sup,
@@ -90,6 +91,15 @@ class TestConsistency:
         # b2 = 1 - b1 forces v2 = 1 - v1; assigning both the value 1 clashes
         with pytest.raises(InputError, match="generator values admit no monotone extension"):
             GeneratedSubspace(GroundSet(2), ((pf(0, 1), F(1)), (pf(1, 0), F(1))))
+
+    def test_generator_cap(self):
+        g = GroundSet(2)
+        gens = ((pf(0, 1), F(1, 2)),) * MAX_GENERATORS
+        full = GeneratedSubspace(g, gens)
+        with pytest.raises(TooLarge, match=f"{MAX_GENERATORS + 1} generators exceed {MAX_GENERATORS}"):
+            full.extended(pf(1, 0), F(1, 2))
+        with pytest.raises(TooLarge):
+            GeneratedSubspace(g, gens + gens)
 
     def test_empty_interval(self):
         # jointly inconsistent raw data (construction would reject it);

@@ -3,11 +3,14 @@ from __future__ import annotations
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
 from supext.errors import InputError, TooLarge
 from supext.setkit import GroundSet
+from supext.inclusion import candidate_subbase_gx
 from supext.subbase import (
+    MAX_MEMBERS,
     Subbase,
     is_binary,
     is_normal,
@@ -43,6 +46,15 @@ class TestIsBinary:
         with pytest.raises(TooLarge):
             Subbase(1 << 17, (1,))
 
+    def test_member_cap(self):
+        assert is_binary(Subbase(2, (1,) * MAX_MEMBERS)).ok
+        with pytest.raises(TooLarge, match=f"{MAX_MEMBERS + 1} subbase members exceed {MAX_MEMBERS}"):
+            Subbase(2, (1,) * (MAX_MEMBERS + 1))
+        # the subbases the package builds itself stay below the cap
+        assert len(lambda_plus_subbase(6).members) == 63
+        sb, _ = candidate_subbase_gx(GroundSet(4))
+        assert len(sb.members) < MAX_MEMBERS
+
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_plus_subbase_binary_normal(self, n):
         sb = lambda_plus_subbase(n)
@@ -77,6 +89,39 @@ class TestIsNormal:
     def test_screens_pair(self):
         # {1},{2} on a 2-point carrier screen each other
         assert is_normal(Subbase(2, (0b01, 0b10))).ok
+
+
+@st.composite
+def subbases(draw, max_carrier=7, max_members=9):
+    carrier = draw(st.integers(min_value=1, max_value=max_carrier))
+    members = draw(st.lists(st.integers(min_value=1, max_value=(1 << carrier) - 1), max_size=max_members))
+    return Subbase(carrier, tuple(members))
+
+
+class TestAgainstOracles:
+    @settings(max_examples=400, deadline=None)
+    @given(subbases())
+    def test_binary(self, sb):
+        check = is_binary(sb)
+        assert check.ok == oracles.subbase_binary_literal(sb.members)
+        if not check.ok:
+            # a maximal linked subfamily of distinct members with no common point
+            w = check.witness
+            assert check.axiom == "binary" and len(set(w)) == len(w) and set(w) <= set(sb.members)
+            assert oracles.is_linked_family(frozenset(w))
+            common = -1
+            for m in w:
+                common &= m
+            assert common == 0
+            assert all(any(not m & a for a in w) for m in set(sb.members) - set(w))
+
+    @settings(max_examples=400, deadline=None)
+    @given(subbases())
+    def test_normal(self, sb):
+        check = is_normal(sb)
+        expected = oracles.subbase_normal_literal(sb.members, sb.full)
+        assert (None if check.ok else check.witness) == expected
+        assert check.axiom == (None if check.ok else "normal")
 
 
 class TestHull:
