@@ -13,7 +13,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from . import verify
-from .errors import InputError, _exact, parse_rational
+from .errors import InputError, _exact, hex_masks, parse_rational
 from .setkit import GroundSet
 from .superext import enumerate_mls
 
@@ -66,7 +66,7 @@ def cmd_enumerate(args: argparse.Namespace) -> dict:
     lam = enumerate_mls(GroundSet(args.n), workers=args.workers)
     report: dict = {"n": args.n, "count": len(lam)}
     if not args.count_only:
-        report["systems"] = [[format(m, "x") for m in eta.minimal] for eta in lam]
+        report["systems"] = [hex_masks(eta.minimal) for eta in lam]
     return report
 
 
@@ -76,7 +76,7 @@ def cmd_ghyper(args: argparse.Namespace) -> dict:
     hs = enumerate_ih(GroundSet(args.n))
     report: dict = {"n": args.n, "count": len(hs)}
     if not args.count_only:
-        report["systems"] = [[format(m, "x") for m in a.minimal] for a in hs]
+        report["systems"] = [hex_masks(a.minimal) for a in hs]
     return report
 
 
@@ -114,7 +114,7 @@ def cmd_subbase(args: argparse.Namespace) -> dict:
 
     sb = subbase.subbase_from_json(Path(args.infile).read_bytes())
     res = subbase.is_binary(sb) if args.check == "binary" else subbase.is_normal(sb)
-    witness = [format(m, "x") for m in res.witness] if res.witness else None
+    witness = hex_masks(res.witness) if res.witness else None
     return {"check": args.check, "pass": res.ok, "witness": witness}
 
 
@@ -131,7 +131,7 @@ def cmd_usco(args: argparse.Namespace) -> dict:
 
     op = embed.operator_from_json(Path(args.source).read_bytes())
     r = embed.usco_from_regular(op)
-    values = [[[format(m, "x") for m in eta.minimal] for eta in vals] for vals in r.values]
+    values = [[hex_masks(eta.minimal) for eta in vals] for vals in r.values]
     return {"values": values, "usc": r.is_usc()}
 
 
@@ -140,9 +140,9 @@ def cmd_roundtrip(args: argparse.Namespace) -> dict:
 
     op = embed.operator_from_json(Path(args.op).read_bytes())
     r = embed.usco_from_regular(op)
-    rt = embed.regular_from_usco(r, domain=op.domain)
+    rt = embed.regular_from_usco(r)
     res = embed.validate_regular(rt)
-    table = [[format(u, "x"), format(eu, "x")] for u, eu in rt.table]
+    table = [hex_masks(pair) for pair in rt.table]
     return {"pass": res.ok, "axiom": res.axiom, "table": table}
 
 

@@ -12,8 +12,8 @@ from __future__ import annotations
 import json
 from collections import namedtuple
 
-from .errors import Check, InputError, TooLarge, Value, json_int, json_list, json_masks, read_json
-from .setkit import MAX_GROUND, GroundSet, bits, canonical_key
+from .errors import Check, InputError, TooLarge, Value, hex_masks, json_int, json_list, json_masks, read_json
+from .setkit import MAX_GROUND, GroundSet, bits, canonical_key, check_injection
 from .superext import MaxLinkedSystem, enumerate_mls, eta_point
 
 
@@ -94,11 +94,7 @@ class RegularOperator(Value, namedtuple("RegularOperator", "domain codomain inje
 
     def __init__(self, domain: FiniteTopSpace, codomain: FiniteTopSpace, inject: tuple[int, ...],
                  table: tuple[tuple[int, int], ...]) -> None:
-        if len(inject) != domain.n or len(set(inject)) != domain.n:
-            raise InputError("inject must be an injection of domain points")
-        for y in inject:
-            if not 0 <= y < codomain.n:
-                raise InputError("inject target out of range")
+        check_injection(inject, domain.n, codomain.n, "inject")
 
     def image_mask(self, x_mask: int) -> int:
         out = 0
@@ -213,6 +209,7 @@ def find_regular_operator(
     """
     if y.n > MAX_SEARCH_SPACE:
         raise TooLarge(f"existence search capped at {MAX_SEARCH_SPACE}-point ambient spaces")
+    check_injection(inject, x.n, y.n, "inject")
     opens_x = x.opens()
     opens_y = y.opens()
     img = lambda m: sum(1 << inject[p] for p in bits(m))
@@ -255,6 +252,7 @@ class UscoMap(Value, namedtuple("UscoMap", "space values inject")):
                  inject: tuple[int, ...]) -> None:
         if len(values) != space.n:
             raise InputError("one value per ambient point required")
+        check_injection(inject, len(inject), space.n, "inject")
 
     def is_usc_at(self, y: int) -> bool:
         """r(z) lies inside r(y) for every z in the minimal neighborhood of y."""
@@ -267,13 +265,14 @@ class UscoMap(Value, namedtuple("UscoMap", "space values inject")):
 
 
 def usco_from_regular(e: RegularOperator) -> UscoMap:
-    """r(y) = all systems containing the closure of every U with y in e(U).
+    """r(y) = all systems containing every U with y in e(U).
 
     Points outside every e(U) get the whole superextension; embedded
     points get exactly their principal system.  The embedded space must be
     T1, which for a finite space means discrete: if some U containing x has
     a closure with a second point y, the principal system of y lies in r(x)
-    too.  Over a discrete domain the result always passes check_usco_map.
+    too.  On the discrete domain each U is its own closure, and the result
+    always passes check_usco_map.
     """
     check = validate_regular(e)
     if not check.ok:
@@ -284,12 +283,8 @@ def usco_from_regular(e: RegularOperator) -> UscoMap:
     lam = enumerate_mls(GroundSet(e.domain.n))
     values = []
     for y in range(e.codomain.n):
-        closures = [e.domain.closure(u) for u, eu in e.table if u and (eu >> y & 1)]
-        if closures:
-            vals = tuple(eta for eta in lam if all(eta.contains(c) for c in closures))
-        else:
-            vals = lam
-        values.append(vals)
+        opens = [u for u, eu in e.table if eu >> y & 1]  # validated: e(empty) holds no y
+        values.append(tuple(eta for eta in lam if all(eta.contains(u) for u in opens)))
     return UscoMap(e.codomain, tuple(values), e.inject)
 
 
@@ -313,31 +308,23 @@ def check_usco_map(r: UscoMap) -> Check:
     return Check(True)
 
 
-def regular_from_usco(r: UscoMap, domain: FiniteTopSpace | None = None) -> RegularOperator:
-    """e(U) = points whose value lands inside U-plus.
+def regular_from_usco(r: UscoMap) -> RegularOperator:
+    """e(U) = points whose value lands inside U-plus, on the discrete domain.
 
-    U-plus is generated by the closed sets contained in U: a system lies
-    in it when some closed F inside U belongs to the system.  The map must
-    pass check_usco_map.
+    U-plus holds the systems with a closed member inside U; every subset of
+    the domain is closed and systems are up-closed, so it holds the systems
+    that contain U.  None contains the empty set, so e(empty) = empty.  The
+    map must pass check_usco_map, which refuses an empty value.
     """
     check = check_usco_map(r)
     if not check.ok:
         raise InputError(f"usco map fails {check.axiom} at point {check.witness}")
-    if domain is None:
-        domain = FiniteTopSpace.discrete(len(r.inject))
-    closed = [domain.full ^ o for o in domain.opens()]
-
-    def in_uplus(eta: MaxLinkedSystem, u: int) -> bool:
-        return any(f & ~u == 0 and eta.contains(f) for f in closed if f)
-
+    domain = FiniteTopSpace.discrete(len(r.inject))
     table = []
     for u in domain.opens():
-        if u == 0:
-            table.append((0, 0))
-            continue
         eu = 0
-        for y in range(r.space.n):
-            if all(in_uplus(eta, u) for eta in r.values[y]):
+        for y, vals in enumerate(r.values):
+            if all(eta.contains(u) for eta in vals):
                 eu |= 1 << y
         table.append((u, eu))
     return RegularOperator(domain, r.space, r.inject, tuple(table))
@@ -348,7 +335,7 @@ def regular_from_usco(r: UscoMap, domain: FiniteTopSpace | None = None) -> Regul
 
 
 def space_to_obj(space: FiniteTopSpace) -> dict:
-    return {"n": space.n, "min_nbhd": [format(m, "x") for m in space.min_nbhd]}
+    return {"n": space.n, "min_nbhd": hex_masks(space.min_nbhd)}
 
 
 def space_from_obj(obj: dict) -> FiniteTopSpace:
@@ -361,7 +348,7 @@ def operator_to_json(e: RegularOperator) -> str:
             "X": space_to_obj(e.domain),
             "Y": space_to_obj(e.codomain),
             "inject": list(e.inject),
-            "table": [[format(u, "x"), format(eu, "x")] for u, eu in e.table],
+            "table": [hex_masks(pair) for pair in e.table],
         },
         sort_keys=True,
     )

@@ -1,6 +1,7 @@
 """The base of supext's value types, the check result, the input errors
-shared by all supext modules, the one reader of input files, and the reads
-of JSON integer, rational, list and hex-mask fields that raise them."""
+shared by all supext modules, the one reader of input files, the reads
+of JSON integer, rational, list and hex-mask fields that raise them, and
+the one writer of hex masks."""
 
 from __future__ import annotations
 
@@ -8,7 +9,7 @@ import json
 import re
 import sys
 from collections import namedtuple
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Callable, Iterable
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -129,8 +130,18 @@ def json_list(value: object, field: str) -> list:
     return value
 
 
-# The digits supext writes through format(m, "x"); int(s, 16) alone also
-# reads a sign, "0x", "_", spaces, upper case and other scripts' digits.
+def hex_mask(mask: int) -> str:
+    """A subset mask as report text: lower-case hex digits, no prefix."""
+    return format(mask, "x")
+
+
+def hex_masks(masks: Iterable[int]) -> list[str]:
+    """A list of masks, each written by ``hex_mask``."""
+    return [format(m, "x") for m in masks]
+
+
+# The digits hex_mask writes; int(s, 16) alone also reads a sign, "0x",
+# "_", spaces, upper case and other scripts' digits.
 _MASK = re.compile(r"[0-9a-f]+")
 
 

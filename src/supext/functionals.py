@@ -24,8 +24,8 @@ from math import lcm
 from operator import itemgetter, mul
 from typing import Callable, Iterable, NamedTuple, Sequence
 
-from .errors import Check, InputError, TooLarge, Value, _exact, json_int, json_list, json_mask, json_masks, json_rational, read_json
-from .setkit import GroundSet, PointMap, bits, canonical_key
+from .errors import Check, InputError, TooLarge, Value, _exact, hex_mask, hex_masks, json_int, json_list, json_mask, json_masks, json_rational, read_json
+from .setkit import GroundSet, PointMap, bits, canonical_key, check_injection
 from .superext import MaxLinkedSystem, enumerate_mls
 
 
@@ -455,8 +455,7 @@ def retraction_from_extender(
     The extender contract (u(f) restricted to X equals f) is validated on
     the {0,1,2}^n grid before anything is returned.
     """
-    if len(x_to_y) != ground.n or len(set(x_to_y)) != ground.n:
-        raise InputError("x_to_y must inject the ground into the ambient points")
+    check_injection(x_to_y, ground.n, y_count, "x_to_y")
     for f in support_grid(ground):
         uf = list(u(f))
         if len(uf) != y_count:
@@ -653,11 +652,11 @@ def term_to_obj(term: Term) -> dict:
         case Dirac(x=x):
             return {"t": "dirac", "x": x}
         case MaxMin(system=eta):
-            return {"t": "maxmin", "minimal": [format(m, "x") for m in eta.minimal]}
+            return {"t": "maxmin", "minimal": hex_masks(eta.minimal)}
         case MinOver(mask=m):
-            return {"t": "min", "F": format(m, "x")}
+            return {"t": "min", "F": hex_mask(m)}
         case MaxOver(mask=m):
-            return {"t": "max", "F": format(m, "x")}
+            return {"t": "max", "F": hex_mask(m)}
         case Linear(weights=ws):
             return {"t": "linear", "w": [str(w) for w in ws]}
         case Convex(weights=ws, parts=ps):

@@ -90,10 +90,8 @@ def candidate_subbase_gx(
     carrier = enumerate_ih(ground)
     plus = _plus_columns((a.minimal for a in carrier), ground.n)
     subsets = sorted(ground.nonempty_subsets(), key=canonical_key)
-    members = [plus[f] for f in subsets]
-    for u in subsets:
-        members.append(
-            sum(1 << i for i, a in enumerate(carrier) if all(m & u for m in a.minimal))
-        )
+    everything = (1 << len(carrier)) - 1
+    # a member of an up-closed A misses U iff A holds the complement of U
+    members = [plus[f] for f in subsets] + [everything ^ plus[ground.full ^ u] for u in subsets]
     members = [m for m in members if m]
     return Subbase(len(carrier), tuple(members)), carrier

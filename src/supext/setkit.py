@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import functools
 from collections import namedtuple
-from typing import Iterable, Iterator, TypeVar
+from typing import Iterable, Iterator, Sequence, TypeVar
 
 from .errors import InputError, TooLarge, Value
 
@@ -69,6 +69,12 @@ class GroundSet(Value, namedtuple("GroundSet", "n")):
 
     def nonempty_subsets(self) -> range:
         return range(1, self.full + 1)
+
+
+def check_injection(image: Sequence[int], n: int, ambient: int, field: str) -> None:
+    """Refuse ``image`` unless it sends n points to distinct points of range(ambient)."""
+    if len(image) != n or len(set(image)) != n or not all(0 <= y < ambient for y in image):
+        raise InputError(f"{field} must be an injection of {n} points into {ambient}, got {list(image)}")
 
 
 class SetFamily(Value, namedtuple("SetFamily", "ground masks")):

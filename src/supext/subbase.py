@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from collections import namedtuple
 
-from .errors import Check, InputError, TooLarge, Value, json_int, json_masks, read_json
+from .errors import Check, InputError, TooLarge, Value, hex_masks, json_int, json_masks, read_json
 from .setkit import bits
 
 MAX_CARRIER = 1 << 16
@@ -126,12 +126,10 @@ def is_normal(sb: Subbase) -> Check:
 def s_hull(sb: Subbase, a: int) -> int:
     """Intersection of all members containing ``a``; the carrier if none does."""
     hull = sb.full
-    covered = False
     for m in sb.members:
         if a & ~m == 0:
             hull &= m
-            covered = True
-    return hull if covered else sb.full
+    return hull
 
 
 def is_s_convex(sb: Subbase, a: int) -> bool:
@@ -150,7 +148,7 @@ def sconvex_retraction(e, sb: Subbase) -> tuple[int, ...]:
     r(y) intersects the hulls of the closures of every open U with
     y in e(U); points outside all e(U) fall back to the whole carrier.
     """
-    from .embed import RegularOperator, validate_regular  # local: avoid cycle
+    from .embed import RegularOperator, validate_regular  # here: `subbase --check` needs no embed
 
     if not isinstance(e, RegularOperator):
         raise InputError("a regular operator is required")
@@ -162,18 +160,16 @@ def sconvex_retraction(e, sb: Subbase) -> tuple[int, ...]:
     values = []
     for y in range(e.codomain.n):
         acc = sb.full
-        hit = False
         for u, eu in e.table:
             if u and (eu >> y & 1):
                 acc &= s_hull(sb, e.domain.closure(u))
-                hit = True
-        values.append(acc if hit else sb.full)
+        values.append(acc)
     return tuple(values)
 
 
 def subbase_to_json(sb: Subbase) -> str:
     return json.dumps(
-        {"carrier": sb.carrier, "members": [format(m, "x") for m in sb.members]},
+        {"carrier": sb.carrier, "members": hex_masks(sb.members)},
         sort_keys=True,
     )
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from typing import TYPE_CHECKING
 
-from .errors import InputError
+from .errors import InputError, hex_masks
 from .setkit import GroundSet, PointMap, _plus_columns, _supersets, popcount
 from .superext import EXPECTED_MLS_COUNTS, _disjoint, enumerate_mls, lambda_map, lambda_map_image
 
@@ -69,7 +69,7 @@ def _eq1_chunk(args: tuple[int, tuple[tuple[int, ...], ...]]) -> tuple[int, list
                     for t in sorted(EQ1_GRID)[1:]:
                         levels |= 1 << sum(1 << x for x, a in enumerate(f) if a >= t)
                     grid.append((f, levels))
-            system = [format(m, "x") for m in minimal]
+            system = hex_masks(minimal)
             failures += ({"system": system, "f": list(f)} for f, levels in grid if levels & split)
     return len(EQ1_GRID) ** n * len(antichains), failures
 
@@ -250,10 +250,10 @@ def suite_subbase_lambda(n: int, workers: int = 1, **_: int) -> dict:
     failures = []
     b = is_binary(sb)
     if not b.ok:
-        failures.append({"check": "binary", "witness": [format(m, "x") for m in b.witness]})
+        failures.append({"check": "binary", "witness": hex_masks(b.witness)})
     m = is_normal(sb)
     if not m.ok:
-        failures.append({"check": "normal", "witness": [format(x, "x") for x in m.witness]})
+        failures.append({"check": "normal", "witness": hex_masks(m.witness)})
     return {"checks_run": 2, "failures": failures}
 
 
@@ -301,7 +301,7 @@ def suite_usco_roundtrip(n: int = 0, workers: int = 1, **_: int) -> dict:
             failures.append({"operator": name, "stage": "usco", "axiom": u.axiom, "witness": u.witness})
             continue
         checks += 1
-        rt = regular_from_usco(r, domain=e.domain)
+        rt = regular_from_usco(r)
         v2 = validate_regular(rt)
         if not v2.ok:
             failures.append({"operator": name, "stage": "roundtrip", "axiom": v2.axiom})

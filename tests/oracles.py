@@ -367,3 +367,25 @@ def subbase_normal_literal(members: tuple[int, ...], full: int) -> tuple[int, in
             ):
                 return (s0, s1)
     return None
+
+
+def uplus_operator_literal(values: list[list[tuple[int, ...]]], n: int) -> dict[int, int]:
+    """U -> {y : every system in r(y) lies in U-plus}, for every U of the
+    discrete n-point domain, straight from the definition.
+
+    ``values[y]`` lists the minimal members of each system in r(y).  U-plus
+    holds the systems with a closed set F inside U among their members; the
+    closed sets are the complements of the opens, and on the discrete domain
+    every subset is open.  F is a member when some minimal member lies in F.
+    """
+    full = (1 << n) - 1
+    closed = [full ^ o for o in range(1 << n)]
+    table = {}
+    for u in range(1 << n):
+        inside = [f for f in closed if f & ~u == 0]
+        table[u] = sum(
+            1 << y
+            for y, systems in enumerate(values)
+            if all(any(any(m & ~f == 0 for m in minimal) for f in inside) for minimal in systems)
+        )
+    return table

@@ -142,7 +142,7 @@ def test_c07_usco_constructions(capfd):
         g = GroundSet(len(r.inject))
         for x in range(g.n):
             ok &= r.values[r.inject[x]] == (eta_point(g, x),)
-        ok &= validate_regular(regular_from_usco(r, domain=e.domain)).ok
+        ok &= validate_regular(regular_from_usco(r)).ok
         names.append(name)
     verdict(capfd, "criterion 7: usco maps and operator round trips on carriers <= 9", ok, f"{len(names)} operators")
 

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+import oracles
 from supext.embed import (
     FiniteTopSpace,
     RegularOperator,
@@ -251,10 +252,28 @@ class TestCheckUscoMap:
             regular_from_usco(broken)
 
 
+def constant_off_x() -> UscoMap:
+    """Principal systems on the two embedded points, the whole superextension on the third."""
+    g = GroundSet(2)
+    lam = enumerate_mls(g)
+    return UscoMap(FiniteTopSpace.discrete(3), ((eta_point(g, 0),), (eta_point(g, 1),), lam), (0, 1))
+
+
+USCO_MAPS = [(name, usco_from_regular(op)) for name, op in standard_operators()]
+USCO_MAPS.append(("constant-off-x", constant_off_x()))
+
+
+@pytest.mark.parametrize("name_r", USCO_MAPS, ids=lambda p: p[0])
+def test_regular_from_usco_matches_the_uplus_definition(name_r):
+    _, r = name_r
+    values = [[eta.minimal for eta in vals] for vals in r.values]
+    assert dict(regular_from_usco(r).table) == oracles.uplus_operator_literal(values, len(r.inject))
+
+
 class TestRoundTrip:
     def test_identity(self):
         e = RegularOperator.identity(FiniteTopSpace.discrete(3))
-        back = regular_from_usco(usco_from_regular(e), domain=e.domain)
+        back = regular_from_usco(usco_from_regular(e))
         assert validate_regular(back).ok
         for u, eu in back.table:
             assert eu & back.x_image == back.image_mask(u)
@@ -262,16 +281,12 @@ class TestRoundTrip:
     @pytest.mark.parametrize("name_op", standard_operators(), ids=lambda p: p[0])
     def test_standard(self, name_op):
         _, op = name_op
-        back = regular_from_usco(usco_from_regular(op), domain=op.domain)
+        back = regular_from_usco(usco_from_regular(op))
         assert validate_regular(back).ok
 
     def test_constant_off_x(self):
         """r = whole superextension off X gives e(U) = U for U != X."""
-        g = GroundSet(2)
-        lam = enumerate_mls(g)
-        space = FiniteTopSpace.discrete(3)
-        r = UscoMap(space, ((eta_point(g, 0),), (eta_point(g, 1),), lam), (0, 1))
-        e = regular_from_usco(r)
+        e = regular_from_usco(constant_off_x())
         look = e.lookup()
         assert look[0b01] == 0b01 and look[0b10] == 0b10
         assert look[0b11] & 0b011 == 0b011
@@ -291,6 +306,29 @@ class TestFindRegular:
         x = FiniteTopSpace.discrete(2)
         y = FiniteTopSpace(2, (0b01, 0b11))  # Sierpinski: {1} is not open
         assert find_regular_operator(x, y, (0, 1)) is None
+
+
+class TestInjection:
+    """Every embedding is checked where it enters: n points sent to distinct
+    points of the ambient space, or an input error."""
+
+    @pytest.mark.parametrize("inject", [(0, 7), (0, 0), (0, -1)], ids=["outside", "twice", "negative"])
+    def test_usco_map(self, inject):
+        r = constant_off_x()
+        with pytest.raises(InputError, match="inject must be an injection"):
+            UscoMap(r.space, r.values, inject)
+
+    @pytest.mark.parametrize("inject", [(0, 7), (0, -1), (0,)], ids=["outside", "negative", "short"])
+    def test_find_regular_operator(self, inject):
+        y = two_in_three_operator().codomain
+        with pytest.raises(InputError, match="inject must be an injection"):
+            find_regular_operator(FiniteTopSpace.discrete(2), y, inject)
+
+    @pytest.mark.parametrize("inject", [(0, 3), (1, 1), (0, -1), (0,)], ids=["outside", "twice", "negative", "short"])
+    def test_regular_operator(self, inject):
+        e = two_in_three_operator()
+        with pytest.raises(InputError, match="inject must be an injection"):
+            RegularOperator(e.domain, e.codomain, inject, e.table)
 
 
 class TestJson:

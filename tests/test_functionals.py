@@ -403,6 +403,11 @@ class TestExtender:
         with pytest.raises(InputError, match="does not restrict to f"):
             retraction_from_extender(lambda f: [F(0), F(0)], g, 2, [0, 1])
 
+    @pytest.mark.parametrize("x_to_y", [(0, 5), (0, -1)], ids=["outside", "negative"])
+    def test_not_an_injection(self, x_to_y):
+        with pytest.raises(InputError, match="x_to_y must be an injection"):
+            retraction_from_extender(lambda f: list(f.values), GroundSet(2), 2, x_to_y)
+
 
 class TestSPreimage:
     def test_identity(self):

@@ -130,6 +130,18 @@ class TestCandidateSubbase:
         full = (1 << len(carrier)) - 1
         assert full in sb.members  # <X> is the whole carrier
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_members_match_definitions(self, n):
+        """The containment sets {A : F in A}, then the transversal sets
+        {A : every member of A meets U}, each over the nonempty subsets in
+        canonical order, with the empty ones left out."""
+        sb, carrier = candidate_subbase_gx(GroundSet(n))
+        ups = [oracles.up_closure_of(frozenset(a.minimal), n) for a in carrier]
+        subsets = sorted(range(1, 1 << n), key=lambda m: (oracles.popcount(m), m))
+        containment = [sum(1 << i for i, up in enumerate(ups) if f in up) for f in subsets]
+        transversal = [sum(1 << i for i, up in enumerate(ups) if all(a & u for a in up)) for u in subsets]
+        assert sb.members == tuple(m for m in containment + transversal if m)
+
     @pytest.mark.parametrize("n", [2, 3])
     def test_candidate_is_binary(self, n):
         # verified by the checker, never assumed
