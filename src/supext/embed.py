@@ -13,7 +13,7 @@ import json
 from collections import namedtuple
 
 from .errors import Check, InputError, TooLarge, Value, hex_masks, json_int, json_list, json_masks, read_json
-from .setkit import MAX_GROUND, GroundSet, bits, canonical_key, check_injection
+from .setkit import MAX_GROUND, GroundSet, _canonical, _down, bits, canonical_key, check_injection
 from .superext import MaxLinkedSystem, enumerate_mls, eta_point
 
 
@@ -134,13 +134,22 @@ def validate_regular(e: RegularOperator) -> Check:
             return Check(False, "image not open", (u, eu))
     if e.table[0][1] != 0:  # the empty set, the least open, comes first
         return Check(False, "empty set must map to the empty set", e.table[0])
+    x_image = e.x_image
+    holders = [0] * e.codomain.n  # per point y, the family bitset of the opens whose image holds y
     for u, eu in e.table:
-        if eu & e.x_image != e.image_mask(u):
+        if eu & x_image != e.image_mask(u):
             return Check(False, "trace", (u, eu))
-    for i, (u, eu) in enumerate(e.table):
-        for v, ev in e.table[i + 1 :]:
-            if not u & v and eu & ev:
-                return Check(False, "disjointness", (u, v))
+        for y in bits(eu):
+            holders[y] |= 1 << u
+    for u, eu in e.table:
+        # the opens disjoint from u whose image meets e(u); one before u would
+        # have failed first, so the least of them is the pair scan's partner
+        clash = 0
+        for y in bits(eu):
+            clash |= holders[y]
+        clash &= _down(e.domain.full ^ u)
+        if clash:
+            return Check(False, "disjointness", (u, _canonical(clash, e.domain.n)[0]))
     return Check(True)
 
 

@@ -5,6 +5,10 @@ with bit i standing for point i.  A family is a 2^n-bit family bitset,
 bit A standing for the subset with mask A, or an ``Antichain`` of its
 minimal members, kept in the canonical (cardinality, mask) order, which
 makes every enumeration downstream deterministic and diffable.
+
+Every layer reads family bitsets through the private helpers here: the
+sets one point above the members, the members' complements, the sets in
+canonical order, and the subsets of a set.
 """
 
 from __future__ import annotations
@@ -154,22 +158,23 @@ def is_linked(fam: SetFamily) -> bool:
     return True
 
 
+def _down(m: int) -> int:
+    """The subsets of ``m``, as a family bitset."""
+    word = 1  # the empty set
+    for x in bits(m):
+        word |= word << (1 << x)
+    return word
+
+
 @functools.lru_cache(maxsize=MAX_GROUND)
-def _lacks(n: int) -> tuple[int, ...]:
-    """Per point x, the bitset over the 2^n subsets of those not containing x.
+def _lacks(n: int) -> tuple[tuple[int, int], ...]:
+    """Per point x, the bitset over the 2^n subsets of those lacking x, and 2^x.
 
     Bit B of a family bitset stands for the subset with mask B, so
-    ``(fam & _lacks(n)[x]) << (1 << x)`` adds x to every member lacking it.
+    ``(fam & lacks) << step`` adds x to every member lacking it.
     """
-    size = 1 << n
-    out = []
-    for x in range(n):
-        word, width = (1 << (1 << x)) - 1, 2 << x
-        while width < size:
-            word |= word << width
-            width <<= 1
-        out.append(word)
-    return tuple(out)
+    full = (1 << n) - 1
+    return tuple((_down(full ^ 1 << x), 1 << x) for x in range(n))
 
 
 @functools.lru_cache(maxsize=MAX_GROUND)
@@ -178,13 +183,69 @@ def _supersets(n: int) -> tuple[int, ...]:
     return tuple(up_closure((s,), n) for s in range(1 << n))
 
 
+@functools.lru_cache(maxsize=MAX_GROUND)
+def _disjoint(n: int) -> tuple[int, ...]:
+    """Per subset s, the bitset over the 2^n subsets of those disjoint from s.
+
+    A family bitset meets ``_disjoint(n)[s]`` iff one of its members is disjoint from s.
+    """
+    full = (1 << n) - 1
+    return tuple(_down(full ^ s) for s in range(full + 1))
+
+
+def _covered(fam: int, n: int) -> int:
+    """The sets T | {x} for each member T of ``fam`` that lacks the point x."""
+    covered = 0
+    for lacks, step in _lacks(n):
+        covered |= (fam & lacks) << step
+    return covered
+
+
+# each byte with its 8 bits in reverse order
+_FLIP = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
+
+
+def _complements(fam: int, n: int) -> int:
+    """The complements of the members: bit A moves to bit 2^n - 1 - A, so the
+    2^n-bit word is reversed, byte by byte (below n = 3, within one byte)."""
+    size = 1 << n
+    nbytes = (size + 7) // 8
+    return int.from_bytes(fam.to_bytes(nbytes, "little").translate(_FLIP), "big") >> (8 * nbytes - size)
+
+
+@functools.lru_cache(maxsize=MAX_GROUND)
+def _levels(n: int) -> tuple[int, ...]:
+    """Per size k, the bitset over the 2^n subsets of those with k points."""
+    levels = [1]  # on no points: the empty set
+    for x in range(n):
+        # a subset of points 0..x has x or not
+        levels = [lo | hi << (1 << x) for lo, hi in zip(levels + [0], [0] + levels)]
+    return tuple(levels)
+
+
+def _canonical(word: int, n: int) -> tuple[int, ...]:
+    """The sets of a family bitset in canonical order: by size, then by mask."""
+    out = []
+    for level in _levels(n):
+        sets = word & level
+        if sets:
+            word ^= sets
+            while sets:
+                low = sets & -sets
+                out.append(low.bit_length() - 1)
+                sets ^= low
+            if not word:
+                break
+    return tuple(out)
+
+
 def up_closure(masks: Iterable[int], n: int) -> int:
     """The up-closure of ``masks`` within an n-point ground, as a family bitset."""
     fam = 0
     for m in masks:
         fam |= 1 << m
-    for x, lacks in enumerate(_lacks(n)):
-        fam |= (fam & lacks) << (1 << x)
+    for lacks, step in _lacks(n):
+        fam |= (fam & lacks) << step
     return fam
 
 
@@ -193,30 +254,20 @@ def minimal_members(fam: int, n: int) -> tuple[int, ...]:
 
     In an up-closed family a member is minimal iff removing any one of its
     points leaves the family, so the non-minimal members are exactly the
-    sets T | {x} with T a member lacking x.
+    covered sets.
     """
-    covered = 0
-    for x, lacks in enumerate(_lacks(n)):
-        covered |= (fam & lacks) << (1 << x)
-    return tuple(sorted(bits(fam & ~covered), key=canonical_key))
+    return _canonical(fam & ~_covered(fam, n), n)
 
 
 def is_self_dual_upclosed(fam: int, n: int) -> bool:
     """Up-closed, empty-set-free, and containing exactly one of A / complement(A).
 
     This is the combinatorial characterization of maximal linked
-    families on a finite discrete space.  Complementation sends bit A to
-    bit full ^ A = 2^n - 1 - A, so the complements of the members are the
-    2^n-bit word read backwards.
+    families on a finite discrete space: no covered set lies outside the
+    family, and the family and its complements together hold every set
+    exactly once.
     """
-    if fam & 1:
-        return False
-    for x, lacks in enumerate(_lacks(n)):
-        if (fam & lacks) << (1 << x) & ~fam:
-            return False
-    size = 1 << n
-    flipped = int(format(fam, f"0{size}b")[::-1], 2)
-    return fam ^ flipped == (1 << size) - 1
+    return not fam & 1 and not _covered(fam, n) & ~fam and fam ^ _complements(fam, n) == (1 << (1 << n)) - 1
 
 
 def _plus_columns(minimals: Iterable[tuple[int, ...]], n: int) -> list[int]:

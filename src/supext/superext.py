@@ -13,8 +13,7 @@ from __future__ import annotations
 
 import functools
 from itertools import chain
-from operator import getitem
-from typing import Callable, Iterator
+from typing import Iterator
 
 from . import parallel
 from .errors import InputError, TooLarge
@@ -23,11 +22,13 @@ from .setkit import (
     GroundSet,
     PointMap,
     SetFamily,
+    _canonical,
+    _complements,
+    _covered,
+    _disjoint,
     _image_bits,
-    _lacks,
     _pushforward_bits,
     _trusted,
-    bits,
     canonical_key,
     is_linked,
     is_self_dual_upclosed,
@@ -58,29 +59,8 @@ class MaxLinkedSystem(Antichain):
 def _pair_order(n: int) -> tuple[tuple[int, int], ...]:
     """Complementary pairs {A, A^c}, small side first, hardest pairs earliest."""
     full = (1 << n) - 1
-    pairs = []
-    for a in range(1, full):
-        b = full ^ a
-        if canonical_key(a) < canonical_key(b):
-            pairs.append((a, b))
-    pairs.sort(key=lambda p: canonical_key(p[0]))
-    return tuple(pairs)
-
-
-@functools.lru_cache(maxsize=MAX_N + 1)
-def _disjoint(n: int) -> tuple[int, ...]:
-    """Per subset s, the bitset over the 2^n subsets of those disjoint from s.
-
-    A family bitset meets ``_disjoint(n)[s]`` iff one of its members is disjoint from s.
-    """
-    full = (1 << n) - 1
-    out = []
-    for s in range(full + 1):
-        word = 1  # the empty set
-        for x in bits(full ^ s):
-            word |= word << (1 << x)
-        out.append(word)
-    return tuple(out)
+    sides = _canonical((1 << full) - 2, n)  # every set but the empty and the full one
+    return tuple((a, full ^ a) for a in sides if canonical_key(a) < canonical_key(full ^ a))
 
 
 def _backtrack(n: int, fam: int, depth: int, stop: int) -> Iterator[int]:
@@ -107,47 +87,6 @@ def _backtrack(n: int, fam: int, depth: int, stop: int) -> Iterator[int]:
             push((fam | 1 << a, depth))
 
 
-@functools.lru_cache(maxsize=MAX_N + 1)
-def _leaf_tables(n: int) -> tuple[Callable[[int], int], Callable[[int], tuple[int, ...]]]:
-    """Two readers of family bitsets over the 2^n subsets, through byte tables.
-
-    ``reverse(fam)`` is the bitset of the complements of the members: bit A
-    moves to bit 2^n - 1 - A, byte by byte through ``bytes.translate``.
-    ``read(word)`` lists the sets of ``word`` in canonical order without a
-    sort: one table per byte position maps the byte to the canonical ranks
-    of its sets, and one per byte of the rank bitset gives those sets as a
-    ready-made tuple.
-    """
-    size = 1 << n
-    nbytes = (size + 7) // 8
-    shift = 8 * nbytes - size  # below n = 3 the word fills part of one byte
-    flip = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
-    by_rank = sorted(range(size), key=canonical_key)
-    rank = {s: r for r, s in enumerate(by_rank)}
-    to_rank: list[list[int]] = []
-    from_rank: list[list[tuple[int, ...]]] = []
-    for p in range(nbytes):
-        sets = [0] * 256
-        ranked: list[tuple[int, ...]] = [()] * 256
-        for v in range(1, 256):
-            top = v.bit_length() - 1
-            j = 8 * p + top
-            sets[v] = sets[v ^ 1 << top] | (1 << rank[j] if j < size else 0)
-            ranked[v] = ranked[v ^ 1 << top] + ((by_rank[j],) if j < size else ())
-        to_rank.append(sets)
-        from_rank.append(ranked)
-
-    def reverse(fam: int) -> int:
-        return int.from_bytes(fam.to_bytes(nbytes, "little").translate(flip), "big") >> shift
-
-    def read(word: int) -> tuple[int, ...]:
-        # sets of distinct bytes have distinct ranks, so the sum is their union
-        ranks = sum(map(getitem, to_rank, word.to_bytes(nbytes, "little")))
-        return sum(map(getitem, from_rank, ranks.to_bytes(nbytes, "little")), ())
-
-    return reverse, read
-
-
 def _enum_subtree(args: tuple[int, int, int]) -> list[tuple[int, ...]]:
     """Worker: the minimal members of every system below a family bitset whose
     pair sides are chosen up to ``depth``, in the order the tree yields them.
@@ -159,19 +98,15 @@ def _enum_subtree(args: tuple[int, int, int]) -> list[tuple[int, ...]]:
     The result is a list: the benchmark reads a tuple as an eq1 chunk.
     """
     n, fam, depth = args
-    reverse, read = _leaf_tables(n)
     ones = (1 << (1 << n)) - 1
-    steps = [(lacks, 1 << x) for x, lacks in enumerate(_lacks(n))]
     out = []
     for leaf in _backtrack(n, fam, depth, len(_pair_order(n))):
-        covered = 0
-        for lacks, step in steps:
-            covered |= (leaf & lacks) << step
+        covered = _covered(leaf, n)
         # an invariant of the kernel, not a precondition: no input breaks it
-        assert not leaf & 1 and not covered & ~leaf and leaf ^ reverse(leaf) == ones, (
+        assert not leaf & 1 and not covered & ~leaf and leaf ^ _complements(leaf, n) == ones, (
             "kernel leaf is not a maximal linked system"
         )
-        out.append(read(leaf & ~covered))
+        out.append(_canonical(leaf & ~covered, n))
     return out
 
 

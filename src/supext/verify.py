@@ -12,8 +12,8 @@ import itertools
 from typing import TYPE_CHECKING
 
 from .errors import InputError, hex_masks
-from .setkit import GroundSet, PointMap, _plus_columns, _supersets, popcount
-from .superext import EXPECTED_MLS_COUNTS, _disjoint, enumerate_mls, lambda_map, lambda_map_image
+from .setkit import GroundSet, PointMap, _disjoint, _plus_columns, _supersets, popcount
+from .superext import EXPECTED_MLS_COUNTS, enumerate_mls, lambda_map, lambda_map_image
 
 # Only the modules the counts and eq1 suites use are imported here; every
 # other suite imports its modules itself, so a census job never loads

@@ -389,3 +389,14 @@ def uplus_operator_literal(values: list[list[tuple[int, ...]]], n: int) -> dict[
             if all(any(any(m & ~f == 0 for m in minimal) for f in inside) for minimal in systems)
         )
     return table
+
+
+def first_disjoint_pair_literal(table: tuple[tuple[int, int], ...]) -> tuple[int, int] | None:
+    """The first pair of table entries (U, e(U)), (V, e(V)), in table order,
+    with U and V disjoint but e(U) and e(V) meeting, trying every pair; None
+    if there is none."""
+    for i, (u, eu) in enumerate(table):
+        for v, ev in table[i + 1 :]:
+            if not u & v and eu & ev:
+                return (u, v)
+    return None

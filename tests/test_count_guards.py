@@ -4,7 +4,8 @@ They count calls instead of timing them, so they are deterministic: a change
 that brings back per-call set-family canonicalisation in the pushforwards,
 repeated pushforwards in the functor laws, per-term redrawing of the axiom
 trials, rational arithmetic in the axiom check of a term, or a process pool
-for work smaller than its start-up, fails here rather than only showing up
+for work smaller than its start-up, or the traced family operations in the
+enumeration kernel, fails here rather than only showing up
 as a slower benchmark.
 """
 
@@ -17,7 +18,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import supext
-from supext import functionals, inclusion, parallel, setkit, verify
+from supext import functionals, inclusion, parallel, setkit, superext, verify
 from supext.setkit import GroundSet, SetFamily
 
 
@@ -134,6 +135,29 @@ def test_no_pool_for_eq1_below_n7(monkeypatch):
     assert verify.suite_eq1(5, workers=2)["checks_run"] == 82944
     assert verify.suite_eq1(6, workers=2)["checks_run"] == 10_838_016
     assert started == []
+
+
+def test_kernel_calls_no_traced_family_operation(monkeypatch):
+    """The kernel checks and reads its leaves through setkit's private
+    helpers, so the benchmark's setkit metrics count none of its work."""
+    calls = []
+
+    def counting(name, fn):
+        def wrapped(*args):
+            calls.append(name)
+            return fn(*args)
+
+        return wrapped
+
+    for module in (setkit, superext):
+        for name in ("up_closure", "minimal_members", "is_self_dual_upclosed"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+    setkit.minimal_members(setkit.up_closure((1,), 1), 1)  # the counter sees calls
+    assert calls == ["up_closure", "minimal_members"]
+    calls.clear()
+    assert len(superext._enum_subtree((5, 1 << GroundSet(5).full, 0))) == 81
+    assert calls == []
 
 
 def test_cli_import_leaves_out_concurrent_futures():

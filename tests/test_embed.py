@@ -4,6 +4,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
 from supext.embed import (
@@ -21,7 +22,7 @@ from supext.embed import (
     validate_regular,
 )
 from supext.errors import Check, InputError
-from supext.setkit import GroundSet
+from supext.setkit import GroundSet, bits
 from supext.superext import enumerate_mls, eta_point
 from supext.verify import standard_operators, two_in_three_operator
 
@@ -116,6 +117,37 @@ class TestValidateRegular:
             x, y, (0, 1), ((0, 0), (0b01, 0b101), (0b10, 0b110), (0b11, 0b111))
         )
         assert validate_regular(e).axiom == "disjointness"
+
+    @settings(max_examples=400, deadline=None)
+    @given(data=st.data())
+    def test_disjointness_matches_pair_scan(self, data):
+        """Verdict and witness against the scan over every pair of entries, on
+        operators that pass the other axioms: X on up to 5 points, discrete or
+        a random preorder, inside a discrete Y with up to 3 more points, each
+        image the injected open plus drawn points outside X."""
+        n = data.draw(st.integers(min_value=1, max_value=5))
+        nb = [1 << p for p in range(n)]
+        if data.draw(st.booleans()):
+            nb = [m | data.draw(st.integers(min_value=0, max_value=(1 << n) - 1)) for m in nb]
+            grown = True
+            while grown:  # a neighborhood holds the neighborhoods of its points
+                grown = False
+                for p in range(n):
+                    for q in bits(nb[p]):
+                        if nb[q] & ~nb[p]:
+                            nb[p] |= nb[q]
+                            grown = True
+        x = FiniteTopSpace(n, tuple(nb))
+        m = n + data.draw(st.integers(min_value=0, max_value=3))
+        inject = tuple(data.draw(st.permutations(range(m)))[:n])
+        outside = (1 << m) - 1 - sum(1 << y for y in inject)
+        table = [(0, 0)]
+        for u in x.opens()[1:]:
+            spill = data.draw(st.integers(min_value=0, max_value=(1 << m) - 1)) & outside
+            table.append((u, sum(1 << inject[p] for p in bits(u)) | spill))
+        e = RegularOperator(x, FiniteTopSpace.discrete(m), inject, tuple(table))
+        pair = oracles.first_disjoint_pair_literal(e.table)
+        assert validate_regular(e) == (Check(True) if pair is None else Check(False, "disjointness", pair))
 
     def test_standard_operators(self):
         for name, op in standard_operators():

@@ -27,6 +27,16 @@ TRACE_VIOLATION = RegularOperator(
     ((0, 0), (1, 3), (2, 2), (3, 7)),
 )
 
+# Discrete 3-point X inside a discrete 4-point Y; the opens {1} and {0, 2}
+# are disjoint but both images hold point 3, so the operator breaks
+# disjointness, and no earlier pair of opens does.
+DISJOINTNESS_VIOLATION = RegularOperator(
+    FiniteTopSpace.discrete(3),
+    FiniteTopSpace.discrete(4),
+    (0, 1, 2),
+    ((0, 0), (1, 1), (2, 0b1010), (4, 4), (3, 3), (5, 0b1101), (6, 6), (7, 0b1111)),
+)
+
 # Generators on 4 points valued by the max-min functional of the system
 # generated by the 2-subsets of {0, 1, 2}; the phi0 of the cases below is
 # on no generator orbit.
@@ -47,6 +57,7 @@ INPUTS = {
     "gens.json": GENERATORS,
     "gens-inconsistent.json": INCONSISTENT_GENERATORS,
     "trace-op.json": operator_to_json(TRACE_VIOLATION),
+    "disjoint-op.json": operator_to_json(DISJOINTNESS_VIOLATION),
     "linked-triangle.json": subbase_to_json(Subbase(3, (0b011, 0b110, 0b101))),
     "unscreened.json": subbase_to_json(Subbase(3, (0b001, 0b010))),
 }
@@ -89,6 +100,8 @@ CASES = [
     # failing reports: exit 1 with a witness
     ("axioms --term {dir}/min-term.json --n 2", 1, "9d82436c9bd185ae41904b43c91f1e8abf6d72b5b57092c7d5f2f981ba0a4f45"),
     ("regular --validate {dir}/trace-op.json", 1, "f39ba0e37189e75a13247ed8742cfce9878d05c2056910c4fc4584d6ad62efbc"),
+    # witness [2, 5]: the opens {1} and {0, 2}
+    ("regular --validate {dir}/disjoint-op.json", 1, "67b29ae9dfa97bdbd2cbf164c8039a3bf188b4d0bd55628175d435a2c39f9276"),
     ("subbase --check binary --in {dir}/linked-triangle.json", 1, "d2aaf3f0449c12625cf4742625f542c73e92984489ab154559e42a94b4edf5e5"),
     ("subbase --check normal --in {dir}/unscreened.json", 1, "ff4141801d815578850f3f1b059759127560a2c8496f9216b5345fc3c471435a"),
 ]

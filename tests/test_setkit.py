@@ -6,9 +6,15 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from supext.errors import InputError, TooLarge
 from supext.setkit import (
+    MAX_GROUND,
     GroundSet,
     PointMap,
     SetFamily,
+    _canonical,
+    _complements,
+    _covered,
+    _disjoint,
+    _down,
     bits,
     canonical_key,
     is_linked,
@@ -160,6 +166,24 @@ def test_bitset_operations_match_oracles(nm):
     assert is_self_dual_upclosed(sum(1 << m for m in drawn), n) == (
         oracles.is_up_closed(drawn, n) and oracles.is_maximal_linked(drawn, n)
     )
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_family_codec_matches_definitions(data):
+    """The family-bitset helpers against their definitions, on every ground
+    size up to MAX_GROUND; the per-subset table of disjoint sets up to n = 10."""
+    n = data.draw(st.integers(min_value=1, max_value=MAX_GROUND))
+    full = (1 << n) - 1
+    sets = st.integers(min_value=0, max_value=full)
+    word = sum(1 << a for a in data.draw(st.sets(sets, max_size=40)))
+    m = data.draw(sets)
+    assert _canonical(word, n) == tuple(sorted(bits(word), key=canonical_key))
+    assert _complements(word, n) == sum(1 << (full ^ a) for a in bits(word))
+    assert members(_covered(word, n)) == {t | 1 << x for t in bits(word) for x in range(n) if not t >> x & 1}
+    assert _down(m) == sum(1 << t for t in range(full + 1) if t & m == t)
+    if n <= 10:
+        assert _disjoint(n)[m] == sum(1 << t for t in range(full + 1) if not t & m)
 
 
 class TestPointMap:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from supext import superext
+from supext import setkit, superext
 from supext.errors import InputError, TooLarge
 from supext.setkit import GroundSet, PointMap, SetFamily, _plus_columns, bits, up_closure
 from supext.superext import (
@@ -113,12 +113,14 @@ class TestKernel:
     @settings(max_examples=100, deadline=None)
     @given(masks=st.lists(st.integers(min_value=1, max_value=127), min_size=1, max_size=12))
     def test_readout_tables_at_n7(self, masks):
-        """At n = 7 the tables list the minimal members of an up-closed family in
-        canonical order, and reverse the family into its complements."""
+        """At n = 7 the readout lists the minimal members of an up-closed family
+        in canonical order, and the complement map reverses the family into its
+        complements."""
         n = 7
         fam = oracles.up_closure_of(frozenset(masks), n)
         minimal = oracles.minimal_of(fam)
-        reverse, read = superext._leaf_tables(n)
+        read = lambda word: setkit._canonical(word, n)
+        reverse = lambda fam: setkit._complements(fam, n)
         assert read(sum(1 << m for m in minimal)) == oracles.sorted_minimal_readout(sum(1 << a for a in fam), n)
         assert reverse(sum(1 << a for a in fam)) == sum(1 << (127 ^ a) for a in fam)
 
@@ -143,7 +145,7 @@ class TestKernel:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_disjoint_table(self, n):
-        table = superext._disjoint(n)
+        table = setkit._disjoint(n)
         for s in range(1 << n):
             assert table[s] == sum(1 << t for t in range(1 << n) if not t & s)
 
