@@ -12,7 +12,7 @@ import sys
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from . import verify
+from . import parallel, verify
 from .errors import InputError, _exact, hex_masks, parse_rational
 from .setkit import GroundSet
 from .superext import enumerate_mls
@@ -54,8 +54,8 @@ def _parse_values(text: str, option: str) -> list[Fraction]:
 
 def _worker_count(text: str) -> int:
     workers = int(text)
-    if workers < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {workers}")
+    if not 1 <= workers <= parallel.MAX_WORKERS:
+        raise argparse.ArgumentTypeError(f"must be from 1 to {parallel.MAX_WORKERS}, got {workers}")
     return workers
 
 

@@ -12,10 +12,19 @@ from typing import Callable, Sequence, TypeVar
 T = TypeVar("T")
 R = TypeVar("R")
 
+# The largest pool map_chunks starts, and the largest --workers the CLI
+# takes.  A pool forks all its processes at the first task, each a copy of
+# the caller, so an unbounded count could exhaust the machine's processes or
+# memory before any work is done.  256 is far above the cores of the
+# machines this runs on.
+MAX_WORKERS = 256
+
 
 def map_chunks(fn: Callable[[T], R], items: Sequence[T], workers: int) -> list[R]:
-    """Apply ``fn`` to every item, preserving input order in the result."""
-    if workers <= 1 or len(items) <= 1:
+    """Apply ``fn`` to every item, preserving input order in the result, in a
+    pool of at most one process per item and at most ``MAX_WORKERS``."""
+    workers = min(workers, len(items), MAX_WORKERS)
+    if workers <= 1:
         return [fn(it) for it in items]
     # imported here: concurrent.futures adds about 30 ms to every CLI
     # start-up, and most runs never start a pool

@@ -142,22 +142,6 @@ class PointMap(Value, namedtuple("PointMap", "dom cod image")):
         return PointMap(inner.dom, self.cod, tuple(self.image[y] for y in inner.image))
 
 
-def is_linked(fam: SetFamily) -> bool:
-    """True iff every pair of members intersects.
-
-    The empty family and singleton families are linked; any family
-    containing the empty set is not (the empty set meets nothing).
-    """
-    ms = fam.masks
-    if 0 in ms:
-        return False
-    for i in range(len(ms)):
-        for j in range(i + 1, len(ms)):
-            if not ms[i] & ms[j]:
-                return False
-    return True
-
-
 def _down(m: int) -> int:
     """The subsets of ``m``, as a family bitset."""
     word = 1  # the empty set

@@ -23,14 +23,12 @@ from .setkit import (
     PointMap,
     SetFamily,
     _canonical,
-    _complements,
     _covered,
     _disjoint,
     _image_bits,
     _pushforward_bits,
     _trusted,
     canonical_key,
-    is_linked,
     is_self_dual_upclosed,
     minimal_members,
 )
@@ -45,7 +43,8 @@ class MaxLinkedSystem(Antichain):
 
     Construction checks that the antichain is linked;
     ``is_maximal_linked`` checks maximality.  ``enumerate_mls`` builds its
-    systems from kernel leaves it has checked, without that scan.
+    systems from kernel leaves, maximal linked by construction, without
+    that scan.
     """
 
     __slots__ = ()
@@ -92,22 +91,12 @@ def _enum_subtree(args: tuple[int, int, int]) -> list[tuple[int, ...]]:
     pair sides are chosen up to ``depth``, in the order the tree yields them.
 
     A leaf holds one side of every complementary pair and is linked, so it is
-    maximal linked.  One pass per leaf computes the sets one point above its
-    members, checks the leaf from them (no empty set, up-closed, one side of
-    each pair) and reads off the minimal members, the members not so covered.
+    maximal linked, hence up-closed; the tests check every leaf for n <= 7.
+    Its minimal members are the members not one point above another member.
     The result is a list: the benchmark reads a tuple as an eq1 chunk.
     """
     n, fam, depth = args
-    ones = (1 << (1 << n)) - 1
-    out = []
-    for leaf in _backtrack(n, fam, depth, len(_pair_order(n))):
-        covered = _covered(leaf, n)
-        # an invariant of the kernel, not a precondition: no input breaks it
-        assert not leaf & 1 and not covered & ~leaf and leaf ^ _complements(leaf, n) == ones, (
-            "kernel leaf is not a maximal linked system"
-        )
-        out.append(_canonical(leaf & ~covered, n))
-    return out
+    return [_canonical(leaf & ~_covered(leaf, n), n) for leaf in _backtrack(n, fam, depth, len(_pair_order(n)))]
 
 
 def _split_depth(n: int) -> int:
@@ -157,12 +146,13 @@ def complete_linked(fam: SetFamily) -> MaxLinkedSystem:
     smaller mask when both sides are consistent.  A linked family never
     dead-ends: once one side conflicts, the other is forced and safe.
     """
-    if not is_linked(fam):
-        raise InputError("input family must be linked and free of the empty set")
     n = fam.ground.n
     disjoint = _disjoint(n)
-    # a family bitset, as in _backtrack
+    # a family bitset, as in _backtrack; in a linked family no member is
+    # disjoint from a member, and the empty set is disjoint from every set
     chosen = 1 << fam.ground.full | sum(1 << m for m in fam.masks)
+    if any(chosen & disjoint[m] for m in fam.masks):
+        raise InputError("input family must be linked and free of the empty set")
     for a, b in _pair_order(n):
         lo, hi = (a, b) if a < b else (b, a)
         chosen |= 1 << (hi if chosen & disjoint[lo] else lo)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import concurrent.futures
 import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
@@ -268,6 +269,19 @@ class TestVerify:
             main(command.split() + ["--workers", workers])
         err = capsys.readouterr().err
         assert exc.value.code == 2 and "--workers" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("workers", ["257", "100000"])
+    @pytest.mark.parametrize("command", ["enumerate --n 5", "verify --suite eq1 --n 4"])
+    def test_workers_above_cap(self, capsys, monkeypatch, command, workers):
+        """A count above parallel.MAX_WORKERS is refused before any pool is
+        asked for; the fake pool would record one if it were."""
+        started = []
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", lambda **kw: started.append(kw))
+        with pytest.raises(SystemExit) as exc:
+            main(command.split() + ["--workers", workers])
+        err = capsys.readouterr().err
+        assert exc.value.code == 2 and "--workers" in err and "Traceback" not in err
+        assert started == []
 
     def test_axioms_determinism_same_seed(self, tmp_path):
         outs = []

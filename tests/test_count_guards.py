@@ -137,9 +137,26 @@ def test_no_pool_for_eq1_below_n7(monkeypatch):
     assert started == []
 
 
+def test_pool_has_one_process_per_item_at_most(monkeypatch):
+    """A pool never has more processes than items or than MAX_WORKERS; the
+    fake records the size asked for and starts nothing."""
+    started = []
+
+    class NoPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+            raise OSError("no pool in this test")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", NoPool)
+    assert parallel.map_chunks(abs, [-1, -2, -3], 100_000) == [1, 2, 3]
+    assert parallel.map_chunks(abs, range(-1000, 0), 100_000) == list(range(1000, 0, -1))
+    assert len(superext.enumerate_mls(GroundSet(5), workers=100_000)) == 81
+    assert started == [3, parallel.MAX_WORKERS, 3]
+
+
 def test_kernel_calls_no_traced_family_operation(monkeypatch):
-    """The kernel checks and reads its leaves through setkit's private
-    helpers, so the benchmark's setkit metrics count none of its work."""
+    """The kernel reads its leaves through setkit's private helpers, so the
+    benchmark's setkit metrics count none of its work."""
     calls = []
 
     def counting(name, fn):

@@ -17,12 +17,12 @@ from supext.setkit import (
     _down,
     bits,
     canonical_key,
-    is_linked,
     is_self_dual_upclosed,
     minimal_members,
     up_closure,
     up_contains,
 )
+from supext.superext import complete_linked, eta_point
 
 
 def family(n: int, masks) -> SetFamily:
@@ -72,20 +72,25 @@ class TestSetFamily:
 
 
 class TestLinked:
+    """``complete_linked`` takes exactly the linked families free of the empty set."""
+
     def test_examples(self):
-        assert is_linked(family(3, [0b011, 0b110, 0b101]))
-        assert not is_linked(family(3, [0b001, 0b110]))
-        assert not is_linked(family(3, [0, 0b111]))
-        assert is_linked(family(3, []))
+        assert complete_linked(family(3, [0b011, 0b110, 0b101])).minimal == (0b011, 0b101, 0b110)
+        with pytest.raises(InputError, match="must be linked"):
+            complete_linked(family(3, [0b001, 0b110]))
+        with pytest.raises(InputError, match="must be linked"):
+            complete_linked(family(3, [0, 0b111]))
+        assert complete_linked(family(3, [])) == eta_point(GroundSet(3), 0)
 
     @given(ground_and_masks())
     def test_matches_oracle(self, nm):
         n, masks = nm
-        fam = SetFamily.of(GroundSet(n), masks)
-        assert is_linked(fam) == (
-            0 not in fam.masks
-            and oracles.is_linked_family(frozenset(fam.masks))
-        )
+        fam = family(n, masks)
+        if oracles.is_linked_family(frozenset(masks)):
+            assert set(fam.masks) <= members(up_closure(complete_linked(fam).minimal, n))
+        else:
+            with pytest.raises(InputError, match="must be linked"):
+                complete_linked(fam)
 
 
 class TestUpClosure:
