@@ -25,7 +25,7 @@ from operator import itemgetter, mul
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .errors import Check, InputError, TooLarge, Value, _exact, hex_mask, hex_masks, json_int, json_list, json_mask, json_masks, json_rational, read_json
-from .setkit import GroundSet, PointMap, bits, canonical_key, check_injection
+from .setkit import GroundSet, PointMap, _canonical, _complements, bits, canonical_key, check_injection, up_closure
 from .superext import MaxLinkedSystem, enumerate_mls
 
 
@@ -398,10 +398,10 @@ def separating_function(eta: MaxLinkedSystem, xi: MaxLinkedSystem) -> PointFunct
         raise InputError("systems on different grounds")
     if eta == xi:
         raise InputError("cannot separate a system from itself")
-    full = eta.ground.full
-    subsets = sorted(eta.ground.nonempty_subsets(), key=canonical_key)
-    a = next((a for a in subsets if eta.contains(a) and xi.contains(full ^ a)), None)
-    assert a is not None, "distinct maximal linked systems have a disjoint pair of members"
+    n = eta.ground.n
+    witnesses = up_closure(eta.minimal, n) & _complements(up_closure(xi.minimal, n), n)
+    assert witnesses, "distinct maximal linked systems have a disjoint pair of members"
+    a = _canonical(witnesses, n)[0]
     return PointFunction(eta.ground, tuple(Fraction(a >> x & 1) for x in eta.ground.points()))
 
 

@@ -89,10 +89,11 @@ class SetFamily(Value, namedtuple("SetFamily", "ground masks")):
     __slots__ = ()
 
     def __init__(self, ground: GroundSet, masks: tuple[int, ...]) -> None:
+        fam = 0
         for m in masks:
             ground.check_mask(m)
-        ordered = tuple(sorted(set(masks), key=canonical_key))
-        if ordered != masks:
+            fam |= 1 << m
+        if _canonical(fam, ground.n) != masks:
             raise InputError("family masks must be duplicate-free and canonically ordered")
 
     @classmethod
@@ -300,8 +301,10 @@ class Antichain(Value, namedtuple("Antichain", "ground minimal")):
 
     The members must be nonempty subsets of the ground set, canonically
     ordered and pairwise incomparable.  A subclass that sets ``linked``
-    also requires them to meet pairwise; the same scan over the pairs
-    checks both rules.
+    also requires them to meet pairwise.  Each rule is one test on the
+    members' family bitset and its up-closure, with no pair of members
+    compared: no member lies one point above a set of the up-closure, and
+    no member has its complement in it.
     """
 
     __slots__ = ()
@@ -310,18 +313,22 @@ class Antichain(Value, namedtuple("Antichain", "ground minimal")):
     def __init__(self, ground: GroundSet, minimal: tuple[int, ...]) -> None:
         if not minimal:
             raise InputError("an antichain needs at least one member")
-        if minimal != tuple(sorted(set(minimal), key=canonical_key)):
-            raise InputError("minimal members must be canonically ordered")
         full = ground.full
-        for i, a in enumerate(minimal):
+        fam = 0
+        for a in minimal:
             if not 0 < a <= full:
                 raise InputError(f"member {a:#x} is empty or leaves the ground set")
-            for b in minimal[i + 1 :]:
-                ab = a & b
-                if ab == a or ab == b:
-                    raise InputError("minimal members must form an antichain")
-                if not ab and self.linked:
-                    raise InputError("minimal members must be pairwise intersecting")
+            fam |= 1 << a
+        n = ground.n
+        if _canonical(fam, n) != minimal:
+            raise InputError("minimal members must be canonically ordered")
+        up = up_closure(minimal, n)
+        # a member above another member is one point above the up-closure
+        if fam & _covered(up, n):
+            raise InputError("minimal members must form an antichain")
+        # a member disjoint from another member has its complement above it
+        if self.linked and up & _complements(fam, n):
+            raise InputError("minimal members must be pairwise intersecting")
 
     def contains(self, mask: int) -> bool:
         """Membership of a subset in the full (up-closed) family."""
@@ -340,7 +347,7 @@ def _trusted(cls: type[_A], ground: GroundSet, minimals: list[tuple[int, ...]]) 
     """Antichains of class ``cls`` from minimal members that the caller built
     and checked itself, made in place of them in the list.
 
-    The objects skip ``__init__``, whose pair scan validates outside input.
+    The objects skip ``__init__``, whose bitset tests validate outside input.
     """
     new = tuple.__new__
     for i, minimal in enumerate(minimals):

@@ -23,6 +23,7 @@ from .setkit import (
     PointMap,
     SetFamily,
     _canonical,
+    _complements,
     _covered,
     _disjoint,
     _image_bits,
@@ -31,6 +32,7 @@ from .setkit import (
     canonical_key,
     is_self_dual_upclosed,
     minimal_members,
+    up_closure,
 )
 
 # Enumeration cap: the last n in EXPECTED_MLS_COUNTS.  n = 8 has
@@ -41,10 +43,10 @@ MAX_N = 7
 class MaxLinkedSystem(Antichain):
     """A maximal linked system, canonically represented by its minimal antichain.
 
-    Construction checks that the antichain is linked;
-    ``is_maximal_linked`` checks maximality.  ``enumerate_mls`` builds its
-    systems from kernel leaves, maximal linked by construction, without
-    that scan.
+    Construction checks that the antichain is linked, with the bitset tests
+    of ``Antichain``; ``is_maximal_linked`` checks maximality.
+    ``enumerate_mls`` builds its systems from kernel leaves, maximal linked
+    by construction, without those tests.
     """
 
     __slots__ = ()
@@ -99,18 +101,25 @@ def _enum_subtree(args: tuple[int, int, int]) -> list[tuple[int, ...]]:
     return [_canonical(leaf & ~_covered(leaf, n), n) for leaf in _backtrack(n, fam, depth, len(_pair_order(n)))]
 
 
+# A two-process pool costs more than the work it shares below this n.
+# Measured on 2 vCPU, Python 3.11, at n=6: the enumeration took 0.035 to
+# 0.041 s through a pool at split depths 2 to 12 and 0.018 s serially; the
+# eq1 suite took 76-116 ms with a pool, which costs about 28 ms to import
+# and 14 ms to start before any work, and 23-33 ms serially.
+_POOL_FROM_N = 7
+
+
 def _split_depth(n: int) -> int:
     """Pair depth at which enumeration cuts the tree into subtrees.
 
     Measured on 2 vCPU, Python 3.11.  At n=7 the largest depth-36 subtree
     holds 18.5 % of the 1,422,564 leaves (2105 subtrees), and two workers
     take 10.2 s; depth 32 leaves 39 % in one subtree (12.7 s), depth 40
-    8.3 % but more items to send (10.5 s).  Below n=7 a two-process pool
-    costs more than the whole enumeration at any depth (n=6: 0.035 to
-    0.041 s through one at depths 2 to 12, 0.018 s serially), so the cut
-    stays shallow there: three subtrees at n=5 and 6, little to send.
+    8.3 % but more items to send (10.5 s).  Below ``_POOL_FROM_N`` a pool
+    costs more than the whole enumeration at any depth, so the cut stays
+    shallow there: three subtrees at n=5 and 6, little to send.
     """
-    return min(36 if n >= 7 else 2, len(_pair_order(n)))
+    return min(36 if n >= _POOL_FROM_N else 2, len(_pair_order(n)))
 
 
 def enumerate_mls(ground: GroundSet, workers: int = 1) -> tuple[MaxLinkedSystem, ...]:
@@ -145,19 +154,24 @@ def complete_linked(fam: SetFamily) -> MaxLinkedSystem:
     consistent with linkedness is added, preferring the numerically
     smaller mask when both sides are consistent.  A linked family never
     dead-ends: once one side conflicts, the other is forced and safe.
+    The family is kept as its up-closure, a family bitset: the smaller
+    side misses a chosen set iff the larger one, its complement, holds
+    one, that is, lies in the up-closure.
     """
-    n = fam.ground.n
-    disjoint = _disjoint(n)
-    # a family bitset, as in _backtrack; in a linked family no member is
-    # disjoint from a member, and the empty set is disjoint from every set
-    chosen = 1 << fam.ground.full | sum(1 << m for m in fam.masks)
-    if any(chosen & disjoint[m] for m in fam.masks):
+    ground = fam.ground
+    n = ground.n
+    # with the full set, which no pair holds; the empty set has its
+    # complement in every nonempty up-closure, so it is refused as well
+    masks = {*fam.masks, ground.full}
+    up = up_closure(masks, n)
+    if up & _complements(sum(1 << m for m in masks), n):
         raise InputError("input family must be linked and free of the empty set")
     for a, b in _pair_order(n):
         lo, hi = (a, b) if a < b else (b, a)
-        chosen |= 1 << (hi if chosen & disjoint[lo] else lo)
-    # one side of every pair and linked: maximal linked, so up-closed
-    return MaxLinkedSystem(fam.ground, minimal_members(chosen, n))
+        if not (up >> hi | up >> lo) & 1:
+            up |= up_closure((lo,), n)
+    # one side of every pair and linked: maximal linked
+    return MaxLinkedSystem(ground, minimal_members(up, n))
 
 
 def lambda_map(pm: PointMap, eta: MaxLinkedSystem) -> MaxLinkedSystem:

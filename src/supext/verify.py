@@ -11,9 +11,9 @@ from __future__ import annotations
 import itertools
 from typing import TYPE_CHECKING
 
-from .errors import InputError, hex_masks
+from .errors import InputError, TooLarge, hex_masks
 from .setkit import GroundSet, PointMap, _disjoint, _plus_columns, _supersets, popcount
-from .superext import EXPECTED_MLS_COUNTS, enumerate_mls, lambda_map, lambda_map_image
+from .superext import EXPECTED_MLS_COUNTS, _POOL_FROM_N, enumerate_mls, lambda_map, lambda_map_image
 
 # Only the modules the counts and eq1 suites use are imported here; every
 # other suite imports its modules itself, so a census job never loads
@@ -74,19 +74,13 @@ def _eq1_chunk(args: tuple[int, tuple[tuple[int, ...], ...]]) -> tuple[int, list
     return len(EQ1_GRID) ** n * len(antichains), failures
 
 
-# The eq1 kernel always runs in this process; this keeps the enumeration
-# it checks there too below n=7, whatever the worker count, so that
-# `verify --suite eq1 --n 5 --workers 2` starts no pool.  Measured on
-# 2 vCPU, Python 3.11: at n=6 the suite took 23-33 ms serially and
-# 76-116 ms with a two-process pool, which costs about 28 ms to import and
-# 14 ms to start before any work.
-_EQ1_POOL_FROM_N = 7
-
-
 def suite_eq1(n: int, workers: int = 1, **_: int) -> dict:
     if workers < 1:
         raise InputError(f"workers must be at least 1, got {workers}")
-    if n < _EQ1_POOL_FROM_N:
+    # The eq1 kernel always runs in this process; below the pool threshold
+    # the enumeration it checks does too, whatever the worker count, so that
+    # `verify --suite eq1 --n 5 --workers 2` starts no pool.
+    if n < _POOL_FROM_N:
         workers = 1
     lam = enumerate_mls(GroundSet(n), workers=workers)
     checks, failures = _eq1_chunk((n, tuple(eta.minimal for eta in lam)))
@@ -109,6 +103,14 @@ def suite_counts(n: int, workers: int = 1, **_: int) -> dict:
     }
 
 
+# The zoo holds a MaxMin term per maximal linked system, and the axioms
+# suite checks each term with its trials.  Measured on 2 vCPU, Python 3.11,
+# with 500 trials: n=6 took 18.6 to 29.3 s for its 2,726 terms (six runs),
+# 7 to 11 ms a term, so the 1,422,564 systems at n=7 would take 2.7 to 4.3 h
+# (extrapolated, not run).
+MAX_ZOO_N = 6
+
+
 def term_zoo(ground: GroundSet) -> list[Term]:
     """A representative spread of constructible terms on the ground set."""
     from fractions import Fraction
@@ -116,6 +118,8 @@ def term_zoo(ground: GroundSet) -> list[Term]:
     from .functionals import Convex, Dirac, Linear, MaxMin, MaxOver, MinOver, Precompose
 
     n = ground.n
+    if n > MAX_ZOO_N:
+        raise TooLarge(f"term zoo capped at n <= {MAX_ZOO_N}")
     half = Fraction(1, 2)
     terms: list[Term] = [Dirac(ground, x) for x in ground.points()]
     terms += [MaxMin(eta) for eta in enumerate_mls(ground)]

@@ -19,6 +19,27 @@ def is_linked_family(fam: frozenset[int]) -> bool:
     return all(a & b for a in fam for b in fam)
 
 
+def antichain_faults(minimal: tuple[int, ...], n: int, linked: bool) -> set[str]:
+    """Every rule that ``minimal`` breaks as the minimal members of an
+    (if ``linked``, linked) antichain on n points, each named by the words of
+    its refusal; every pair of members is compared."""
+    full = (1 << n) - 1
+    faults = set()
+    if not minimal:
+        faults.add("at least one member")
+    if any(not 0 < a <= full for a in minimal):
+        faults.add("empty or leaves the ground set")
+    if list(minimal) != sorted(set(minimal), key=lambda m: (popcount(m), m)):
+        faults.add("canonically ordered")
+    for i, a in enumerate(minimal):
+        for b in minimal[i + 1 :]:
+            if a & b in (a, b):
+                faults.add("must form an antichain")
+            if linked and not a & b:
+                faults.add("must be pairwise intersecting")
+    return faults
+
+
 def is_up_closed(fam: frozenset[int], n: int) -> bool:
     full = (1 << n) - 1
     for a in fam:

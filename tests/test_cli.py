@@ -234,6 +234,14 @@ class TestVerify:
         assert obj["failures"] == []
         assert obj["suite"] == suite and obj["anchor"]
 
+    def test_axioms_refuses_n7_before_enumerating(self, capsys, monkeypatch):
+        """A term per system at n=7 would take hours to check."""
+        monkeypatch.setattr(verify, "enumerate_mls", lambda *a, **k: pytest.fail("enumerated"))
+        code = main(["verify", "--suite", "axioms", "--n", "7"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "term zoo capped at n <= 6" in captured.err and "Traceback" not in captured.err
+
     def test_counts_shape(self, capsys):
         code, obj = run_json(capsys, "verify", "--suite", "counts", "--n", "5")
         assert code == 0

@@ -340,6 +340,19 @@ class TestSeparation:
                     assert set(f.values) <= {0, 1}
                     assert phi(a, f) == 1 and phi(b, f) == 0
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_chooses_the_first_witness(self, n):
+        """The function is the indicator of the least set A, by (size, mask),
+        with A in the first system and its complement in the second."""
+        lam = list(enumerate_mls(GroundSet(n)))
+        full = (1 << n) - 1
+        by_size = sorted(range(1, full + 1), key=lambda m: (oracles.popcount(m), m))
+        for eta, xi in itertools.permutations(lam, 2):
+            up_eta = oracles.up_closure_of(frozenset(eta.minimal), n)
+            up_xi = oracles.up_closure_of(frozenset(xi.minimal), n)
+            a = next(a for a in by_size if a in up_eta and full ^ a in up_xi)
+            assert separating_function(eta, xi).values == tuple(a >> x & 1 for x in range(n))
+
 
 class TestSupport:
     def test_dirac(self):

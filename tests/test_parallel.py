@@ -42,7 +42,7 @@ def test_eq1_never_pools_its_kernel(monkeypatch):
         pooled.append(fn)
         return real(fn, items, workers)
 
-    monkeypatch.setattr(verify, "_EQ1_POOL_FROM_N", 5)
+    monkeypatch.setattr(verify, "_POOL_FROM_N", 5)
     monkeypatch.setattr(parallel, "map_chunks", recording)
     report = verify.suite_eq1(5, workers=2)
     assert pooled == [superext._enum_subtree]

@@ -1,12 +1,13 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import oracles
 from supext.errors import InputError, TooLarge
 from supext.setkit import (
     MAX_GROUND,
+    Antichain,
     GroundSet,
     PointMap,
     SetFamily,
@@ -22,7 +23,8 @@ from supext.setkit import (
     up_closure,
     up_contains,
 )
-from supext.superext import complete_linked, eta_point
+from supext.inclusion import InclusionHyperspace
+from supext.superext import MaxLinkedSystem, complete_linked, eta_point
 
 
 def family(n: int, masks) -> SetFamily:
@@ -87,10 +89,52 @@ class TestLinked:
         n, masks = nm
         fam = family(n, masks)
         if oracles.is_linked_family(frozenset(masks)):
-            assert set(fam.masks) <= members(up_closure(complete_linked(fam).minimal, n))
+            done = complete_linked(fam)
+            assert set(fam.masks) <= members(up_closure(done.minimal, n))
+            assert frozenset(done.minimal) == oracles.complete_linked_greedy(frozenset(masks), n)
         else:
             with pytest.raises(InputError, match="must be linked"):
                 complete_linked(fam)
+
+
+@st.composite
+def member_tuples(draw):
+    """A ground size n <= 6 and a tuple of masks, in any order or (half the
+    time) in canonical order, so that repeated, nested and disjoint members
+    all occur; a quarter of the tuples also hold one mask that is empty or
+    leaves the ground."""
+    n = draw(st.integers(min_value=1, max_value=6))
+    full = (1 << n) - 1
+    masks = draw(st.lists(st.integers(min_value=1, max_value=full), max_size=6))
+    if draw(st.booleans()):
+        masks = sorted(set(masks), key=canonical_key)
+    if draw(st.integers(min_value=0, max_value=3)) == 0:
+        bad = draw(st.sampled_from([-1, 0, full + 1]))
+        masks.insert(draw(st.integers(min_value=0, max_value=len(masks))), bad)
+    return n, tuple(masks)
+
+
+class TestAntichainRules:
+    """Every antichain class accepts a tuple of members exactly when the
+    oracle's pair scan finds no fault in it, and a refusal names a fault
+    that the scan found."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(member_tuples(), st.sampled_from([Antichain, MaxLinkedSystem, InclusionHyperspace]))
+    @example((3, (0b001, 0b010)), MaxLinkedSystem)
+    @example((3, (0,)), Antichain)
+    @example((2, (0b100,)), InclusionHyperspace)
+    @example((3, (0b001, 0b001)), Antichain)
+    @example((3, (0b011, 0b001)), MaxLinkedSystem)
+    def test_matches_pair_scan(self, nm, cls):
+        n, minimal = nm
+        faults = oracles.antichain_faults(minimal, n, linked=cls is MaxLinkedSystem)
+        try:
+            made = cls(GroundSet(n), minimal)
+        except InputError as e:
+            assert any(fault in str(e) for fault in faults), (str(e), faults)
+        else:
+            assert not faults and made.minimal == minimal
 
 
 class TestUpClosure:

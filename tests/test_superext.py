@@ -187,6 +187,12 @@ class TestConstruction:
         with pytest.raises(InputError):
             mls(2, (0b100,))
 
+    def test_accepts_the_11440_member_system_at_n16(self):
+        """The sets of 8 points holding point 0 and of 9 points lacking it."""
+        minimal = [m for m in range(1 << 16) if m.bit_count() == 8 + (not m & 1)]
+        eta = mls(16, sorted(minimal, key=lambda m: (m.bit_count(), m)))
+        assert len(eta.minimal) == 11440 and eta.is_maximal_linked()
+
 
 class TestEtaPoint:
     def test_examples(self):
@@ -223,6 +229,21 @@ class TestCompleteLinked:
     def test_not_linked(self):
         with pytest.raises(InputError, match="input family must be linked"):
             complete_linked(SetFamily.of(GroundSet(3), [0b001, 0b110]))
+
+    def test_n16_without_the_disjoint_table(self, monkeypatch):
+        """The table of disjoint sets has 2^n entries of up to 2^n bits, about
+        270 MB at n = 16; only the kernel builds it, within the enumeration cap."""
+        table = setkit._disjoint
+
+        def capped(n):
+            assert n <= superext.MAX_N, f"_disjoint({n})"
+            return table(n)
+
+        monkeypatch.setattr(setkit, "_disjoint", capped)
+        monkeypatch.setattr(superext, "_disjoint", capped)
+        g = GroundSet(16)
+        assert complete_linked(SetFamily.of(g, [g.full])) == eta_point(g, 0)
+        assert complete_linked(SetFamily.of(g, NONPRINCIPAL3)).minimal == NONPRINCIPAL3
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.data(), n=st.integers(min_value=1, max_value=5))
