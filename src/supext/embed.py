@@ -204,47 +204,26 @@ def compose_operators(outer: RegularOperator, inner: RegularOperator) -> Regular
     return RegularOperator(inner.domain, outer.codomain, inject, tuple(table))
 
 
-MAX_SEARCH_SPACE = 6
-
-
 def find_regular_operator(
     x: FiniteTopSpace, y: FiniteTopSpace, inject: tuple[int, ...]
 ) -> RegularOperator | None:
-    """Brute-force search for a regular operator witnessing the embedding.
+    """The least regular operator witnessing the embedding, or None if there is none.
 
-    Backtracks over the opens of X in canonical order, assigning opens of
-    Y consistent with the trace and disjointness axioms.  Exhaustive but
-    only intended for small carriers (at most MAX_SEARCH_SPACE points).
+    A regular e(U) is open and holds the image of U, so it holds e_min(U), the
+    union of the minimal neighborhoods in Y of that image's points.  So e_min
+    inherits trace and disjointness from any regular e, and is regular iff one
+    exists.  e_min(U) is the least open with the trace of U, the first open a
+    search over the opens of Y in canonical order would give U.
     """
-    if y.n > MAX_SEARCH_SPACE:
-        raise TooLarge(f"existence search capped at {MAX_SEARCH_SPACE}-point ambient spaces")
     check_injection(inject, x.n, y.n, "inject")
-    opens_x = x.opens()
-    opens_y = y.opens()
-    img = lambda m: sum(1 << inject[p] for p in bits(m))
-    x_img = img(x.full)
-    assign: dict[int, int] = {0: 0}
-
-    def bt(idx: int) -> bool:
-        if idx == len(opens_x):
-            return True
-        u = opens_x[idx]
-        if u == 0:
-            return bt(idx + 1)
-        for v in opens_y:
-            if v & x_img != img(u):
-                continue
-            if any(not u & w and v & assign[w] for w in assign):
-                continue
-            assign[u] = v
-            if bt(idx + 1):
-                return True
-            del assign[u]
-        return False
-
-    if not bt(0):
-        return None
-    return RegularOperator(x, y, inject, tuple(sorted(assign.items())))
+    table = []
+    for u in x.opens():
+        eu = 0
+        for p in bits(u):
+            eu |= y.min_nbhd[inject[p]]
+        table.append((u, eu))
+    e = RegularOperator(x, y, inject, tuple(table))
+    return e if validate_regular(e).ok else None
 
 
 # --------------------------------------------------------------------------

@@ -18,6 +18,7 @@ import functools
 import itertools
 import json
 import random
+import re
 from collections import namedtuple
 from fractions import Fraction
 from math import lcm
@@ -711,7 +712,24 @@ def term_to_json(term: Term) -> str:
     return json.dumps(term_to_obj(term), sort_keys=True)
 
 
+# A term within the cap nests its JSON at most 2 * MAX_TERM_DEPTH levels: an
+# object per node, a list between a convex node and its parts, one list in the
+# deepest node.  Where json.loads runs out of recursion depends on the Python
+# version, so a term file is measured first; fields the reader ignores count.
+_NOT_BRACKET = re.compile(r'"[^"\\]*(?:\\.[^"\\]*)*"?|[^"\[\]{}]+')  # a string, even unterminated, or other text
+_BRACKET_STEP = {"[": 1, "{": 1, "]": -1, "}": -1}
+
+
+def _json_depth(data: bytes | str) -> int:
+    """How deep the arrays and objects of a JSON text nest; string literals are skipped."""
+    if isinstance(data, bytes):
+        data = data.decode(json.detect_encoding(data), "replace")
+    return max(itertools.accumulate(map(_BRACKET_STEP.__getitem__, _NOT_BRACKET.sub("", data))), default=0)
+
+
 def term_from_json(data: bytes | str, ground: GroundSet) -> Term:
+    if _json_depth(data) > 2 * MAX_TERM_DEPTH:
+        raise TooLarge(f"term nested deeper than {MAX_TERM_DEPTH} nodes")
     return read_json(data, "term file", lambda obj: term_from_obj(obj, ground))
 
 

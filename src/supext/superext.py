@@ -18,6 +18,7 @@ from typing import Iterator
 from . import parallel
 from .errors import InputError, TooLarge
 from .setkit import (
+    MAX_GROUND,
     Antichain,
     GroundSet,
     PointMap,
@@ -29,7 +30,6 @@ from .setkit import (
     _image_bits,
     _pushforward_bits,
     _trusted,
-    canonical_key,
     is_self_dual_upclosed,
     minimal_members,
     up_closure,
@@ -56,12 +56,13 @@ class MaxLinkedSystem(Antichain):
     __init__ = Antichain.__init__
 
 
-@functools.lru_cache(maxsize=MAX_N + 1)
+@functools.lru_cache(maxsize=MAX_GROUND)
 def _pair_order(n: int) -> tuple[tuple[int, int], ...]:
     """Complementary pairs {A, A^c}, small side first, hardest pairs earliest."""
     full = (1 << n) - 1
     sides = _canonical((1 << full) - 2, n)  # every set but the empty and the full one
-    return tuple((a, full ^ a) for a in sides if canonical_key(a) < canonical_key(full ^ a))
+    # the small sides come first: fewer than n/2 points, then the n/2-point sets lacking point n - 1
+    return tuple((a, full ^ a) for a in sides[: (1 << n - 1) - 1])
 
 
 def _backtrack(n: int, fam: int, depth: int, stop: int) -> Iterator[int]:

@@ -151,14 +151,10 @@ def term_zoo(ground: GroundSet) -> list[Term]:
     return terms
 
 
-def suite_axioms(
-    n: int, seed: int = 0, trials: int = 500, terms: list[Term] | None = None, **_: int
-) -> dict:
+def suite_axioms(n: int, seed: int = 0, trials: int = 500, **_: int) -> dict:
     from .functionals import axiom_check, term_to_obj, witness_to_obj
 
-    ground = GroundSet(n)
-    if terms is None:
-        terms = term_zoo(ground)
+    terms = term_zoo(GroundSet(n))
     failures = []
     for term in terms:
         res = axiom_check(term, trials=trials, seed=seed)

@@ -421,3 +421,46 @@ def first_disjoint_pair_literal(table: tuple[tuple[int, int], ...]) -> tuple[int
             if not u & v and eu & ev:
                 return (u, v)
     return None
+
+
+def regular_operator_search(
+    x_nbhd: tuple[int, ...], y_nbhd: tuple[int, ...], inject: tuple[int, ...]
+) -> dict[int, int] | None:
+    """The first regular operator a backtracking search finds, as a dict from
+    the opens of X to their images; None if the search finds none.
+
+    X and Y are given by their minimal neighborhoods.  The opens of X are
+    taken in canonical order (size, then mask); each gets the first open of
+    Y, in the same order, whose trace on the image of X is the image of U
+    and which meets no image already given to an open disjoint from U.
+    """
+
+    def opens(nbhd: tuple[int, ...]) -> list[int]:
+        found = [m for m in range(1 << len(nbhd)) if all(nbhd[p] & ~m == 0 for p in points(m))]
+        return sorted(found, key=lambda m: (popcount(m), m))
+
+    def img(m: int) -> int:
+        return sum(1 << inject[p] for p in points(m))
+
+    opens_x, opens_y = opens(x_nbhd), opens(y_nbhd)
+    x_img = img((1 << len(x_nbhd)) - 1)
+    assign = {0: 0}
+
+    def extend(idx: int) -> bool:
+        if idx == len(opens_x):
+            return True
+        u = opens_x[idx]
+        if u == 0:
+            return extend(idx + 1)
+        for v in opens_y:
+            if v & x_img != img(u):
+                continue
+            if any(not u & w and v & assign[w] for w in assign):
+                continue
+            assign[u] = v
+            if extend(idx + 1):
+                return True
+            del assign[u]
+        return False
+
+    return assign if extend(0) else None

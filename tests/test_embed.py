@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 
@@ -325,7 +326,91 @@ class TestRoundTrip:
         assert validate_regular(e).ok
 
 
+def spaces(n: int) -> list[FiniteTopSpace]:
+    """Every topology on n points, as the minimal neighborhoods of a preorder."""
+    out = []
+    for nbhd in itertools.product(range(1 << n), repeat=n):
+        if all(nbhd[x] >> x & 1 and all(nbhd[y] & ~nbhd[x] == 0 for y in bits(nbhd[x])) for x in range(n)):
+            out.append(FiniteTopSpace(n, nbhd))
+    return out
+
+
+def least_images(x: FiniteTopSpace, y: FiniteTopSpace, inject: tuple[int, ...]) -> dict[int, int]:
+    """U -> the union of the minimal neighborhoods in Y of the image of U."""
+    return {u: functools.reduce(int.__or__, (y.min_nbhd[inject[p]] for p in bits(u)), 0) for u in x.opens()}
+
+
+def embeddings(x_sizes, y_sizes):
+    """Every (X, Y, inject) with X and Y of the given sizes."""
+    for m in x_sizes:
+        for n in y_sizes:
+            for x, y in itertools.product(spaces(m), spaces(n)):
+                for inject in itertools.permutations(range(n), m):
+                    yield x, y, inject
+
+
 class TestFindRegular:
+    def test_matches_the_search(self):
+        """The least operator is the one the canonical-order backtracking
+        search finds first, and exists exactly when the search finds one:
+        every X of at most 2 points, in every Y of at most 4, every injection."""
+        triples = found = 0
+        for x, y, inject in embeddings((1, 2), (1, 2, 3, 4)):
+            e = find_regular_operator(x, y, inject)
+            assert (e and e.lookup()) == oracles.regular_operator_search(x.min_nbhd, y.min_nbhd, inject)
+            triples += 1
+            found += e is not None
+        assert triples == 19_284 and 0 < found < triples
+
+    def test_least_of_all_regular_operators(self):
+        """Every regular operator holds the least images, for every X of at
+        most 2 points in every Y of at most 3; every table is tried whose
+        images have the right trace."""
+        operators = 0
+        for x, y, inject in embeddings((1, 2), (1, 2, 3)):
+            x_image, opens_x = sum(1 << i for i in inject), x.opens()
+            traced = [[v for v in y.opens() if v & x_image == sum(1 << inject[p] for p in bits(u))] for u in opens_x]
+            least = find_regular_operator(x, y, inject)
+            regular = []
+            for images in itertools.product(*traced):
+                e = RegularOperator(x, y, inject, tuple(zip(opens_x, images)))
+                if validate_regular(e).ok:
+                    regular.append(e)
+            assert (least is None) == (not regular)
+            for e in regular:
+                assert all(least_image & ~eu == 0 for (_, least_image), (_, eu) in zip(least.table, e.table))
+            operators += len(regular)
+        assert operators == 1_012
+
+    @pytest.mark.parametrize("case", ["point-in-no-proper-open", "attached-points", "point-in-every-open"])
+    def test_seven_points(self, case):
+        """Ambient spaces of 7 points: the least operator, or None where the
+        search finds none."""
+        if case == "point-in-no-proper-open":
+            # a discrete X of 6 points and a seventh point in no open but Y
+            x = FiniteTopSpace.discrete(6)
+            y = FiniteTopSpace(7, tuple(1 << p for p in range(6)) + (0b1111111,))
+            inject = tuple(range(6))
+        elif case == "attached-points":
+            # each point of a discrete 3-point X drags a point of its own
+            # into every open around it; the seventh point stands alone
+            x = FiniteTopSpace.discrete(3)
+            y = FiniteTopSpace(7, (0b0001001, 0b0010010, 0b0100100, 0b0001000, 0b0010000, 0b0100000, 0b1000000))
+            inject = (0, 1, 2)
+        else:
+            # a seventh point in every nonempty open: disjoint opens of X
+            # cannot go to disjoint opens
+            x = FiniteTopSpace.discrete(6)
+            y = FiniteTopSpace(7, tuple(1 << p | 1 << 6 for p in range(6)) + (1 << 6,))
+            inject = tuple(range(6))
+        e = find_regular_operator(x, y, inject)
+        search = oracles.regular_operator_search(x.min_nbhd, y.min_nbhd, inject)
+        assert (e and e.lookup()) == search
+        if case == "point-in-every-open":
+            assert e is None
+        else:
+            assert e.lookup() == least_images(x, y, inject) and validate_regular(e).ok
+
     def test_finds_two_in_three(self):
         x = FiniteTopSpace.discrete(2)
         y = two_in_three_operator().codomain

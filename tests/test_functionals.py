@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from supext import functionals
-from supext.errors import InputError, json_rational, parse_rational
+from supext.errors import InputError, TooLarge, json_rational, parse_rational
 from supext.functionals import (
     Convex,
     Dirac,
@@ -466,6 +466,27 @@ class TestTermJson:
             back = term_from_json(text, g)
             for f in eq1_grid(n):
                 assert evaluate(back, f) == evaluate(t, f)
+
+    def test_depth_cap_on_the_text(self):
+        """A term of 100 nodes, 99 convex nodes and a linear leaf, nests its
+        JSON 200 levels deep and is read; one more level is refused before
+        the text is decoded.  Brackets inside strings do not count, fields
+        the reader ignores do, and bytes in any JSON encoding are measured
+        as decoded."""
+        g = GroundSet(2)
+        leaf = '{"t": "linear", "w": ["1", "0"]}'
+        deep = '{"t": "convex", "w": ["1"], "parts": [' * 99 + leaf + "]}" * 99
+        assert functionals._json_depth(deep) == 200
+        for data in (deep, deep.encode(), deep.encode("utf-16")):
+            assert evaluate(term_from_json(data, g), PointFunction(g, (3, 4))) == 3
+        noted = '{"t": "dirac", "x": 1, "note": "%s"}' % ("[{\\\"" * 300)
+        assert evaluate(term_from_json(noted, g), PointFunction(g, (3, 4))) == 4
+        too_deep = ['{"t": "dirac", "x": 0, "note": %s}' % ("[" * 200 + "]" * 200),
+                    '{"t": "convex", "w": ["1"], "parts": [' * 100 + '{"t": "dirac", "x": 0}' + "]}" * 100]
+        for text in too_deep:
+            for data in (text, text.encode("utf-16")):
+                with pytest.raises(TooLarge, match="term nested deeper than 100 nodes"):
+                    term_from_json(data, g)
 
     def test_fraction_parse(self):
         assert json_rational("3/4", "w") == F(3, 4)

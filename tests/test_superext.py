@@ -161,6 +161,15 @@ class TestKernel:
         assert read(sum(1 << m for m in minimal)) == oracles.sorted_minimal_readout(sum(1 << a for a in fam), n)
         assert reverse(sum(1 << a for a in fam)) == sum(1 << (127 ^ a) for a in fam)
 
+    def test_pair_order_takes_the_smaller_side(self):
+        """Each complementary pair once, on the side that comes first in the
+        order by (size, mask), the pairs in that order, for every ground size."""
+        for n in range(1, 17):
+            full = (1 << n) - 1
+            key = lambda m: (oracles.popcount(m), m)
+            sides = sorted((a for a in range(1, full) if key(a) < key(full ^ a)), key=key)
+            assert superext._pair_order(n) == tuple((a, full ^ a) for a in sides), n
+
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_disjoint_table(self, n):
         table = setkit._disjoint(n)
