@@ -9,11 +9,12 @@ e(empty) = empty, trace e(U) & X = U, and disjointness preservation.
 
 from __future__ import annotations
 
+import functools
 import json
 from collections import namedtuple
 
 from .errors import Check, InputError, TooLarge, Value, hex_masks, json_int, json_list, json_masks, read_json
-from .setkit import MAX_GROUND, GroundSet, _canonical, _down, bits, canonical_key, check_injection
+from .setkit import MAX_GROUND, GroundSet, _canonical, _down, bits, canonical_key, check_injection, up_closure
 from .superext import MaxLinkedSystem, enumerate_mls, eta_point
 
 
@@ -48,10 +49,11 @@ class FiniteTopSpace(Value, namedtuple("FiniteTopSpace", "n min_nbhd")):
         return not mask & ~self.full and all(self.min_nbhd[x] & ~mask == 0 for x in bits(mask))
 
     def opens(self) -> tuple[int, ...]:
-        """All open sets, canonically ordered by (cardinality, mask)."""
-        return tuple(
-            sorted((m for m in range(self.full + 1) if self.is_open(m)), key=canonical_key)
-        )
+        """All open sets, the unions of minimal neighborhoods, in (cardinality, mask) order."""
+        found = {0}
+        for nb in self.min_nbhd:
+            found |= {u | nb for u in found}
+        return tuple(sorted(found, key=canonical_key))
 
     def closure(self, mask: int) -> int:
         """Topological closure: points whose every neighborhood meets the set."""
@@ -260,7 +262,8 @@ def usco_from_regular(e: RegularOperator) -> UscoMap:
     T1, which for a finite space means discrete: if some U containing x has
     a closure with a second point y, the principal system of y lies in r(x)
     too.  On the discrete domain each U is its own closure, and the result
-    always passes check_usco_map.
+    always passes check_usco_map.  Each system is read once as its
+    up-closure word, which must hold every U with y in e(U).
     """
     check = validate_regular(e)
     if not check.ok:
@@ -268,12 +271,15 @@ def usco_from_regular(e: RegularOperator) -> UscoMap:
     for x, nb in enumerate(e.domain.min_nbhd):
         if nb != 1 << x:
             raise InputError(f"domain is not T1: point {x} has a larger minimal neighborhood")
-    lam = enumerate_mls(GroundSet(e.domain.n))
-    values = []
-    for y in range(e.codomain.n):
-        opens = [u for u, eu in e.table if eu >> y & 1]  # validated: e(empty) holds no y
-        values.append(tuple(eta for eta in lam if all(eta.contains(u) for u in opens)))
-    return UscoMap(e.codomain, tuple(values), e.inject)
+    n = e.domain.n
+    lam = enumerate_mls(GroundSet(n))
+    words = [up_closure(eta.minimal, n) for eta in lam]
+    need = [0] * e.codomain.n  # validated: e(empty) holds no y
+    for u, eu in e.table:
+        for y in bits(eu):
+            need[y] |= 1 << u
+    values = tuple(tuple(eta for eta, up in zip(lam, words) if not opens & ~up) for opens in need)
+    return UscoMap(e.codomain, values, e.inject)
 
 
 def check_usco_map(r: UscoMap) -> Check:
@@ -302,20 +308,17 @@ def regular_from_usco(r: UscoMap) -> RegularOperator:
     U-plus holds the systems with a closed member inside U; every subset of
     the domain is closed and systems are up-closed, so it holds the systems
     that contain U.  None contains the empty set, so e(empty) = empty.  The
-    map must pass check_usco_map, which refuses an empty value.
+    map must pass check_usco_map, which refuses an empty value.  y lies in
+    e(U) iff U is in the AND of the up-closure words of the systems in r(y).
     """
     check = check_usco_map(r)
     if not check.ok:
         raise InputError(f"usco map fails {check.axiom} at point {check.witness}")
-    domain = FiniteTopSpace.discrete(len(r.inject))
-    table = []
-    for u in domain.opens():
-        eu = 0
-        for y, vals in enumerate(r.values):
-            if all(eta.contains(u) for eta in vals):
-                eu |= 1 << y
-        table.append((u, eu))
-    return RegularOperator(domain, r.space, r.inject, tuple(table))
+    n = len(r.inject)
+    common = [functools.reduce(int.__and__, (up_closure(eta.minimal, n) for eta in vals)) for vals in r.values]
+    domain = FiniteTopSpace.discrete(n)
+    table = tuple((u, sum(1 << y for y, word in enumerate(common) if word >> u & 1)) for u in domain.opens())
+    return RegularOperator(domain, r.space, r.inject, table)
 
 
 # --------------------------------------------------------------------------

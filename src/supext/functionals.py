@@ -571,14 +571,14 @@ class GeneratedSubspace(Value, namedtuple("GeneratedSubspace", "ground generator
         if len(set(f.values)) == 1:
             return True
         for b, _ in self.generators:
-            pairs = [(bx, fx) for bx, fx in zip(b.values, f.values)]
-            anchor = next(((b1, f1, b2, f2) for (b1, f1), (b2, f2) in itertools.combinations(pairs, 2) if b1 != b2), None)
-            if anchor is None:
+            # point 0 and the first point where b differs from b(0) fix k and c
+            bs, fs = b.values, f.values
+            j = next((j for j, bx in enumerate(bs) if bx != bs[0]), None)
+            if j is None:  # b is constant
                 continue
-            b1, f1, b2, f2 = anchor
-            k = (f1 - f2) / (b1 - b2)
-            c = f1 - k * b1
-            if all(k * bx + c == fx for bx, fx in pairs):
+            k = (fs[0] - fs[j]) / (bs[0] - bs[j])
+            c = fs[0] - k * bs[0]
+            if all(k * bx + c == fx for bx, fx in zip(bs, fs)):
                 return True
         return False
 

@@ -291,11 +291,6 @@ def _image_bits(pm: PointMap, minimal: Iterable[int]) -> int:
     return up_closure((pm.image_mask(m) for m in minimal), pm.cod.n)
 
 
-def up_contains(minimal: tuple[int, ...], mask: int) -> bool:
-    """Whether ``mask`` lies in the up-closure generated by ``minimal``."""
-    return any(m & mask == m for m in minimal)
-
-
 class Antichain(Value, namedtuple("Antichain", "ground minimal")):
     """An up-closed family of nonempty subsets, stored as its minimal antichain.
 
@@ -331,8 +326,9 @@ class Antichain(Value, namedtuple("Antichain", "ground minimal")):
             raise InputError("minimal members must be pairwise intersecting")
 
     def contains(self, mask: int) -> bool:
-        """Membership of a subset in the full (up-closed) family."""
-        return up_contains(self.minimal, mask)
+        """Membership of a subset in the full (up-closed) family; for many
+        subsets, read the up-closure word ``up_closure(self.minimal, n)`` once."""
+        return any(m & mask == m for m in self.minimal)
 
     def is_maximal_linked(self) -> bool:
         """Whether the full family is a maximal linked system (exponential in n)."""

@@ -390,6 +390,46 @@ def subbase_normal_literal(members: tuple[int, ...], full: int) -> tuple[int, in
     return None
 
 
+def opens_literal(nbhd: tuple[int, ...]) -> tuple[int, ...]:
+    """Every mask holding the minimal neighborhood of each of its points,
+    trying all masks, sorted by (size, mask)."""
+    found = [m for m in range(1 << len(nbhd)) if all(nbhd[p] & ~m == 0 for p in points(m))]
+    return tuple(sorted(found, key=lambda m: (popcount(m), m)))
+
+
+def usco_values_literal(
+    table: tuple[tuple[int, int], ...], systems: list[tuple[int, ...]], n_y: int
+) -> list[list[tuple[int, ...]]]:
+    """r(y) for each of the n_y ambient points, from the operator's table:
+    the systems, given by their minimal members and kept in the order given,
+    such that every U with y in e(U) has a minimal member inside U."""
+    return [
+        [minimal for minimal in systems if all(any(m & u == m for m in minimal) for u, eu in table if eu >> y & 1)]
+        for y in range(n_y)
+    ]
+
+
+def orbit_contains_literal(generators: list[tuple[Fraction, ...]], f: tuple[Fraction, ...]) -> bool:
+    """Whether f is constant or k*b + c for some generator b.
+
+    k and c come from the first pair of points, over all pairs in order,
+    where b takes two values; a constant b has no such pair.
+    """
+    if len(set(f)) == 1:
+        return True
+    for b in generators:
+        pairs = list(zip(b, f))
+        anchor = next(((b1, f1, b2, f2) for (b1, f1), (b2, f2) in combinations(pairs, 2) if b1 != b2), None)
+        if anchor is None:
+            continue
+        b1, f1, b2, f2 = anchor
+        k = (f1 - f2) / (b1 - b2)
+        c = f1 - k * b1
+        if all(k * bx + c == fx for bx, fx in pairs):
+            return True
+    return False
+
+
 def uplus_operator_literal(values: list[list[tuple[int, ...]]], n: int) -> dict[int, int]:
     """U -> {y : every system in r(y) lies in U-plus}, for every U of the
     discrete n-point domain, straight from the definition.
@@ -435,14 +475,10 @@ def regular_operator_search(
     and which meets no image already given to an open disjoint from U.
     """
 
-    def opens(nbhd: tuple[int, ...]) -> list[int]:
-        found = [m for m in range(1 << len(nbhd)) if all(nbhd[p] & ~m == 0 for p in points(m))]
-        return sorted(found, key=lambda m: (popcount(m), m))
-
     def img(m: int) -> int:
         return sum(1 << inject[p] for p in points(m))
 
-    opens_x, opens_y = opens(x_nbhd), opens(y_nbhd)
+    opens_x, opens_y = opens_literal(x_nbhd), opens_literal(y_nbhd)
     x_img = img((1 << len(x_nbhd)) - 1)
     assign = {0: 0}
 

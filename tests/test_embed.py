@@ -30,19 +30,19 @@ from supext.verify import standard_operators, two_in_three_operator
 SIERPINSKI = FiniteTopSpace(2, (0b01, 0b11))
 
 
-def downset_count(min_nbhd: tuple[int, ...]) -> int:
-    """Opens of an Alexandrov space are exactly the up-sets of the
-    specialization preorder; count them directly from the definition."""
-    n = len(min_nbhd)
-    count = 0
-    for mask in range(1 << n):
-        ok = True
-        for x in range(n):
-            if mask >> x & 1 and min_nbhd[x] & ~mask:
-                ok = False
-                break
-        count += ok
-    return count
+def preorder_space(nb: list[int]) -> FiniteTopSpace:
+    """The space whose minimal neighborhoods are the given masks, each
+    grown until it holds the neighborhoods of its points; each mask must
+    hold its own point."""
+    grown = True
+    while grown:
+        grown = False
+        for p in range(len(nb)):
+            for q in bits(nb[p]):
+                if nb[q] & ~nb[p]:
+                    nb[p] |= nb[q]
+                    grown = True
+    return FiniteTopSpace(len(nb), tuple(nb))
 
 
 class TestFiniteTopSpace:
@@ -55,17 +55,43 @@ class TestFiniteTopSpace:
     def test_chain_opens_count(self):
         chain = FiniteTopSpace(3, (0b001, 0b011, 0b111))
         assert chain.opens() == (0, 0b001, 0b011, 0b111)
-        assert len(chain.opens()) == downset_count(chain.min_nbhd)
+        assert chain.opens() == oracles.opens_literal(chain.min_nbhd)
 
     def test_opens_match_downset_oracle(self):
-        spaces = [
+        """Every topology on at most 4 points lists the masks that hold the
+        minimal neighborhood of each of their points, in canonical order."""
+        samples = [
             FiniteTopSpace.discrete(3),
             SIERPINSKI,
             FiniteTopSpace(3, (0b001, 0b010, 0b111)),
             FiniteTopSpace(4, (0b0001, 0b0011, 0b0111, 0b1000)),
         ]
-        for sp in spaces:
-            assert len(sp.opens()) == downset_count(sp.min_nbhd)
+        for sp in samples + [sp for n in (1, 2, 3, 4) for sp in spaces(n)]:
+            assert sp.opens() == oracles.opens_literal(sp.min_nbhd)
+
+    def test_opens_on_random_preorders(self):
+        """Seeded random preorders on 5 to 10 points, 20 of each size."""
+        rng = random.Random(24)
+        for n in range(5, 11):
+            for _ in range(20):
+                density = rng.choice((0.05, 0.15, 0.3))
+                nb = [1 << p | sum(1 << q for q in range(n) if rng.random() < density) for p in range(n)]
+                sp = preorder_space(nb)
+                assert sp.opens() == oracles.opens_literal(sp.min_nbhd)
+
+    def test_opens_without_is_open(self, monkeypatch):
+        """Four disjoint 4-point chains: 625 of the 65,536 masks are open, and
+        none of the masks is put to is_open."""
+        chain = (0b0001, 0b0011, 0b0111, 0b1111)
+        space = FiniteTopSpace(16, tuple(nb << 4 * c for c in range(4) for nb in chain))
+
+        def refuse(self, mask):
+            raise AssertionError(f"is_open({mask:#x}) called")
+
+        monkeypatch.setattr(FiniteTopSpace, "is_open", refuse)
+        opens = space.opens()
+        monkeypatch.undo()
+        assert len(opens) == 5**4 and opens == oracles.opens_literal(space.min_nbhd)
 
     def test_invalid_neighborhoods(self):
         with pytest.raises(InputError):
@@ -86,7 +112,7 @@ class TestFiniteTopSpace:
     def test_product(self):
         p = SIERPINSKI.product(SIERPINSKI)
         assert p.n == 4
-        assert len(p.opens()) == downset_count(p.min_nbhd)
+        assert p.opens() == oracles.opens_literal(p.min_nbhd)
 
 
 class TestValidateRegular:
@@ -130,15 +156,7 @@ class TestValidateRegular:
         nb = [1 << p for p in range(n)]
         if data.draw(st.booleans()):
             nb = [m | data.draw(st.integers(min_value=0, max_value=(1 << n) - 1)) for m in nb]
-            grown = True
-            while grown:  # a neighborhood holds the neighborhoods of its points
-                grown = False
-                for p in range(n):
-                    for q in bits(nb[p]):
-                        if nb[q] & ~nb[p]:
-                            nb[p] |= nb[q]
-                            grown = True
-        x = FiniteTopSpace(n, tuple(nb))
+        x = preorder_space(nb)
         m = n + data.draw(st.integers(min_value=0, max_value=3))
         inject = tuple(data.draw(st.permutations(range(m)))[:n])
         outside = (1 << m) - 1 - sum(1 << y for y in inject)
@@ -243,6 +261,25 @@ class TestUscoFromRegular:
             assert check_usco_map(r).ok, name
             for vals in r.values:
                 assert vals, name
+
+    def test_matches_the_literal_values(self):
+        """r(y) against the definition, for the least operator of a discrete
+        X of at most 3 points in every Y of at most 4, every injection."""
+        ambient = {n: spaces(n) for n in (1, 2, 3, 4)}
+        checked = 0
+        for m in (1, 2, 3):
+            x = FiniteTopSpace.discrete(m)
+            systems = [eta.minimal for eta in enumerate_mls(GroundSet(m))]
+            for n in range(m, 5):
+                for y in ambient[n]:
+                    for inject in itertools.permutations(range(n), m):
+                        e = find_regular_operator(x, y, inject)
+                        if e is None:
+                            continue
+                        values = [[eta.minimal for eta in vals] for vals in usco_from_regular(e).values]
+                        assert values == oracles.usco_values_literal(e.table, systems, n)
+                        checked += 1
+        assert checked == 3_108
 
     def test_non_t1_domain_rejected(self):
         """On the indiscrete 2-point space the identity operator is regular,

@@ -8,7 +8,7 @@ from fractions import Fraction
 from math import lcm
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import oracles
 from supext.errors import InputError, TooLarge
@@ -139,6 +139,27 @@ class TestConsistency:
             g3, ((PointFunction.of(g3, [0, 1, 2]), F(1)),)
         )
         assert not b1.contains(PointFunction.of(g3, [0, 1, 0]))
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_contains_matches_the_pair_anchor(self, data):
+        """Against the scan that takes k and c from the first pair of points
+        where b takes two values: up to 6 points, values from a small range
+        so that generators repeat values or are constant, and f either drawn
+        freely or put on the orbit of a generator."""
+        n = data.draw(st.integers(min_value=1, max_value=6))
+        g = GroundSet(n)
+        values = st.lists(st.integers(min_value=-2, max_value=2), min_size=n, max_size=n)
+        bs = [PointFunction.of(g, v) for v in data.draw(st.lists(values, max_size=4))]
+        x0 = data.draw(st.integers(min_value=0, max_value=n - 1))
+        b0 = GeneratedSubspace(g, tuple((b, b(x0)) for b in bs))  # the values of the Dirac functional at x0
+        if bs and data.draw(st.booleans()):
+            b = data.draw(st.sampled_from(bs))
+            k, c = (F(data.draw(st.integers(min_value=-3, max_value=3)), 2) for _ in range(2))
+            f = PointFunction.of(g, [k * bx + c for bx in b.values])
+        else:
+            f = PointFunction.of(g, data.draw(values))
+        assert b0.contains(f) == oracles.orbit_contains_literal([b.values for b in bs], f.values)
 
 
 class TestSeededInstances:
