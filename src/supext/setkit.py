@@ -41,6 +41,13 @@ def canonical_key(mask: int) -> tuple[int, int]:
     return (popcount(mask), mask)
 
 
+def _ascending(masks: Sequence[int]) -> bool:
+    """Whether ``masks`` rise strictly in canonical order, which also rules
+    out repeats; only neighbours are compared."""
+    keys = list(map(canonical_key, masks))
+    return all(p < q for p, q in zip(keys, keys[1:]))
+
+
 class GroundSet(Value, namedtuple("GroundSet", "n")):
     """An n-point ground set, n >= 1.
 
@@ -89,11 +96,9 @@ class SetFamily(Value, namedtuple("SetFamily", "ground masks")):
     __slots__ = ()
 
     def __init__(self, ground: GroundSet, masks: tuple[int, ...]) -> None:
-        fam = 0
         for m in masks:
             ground.check_mask(m)
-            fam |= 1 << m
-        if _canonical(fam, ground.n) != masks:
+        if not _ascending(masks):
             raise InputError("family masks must be duplicate-free and canonically ordered")
 
     @classmethod
@@ -296,10 +301,11 @@ class Antichain(Value, namedtuple("Antichain", "ground minimal")):
 
     The members must be nonempty subsets of the ground set, canonically
     ordered and pairwise incomparable.  A subclass that sets ``linked``
-    also requires them to meet pairwise.  Each rule is one test on the
-    members' family bitset and its up-closure, with no pair of members
-    compared: no member lies one point above a set of the up-closure, and
-    no member has its complement in it.
+    also requires them to meet pairwise.  Order is checked on neighbouring
+    members; each other rule is one test on the members' family bitset and
+    its up-closure, with no pair of members compared: no member lies one
+    point above a set of the up-closure, and no member has its complement
+    in it.
     """
 
     __slots__ = ()
@@ -315,7 +321,7 @@ class Antichain(Value, namedtuple("Antichain", "ground minimal")):
                 raise InputError(f"member {a:#x} is empty or leaves the ground set")
             fam |= 1 << a
         n = ground.n
-        if _canonical(fam, n) != minimal:
+        if not _ascending(minimal):
             raise InputError("minimal members must be canonically ordered")
         up = up_closure(minimal, n)
         # a member above another member is one point above the up-closure

@@ -157,12 +157,13 @@ def sconvex_retraction(e, sb: Subbase) -> tuple[int, ...]:
     check = validate_regular(e)
     if not check.ok:
         raise InputError(f"operator fails {check.axiom}")
+    hulls = [(eu, s_hull(sb, e.domain.closure(u))) for u, eu in e.table if u]
     values = []
     for y in range(e.codomain.n):
         acc = sb.full
-        for u, eu in e.table:
-            if u and (eu >> y & 1):
-                acc &= s_hull(sb, e.domain.closure(u))
+        for eu, hull in hulls:
+            if eu >> y & 1:
+                acc &= hull
         values.append(acc)
     return tuple(values)
 

@@ -165,66 +165,56 @@ def suite_axioms(n: int, seed: int = 0, trials: int = 500, **_: int) -> dict:
     return {"checks_run": len(terms), "failures": failures}
 
 
-def _all_maps(a: GroundSet, b: GroundSet) -> list[PointMap]:
-    return [PointMap(a, b, img) for img in itertools.product(range(b.n), repeat=a.n)]
-
-
 def suite_functor_laws(n: int, workers: int = 1, **_: int) -> dict:
     from .inclusion import enumerate_ih, g_map
 
-    cap = min(n, 3)
-    grounds = [GroundSet(k) for k in range(1, cap + 1)]
-    lams = {g.n: enumerate_mls(g) for g in grounds}
-    ihs = {g.n: enumerate_ih(g) for g in grounds}
+    grounds = [GroundSet(k) for k in range(1, min(n, 3) + 1)]
+    maps = {
+        (a, b): [PointMap(a, b, img) for img in itertools.product(range(b.n), repeat=a.n)]
+        for a, b in itertools.product(grounds, repeat=2)
+    }
+    # A functor F sends each map f: a -> b to F(f): F(a) -> F(b), so each
+    # functor is held as one table: under (f.image, b), F(f) as a dict from
+    # F(a), in listed order, to the pushforwards.  The laws compare table
+    # entries, so lambda_map and g_map, with their own checks, run once per
+    # (map, structure) pair.  Per functor: the law prefix, the structure's
+    # name in identity and in composition details, and the table.
+    functors = []
+    for law, ident_word, comp_word, push, enum in (
+        ("lambda", "system", "eta", lambda_map, enumerate_mls),
+        ("g", "hyperspace", "A", g_map, enumerate_ih),
+    ):
+        spaces = {a: enum(a) for a in grounds}
+        table = {(f.image, b): {x: push(f, x) for x in spaces[a]} for (a, b), fs in maps.items() for f in fs}
+        functors.append((law, ident_word, comp_word, table))
     checks = 0
     failures: list[dict] = []
-    # The laws compare pushforwards that recur across laws and maps, so each
-    # distinct (map, system) pair is pushed forward once, through lambda_map
-    # or g_map and their own checks, and looked up afterwards.  A system's
-    # ground is the map's domain, so its minimal members, the map's image
-    # and the codomain size make the key.
-    pushed: dict[tuple, object] = {}
-
-    def push(functor, pm: PointMap, x):
-        key = (functor, pm.image, pm.cod.n, x.minimal)
-        out = pushed.get(key)
-        if out is None:
-            out = pushed[key] = functor(pm, x)
-        return out
-
-    def fail(kind: str, detail: str) -> None:
-        failures.append({"law": kind, "detail": detail})
-
-    for g in grounds:
-        ident = PointMap.identity(g)
-        for eta in lams[g.n]:
-            checks += 1
-            if push(lambda_map, ident, eta) != eta:
-                fail("lambda-identity", f"n={g.n} system={eta.minimal}")
-        for a in ihs[g.n]:
-            checks += 1
-            if push(g_map, ident, a) != a:
-                fail("g-identity", f"n={g.n} hyperspace={a.minimal}")
-    for ga, gb, gc in itertools.product(grounds, repeat=3):
-        for f in _all_maps(ga, gb):
-            for g in _all_maps(gb, gc):
-                gf = g.compose(f)
-                for eta in lams[ga.n]:
-                    checks += 1
-                    if push(lambda_map, gf, eta) != push(lambda_map, g, push(lambda_map, f, eta)):
-                        fail("lambda-composition", f"f={f.image} g={g.image} eta={eta.minimal}")
-                for a in ihs[ga.n]:
-                    checks += 1
-                    if push(g_map, gf, a) != push(g_map, g, push(g_map, f, a)):
-                        fail("g-composition", f"f={f.image} g={g.image} A={a.minimal}")
-    for ga, gb in itertools.product(grounds, repeat=2):
-        for f in _all_maps(ga, gb):
-            if not f.is_surjective():
-                continue
-            for eta in lams[ga.n]:
+    for a in grounds:
+        for law, word, _, table in functors:
+            for x, fx in table[tuple(a.points()), a].items():
                 checks += 1
-                if push(lambda_map, f, eta) != lambda_map_image(f, eta):
-                    fail("lambda-image-agreement", f"f={f.image} eta={eta.minimal}")
+                if fx != x:
+                    failures.append({"law": f"{law}-identity", "detail": f"n={a.n} {word}={x.minimal}"})
+    for a, b, c in itertools.product(grounds, repeat=3):
+        for f in maps[a, b]:
+            for g in maps[b, c]:
+                gf = tuple(g.image[y] for y in f.image)
+                for law, _, word, table in functors:
+                    push_g = table[g.image, c].get  # an fx outside F(b) reads None and fails
+                    for (x, fx), gfx in zip(table[f.image, b].items(), table[gf, c].values()):
+                        checks += 1
+                        if gfx != push_g(fx):
+                            detail = f"f={f.image} g={g.image} {word}={x.minimal}"
+                            failures.append({"law": f"{law}-composition", "detail": detail})
+    lam_table = functors[0][-1]
+    for (a, b), fs in maps.items():
+        for f in fs:
+            if f.is_surjective():
+                for eta, fx in lam_table[f.image, b].items():
+                    checks += 1
+                    if fx != lambda_map_image(f, eta):
+                        detail = f"f={f.image} eta={eta.minimal}"
+                        failures.append({"law": "lambda-image-agreement", "detail": detail})
     return {"checks_run": checks, "failures": failures}
 
 

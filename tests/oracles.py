@@ -500,3 +500,26 @@ def regular_operator_search(
         return False
 
     return assign if extend(0) else None
+
+
+def sconvex_retraction_literal(
+    table: tuple[tuple[int, int], ...], nbhd: tuple[int, ...], members: tuple[int, ...], n_y: int
+) -> tuple[int, ...]:
+    """r(y) for each of the n_y ambient points, from the operator's table on
+    a domain given by its minimal neighborhoods: the intersection, over the
+    nonempty opens U with y in e(U), of the hull of the closure of U, which is
+    the intersection of the subbase members holding it.  A point in no e(U),
+    or a closure in no member, keeps the whole carrier.  One hull per pair of
+    a point and an open."""
+    full = (1 << len(nbhd)) - 1
+    values = []
+    for y in range(n_y):
+        acc = full
+        for u, eu in table:
+            if u and eu >> y & 1:
+                closure = sum(1 << x for x in range(len(nbhd)) if nbhd[x] & u)
+                for m in members:
+                    if closure & ~m == 0:
+                        acc &= m
+        values.append(acc)
+    return tuple(values)

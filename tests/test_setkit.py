@@ -4,6 +4,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 import oracles
+from supext import setkit
 from supext.errors import InputError, TooLarge
 from supext.setkit import (
     MAX_GROUND,
@@ -134,6 +135,26 @@ class TestAntichainRules:
             assert any(fault in str(e) for fault in faults), (str(e), faults)
         else:
             assert not faults and made.minimal == minimal
+
+    def test_order_is_checked_without_reading_the_family_back(self, monkeypatch):
+        """Order and duplicates are checked on neighbouring members: with the
+        family bitset readout made to raise, valid families still build and
+        misordered or repeated members are still refused."""
+
+        def no_readout(word, n):
+            raise AssertionError("family bitset read back")
+
+        monkeypatch.setattr(setkit, "_canonical", no_readout)
+        majority = tuple(sorted((m for m in range(1 << 7) if m.bit_count() == 4), key=canonical_key))
+        assert MaxLinkedSystem(GroundSet(7), majority).minimal == majority
+        assert InclusionHyperspace(GroundSet(3), (0b001, 0b110)).minimal == (0b001, 0b110)
+        assert SetFamily(GroundSet(3), (0, 0b100, 0b011, 0b111)).masks == (0, 0b100, 0b011, 0b111)
+        for minimal in [(0b011, 0b001), (0b001, 0b001), majority[1:] + majority[:1]]:
+            with pytest.raises(InputError, match="minimal members must be canonically ordered"):
+                MaxLinkedSystem(GroundSet(7), minimal)
+        for masks in [(0b011, 0b100), (0b100, 0b100)]:
+            with pytest.raises(InputError, match="duplicate-free and canonically ordered"):
+                SetFamily(GroundSet(3), masks)
 
 
 class TestUpClosure:

@@ -1,11 +1,14 @@
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
+from supext import subbase
+from supext.embed import FiniteTopSpace, RegularOperator, find_regular_operator
 from supext.errors import InputError, TooLarge
 from supext.setkit import GroundSet
 from supext.inclusion import candidate_subbase_gx
@@ -165,8 +168,6 @@ class TestSConvex:
 
 class TestRetraction:
     def test_identity(self):
-        from supext.embed import RegularOperator, FiniteTopSpace
-
         e = RegularOperator.identity(FiniteTopSpace.discrete(3))
         sb = Subbase(3, tuple(range(1, 8)))
         r = sconvex_retraction(e, sb)
@@ -185,6 +186,47 @@ class TestRetraction:
         for v in sconvex_retraction(e, sb):
             assert v
             assert is_s_convex(sb, v)
+
+    def test_matches_the_literal_values(self):
+        """On the least operators of seeded random embeddings, each a subspace
+        of a random partial order on up to 6 points with the trace topology,
+        and seeded random subbases on it."""
+        compared = 0
+        for seed in range(300):
+            rng = random.Random(seed)
+            nb: list[int] = []
+            for p in range(rng.randint(1, 6)):
+                nb.append(1 << p)
+                for q in range(p):
+                    if rng.random() < 0.4:
+                        nb[p] |= nb[q]
+            y = FiniteTopSpace(len(nb), tuple(nb))
+            inject = tuple(rng.sample(range(y.n), rng.randint(1, y.n)))
+            x_nb = tuple(sum(1 << j for j, q in enumerate(inject) if nb[p] >> q & 1) for p in inject)
+            x = FiniteTopSpace(len(inject), x_nb)
+            e = find_regular_operator(x, y, inject)
+            if e is None:
+                continue
+            members = tuple(rng.randint(1, x.full) for _ in range(rng.randint(1, 5)))
+            expected = oracles.sconvex_retraction_literal(e.table, x.min_nbhd, members, y.n)
+            assert sconvex_retraction(e, Subbase(x.n, members)) == expected, seed
+            compared += 1
+        assert compared >= 250
+
+    def test_one_hull_per_open(self, monkeypatch):
+        """The 10-point discrete identity has 1,023 nonempty opens, and each
+        point lies in the images of 512 of them."""
+        hulls = []
+
+        def counting(sb, a):
+            hulls.append(a)
+            return s_hull(sb, a)
+
+        monkeypatch.setattr(subbase, "s_hull", counting)
+        e = RegularOperator.identity(FiniteTopSpace.discrete(10))
+        r = sconvex_retraction(e, Subbase(10, tuple(1 << x for x in range(10))))
+        assert r == tuple(1 << x for x in range(10))
+        assert len(hulls) == len(set(hulls)) == 1023
 
 
 class TestJson:

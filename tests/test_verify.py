@@ -115,3 +115,48 @@ def test_usco_roundtrip_reports_a_failed_usco_check_with_its_witness(monkeypatch
         "operator": "identity-discrete-1", "stage": "usco", "axiom": "nonempty", "witness": 0
     }
     assert len(report["failures"]) == len(verify.standard_operators())
+
+
+def test_functor_laws_report_a_wrong_pushforward_under_every_law_it_breaks(monkeypatch):
+    """Each functor sends one (map, structure) pair to another member of F(b):
+    λ the first system along the identity of two points, G the first
+    hyperspace along the swap.  Every law that reads that pushforward fails,
+    in the suite's order: identities, then compositions per (f, g) with λ
+    before G, then image agreement."""
+    from supext import inclusion
+
+    lam2 = enumerate_mls(GroundSet(2))
+    ih2 = inclusion.enumerate_ih(GroundSet(2))
+
+    def sabotage(fn, image, minimal, other):
+        def wrapped(pm, x):
+            if pm.image == image and pm.cod.n == 2 and x.minimal == minimal:
+                return other
+            return fn(pm, x)
+
+        return wrapped
+
+    monkeypatch.setattr(verify, "lambda_map", sabotage(verify.lambda_map, (0, 1), (1,), lam2[1]))
+    monkeypatch.setattr(inclusion, "g_map", sabotage(inclusion.g_map, (1, 0), (1,), ih2[-1]))
+    report = verify.suite_functor_laws(2)
+    assert report["checks_run"] == 179
+    assert report["failures"] == [
+        {"law": law, "detail": detail}
+        for law, detail in [
+            ("lambda-identity", "n=2 system=(1,)"),
+            ("lambda-composition", "f=(0,) g=(0, 1) eta=(1,)"),
+            ("g-composition", "f=(0,) g=(1, 0) A=(1,)"),
+            ("lambda-composition", "f=(0, 0) g=(0, 1) eta=(1,)"),
+            ("lambda-composition", "f=(0, 0) g=(0, 1) eta=(2,)"),
+            ("g-composition", "f=(0, 0) g=(1, 0) A=(1,)"),
+            ("g-composition", "f=(0, 0) g=(1, 0) A=(1, 2)"),
+            ("g-composition", "f=(0, 0) g=(1, 0) A=(2,)"),
+            ("g-composition", "f=(0, 0) g=(1, 0) A=(3,)"),
+            ("lambda-composition", "f=(0, 1) g=(1, 0) eta=(1,)"),
+            ("lambda-composition", "f=(1, 0) g=(0, 1) eta=(2,)"),
+            ("lambda-composition", "f=(1, 0) g=(1, 0) eta=(1,)"),
+            ("g-composition", "f=(1, 0) g=(1, 0) A=(1,)"),
+            ("g-composition", "f=(1, 0) g=(1, 0) A=(2,)"),
+            ("lambda-image-agreement", "f=(0, 1) eta=(1,)"),
+        ]
+    ]
