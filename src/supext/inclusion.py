@@ -36,6 +36,7 @@ class InclusionHyperspace(Antichain):
     __slots__ = ()
 
     def as_mls(self) -> MaxLinkedSystem:
+        """The same family as a maximal linked system; refused unless it is one."""
         return MaxLinkedSystem(self.ground, self.minimal)
 
 

@@ -300,16 +300,16 @@ class Antichain(Value, namedtuple("Antichain", "ground minimal")):
     """An up-closed family of nonempty subsets, stored as its minimal antichain.
 
     The members must be nonempty subsets of the ground set, canonically
-    ordered and pairwise incomparable.  A subclass that sets ``linked``
-    also requires them to meet pairwise.  Order is checked on neighbouring
-    members; each other rule is one test on the members' family bitset and
-    its up-closure, with no pair of members compared: no member lies one
-    point above a set of the up-closure, and no member has its complement
-    in it.
+    ordered and pairwise incomparable.  A subclass that sets ``maximal``
+    also requires their up-closure to be a maximal linked system.  Order is
+    checked on neighbouring members; each other rule is one test on the
+    members' family bitset and its up-closure, with no pair of members
+    compared: no member lies one point above a set of the up-closure, and
+    the up-closure is self-dual.
     """
 
     __slots__ = ()
-    linked = False
+    maximal = False
 
     def __init__(self, ground: GroundSet, minimal: tuple[int, ...]) -> None:
         if not minimal:
@@ -327,9 +327,8 @@ class Antichain(Value, namedtuple("Antichain", "ground minimal")):
         # a member above another member is one point above the up-closure
         if fam & _covered(up, n):
             raise InputError("minimal members must form an antichain")
-        # a member disjoint from another member has its complement above it
-        if self.linked and up & _complements(fam, n):
-            raise InputError("minimal members must be pairwise intersecting")
+        if self.maximal and not is_self_dual_upclosed(up, n):
+            raise InputError("minimal members must form a maximal linked system")
 
     def contains(self, mask: int) -> bool:
         """Membership of a subset in the full (up-closed) family; for many

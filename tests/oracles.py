@@ -19,10 +19,11 @@ def is_linked_family(fam: frozenset[int]) -> bool:
     return all(a & b for a in fam for b in fam)
 
 
-def antichain_faults(minimal: tuple[int, ...], n: int, linked: bool) -> set[str]:
+def antichain_faults(minimal: tuple[int, ...], n: int, maximal: bool) -> set[str]:
     """Every rule that ``minimal`` breaks as the minimal members of an
-    (if ``linked``, linked) antichain on n points, each named by the words of
-    its refusal; every pair of members is compared."""
+    antichain on n points (if ``maximal``, of a maximal linked system), each
+    named by the words of its refusal; every pair of members is compared,
+    and maximality is read off the literal up-closure by definition."""
     full = (1 << n) - 1
     faults = set()
     if not minimal:
@@ -35,8 +36,8 @@ def antichain_faults(minimal: tuple[int, ...], n: int, linked: bool) -> set[str]
         for b in minimal[i + 1 :]:
             if a & b in (a, b):
                 faults.add("must form an antichain")
-            if linked and not a & b:
-                faults.add("must be pairwise intersecting")
+    if maximal and not is_maximal_linked(up_closure_of(frozenset(minimal), n), n):
+        faults.add("must form a maximal linked system")
     return faults
 
 

@@ -131,7 +131,9 @@ class TestEvalAxioms:
         code, _ = run(capsys, "eval", "--term", str(t), "--f", "0,1")
         assert code == 2
 
-    @pytest.mark.parametrize("minimal", [["3"], ["1", "3"]], ids=["not-maximal", "not-antichain"])
+    @pytest.mark.parametrize(
+        "minimal", [["3"], ["3", "5"], ["1", "3"]], ids=["not-maximal", "linked-not-maximal", "not-antichain"]
+    )
     def test_maxmin_not_maximal_linked(self, capsys, tmp_path, minimal):
         t = tmp_path / "t.json"
         t.write_text(json.dumps({"t": "maxmin", "minimal": minimal}))

@@ -65,6 +65,10 @@ class TestHandExamples:
         with pytest.raises(InputError, match="already lies in the generated subspace"):
             extend_one(b0, pf(3, 5))  # 2*(0,1) + 3
 
+    def test_wrong_ground(self):
+        with pytest.raises(InputError, match="function on wrong ground"):
+            extend_one(constants_only(2), pf(0, 1, 2))
+
     def test_pinned_interval(self):
         """Generator b1=(0,1) with value 1 pins (0,2) to exactly 2."""
         g = GroundSet(2)

@@ -72,6 +72,10 @@ class TestEnumerate:
                 assert h.as_mls().is_maximal_linked()
         assert hit == mls_antichains
 
+    def test_as_mls_refuses_a_linked_hyperspace_that_is_not_maximal(self):
+        with pytest.raises(InputError, match="must form a maximal linked system"):
+            ih(3, (0b011,)).as_mls()
+
 
 class TestGMap:
     def test_identity(self):

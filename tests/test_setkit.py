@@ -116,8 +116,9 @@ def member_tuples(draw):
 
 class TestAntichainRules:
     """Every antichain class accepts a tuple of members exactly when the
-    oracle's pair scan finds no fault in it, and a refusal names a fault
-    that the scan found."""
+    oracle's pair scan, and for maximal linked systems its test from the
+    definition, find no fault in it, and a refusal names a fault that the
+    oracle found."""
 
     @settings(max_examples=400, deadline=None)
     @given(member_tuples(), st.sampled_from([Antichain, MaxLinkedSystem, InclusionHyperspace]))
@@ -126,9 +127,11 @@ class TestAntichainRules:
     @example((2, (0b100,)), InclusionHyperspace)
     @example((3, (0b001, 0b001)), Antichain)
     @example((3, (0b011, 0b001)), MaxLinkedSystem)
+    @example((3, (0b011,)), MaxLinkedSystem)
+    @example((3, (0b011, 0b101, 0b110)), MaxLinkedSystem)
     def test_matches_pair_scan(self, nm, cls):
         n, minimal = nm
-        faults = oracles.antichain_faults(minimal, n, linked=cls is MaxLinkedSystem)
+        faults = oracles.antichain_faults(minimal, n, maximal=cls is MaxLinkedSystem)
         try:
             made = cls(GroundSet(n), minimal)
         except InputError as e:

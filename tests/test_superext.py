@@ -184,9 +184,10 @@ class TestConstruction:
             ((), "at least one member"),
             ((0b110, 0b001), "canonically ordered"),
             ((0b001, 0b011), "must form an antichain"),
-            ((0b001, 0b010), "must be pairwise intersecting"),
+            ((0b001, 0b010), "must form a maximal linked system"),
+            ((0b011,), "must form a maximal linked system"),
         ],
-        ids=["empty", "unordered", "not-antichain", "not-linked"],
+        ids=["empty", "unordered", "not-antichain", "not-linked", "not-maximal"],
     )
     def test_rejects(self, minimal, message):
         with pytest.raises(InputError, match=message):
@@ -316,8 +317,10 @@ class TestLambdaMap:
                     assert frozenset(lambda_map_image(pm, s).minimal) == want
 
     def test_self_duality_guard_is_live(self, monkeypatch):
-        monkeypatch.setattr(superext, "is_self_dual_upclosed", lambda fam, n: False)
-        with pytest.raises(AssertionError, match="pushforward is not a maximal linked system"):
+        """A pushforward that came out linked but not maximal would be refused
+        by the system's constructor, not returned."""
+        monkeypatch.setattr(superext, "_pushforward_bits", lambda pm, minimal: 1 << 0b11)
+        with pytest.raises(InputError, match="must form a maximal linked system"):
             lambda_map(PointMap.identity(GroundSet(2)), eta_point(GroundSet(2), 0))
 
 
