@@ -7,6 +7,7 @@ witnesses in the report, 2 = usage or input error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -35,13 +36,86 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 
 
+@functools.lru_cache(maxsize=None)
+def _quoted_hex(width: int) -> list[str]:
+    """Every mask of ``width`` bits as a JSON string of its ``hex_mask`` digits."""
+    return [f'"{m:x}"' for m in range(1 << width)]
+
+
+def _mask_tuples(value: object) -> list[tuple[int, ...]] | None:
+    """The tuples of a list made of mask tuples in lists nested to any depth,
+    or None for any other value."""
+    if type(value) is not list:
+        return None
+    leaves: list[tuple[int, ...]] = []
+    lists = [value]
+    while lists:
+        kinds = set(map(type, lists[-1]))
+        if kinds <= {tuple}:
+            leaves += lists.pop()
+        elif kinds == {list}:
+            lists += lists.pop()
+        else:
+            return None
+    return leaves
+
+
+def _listing(value: list, table: list[str], level: int, parts: list[str]) -> None:
+    """Append to ``parts`` the text ``json.dumps`` with ``indent=2`` gives a
+    list of mask tuples, or of such lists, at indent ``level``, each mask
+    read from ``table``."""
+    if not value:
+        parts.append("[]")
+        return
+    pad = "\n" + "  " * (level + 1)
+    end = "\n" + "  " * level + "]"
+    if type(value[0]) is not tuple:
+        parts.append("[" + pad)
+        for i, v in enumerate(value):
+            if i:
+                parts.append("," + pad)
+            _listing(v, table, level + 1, parts)
+        parts.append(end)
+        return
+    inner = pad + "  "
+    start, stop = "[" + inner, pad + "]"
+    # one join of the rows' masks, which leaves an empty row as start + stop
+    rows = (stop + "," + pad + start).join([("," + inner).join(map(table.__getitem__, t)) for t in value])
+    if all(value):
+        parts += ["[" + pad + start, rows, stop + end]
+    else:
+        parts.append(("[" + pad + start + rows + stop + end).replace(start + stop, "[]"))
+
+
+def _json_text(report: dict) -> str:
+    """``json.dumps(report, sort_keys=True, indent=2) + "\\n"``, with each mask
+    tuple written as a list of hex masks.  A value made of mask tuples is
+    joined from one table of quoted masks for its ground size; the pure-Python
+    encoder that ``indent`` selects would take most of a listing's time.  The
+    pieces are joined once, so a listing's text is copied once."""
+    parts = ["{"]
+    for key in sorted(report):
+        parts.append(("\n  " if len(parts) == 1 else ",\n  ") + json.dumps(key) + ": ")
+        value = report[key]
+        leaves = _mask_tuples(value)
+        if leaves is None:
+            parts.append(json.dumps(value, sort_keys=True, indent=2).replace("\n", "\n  "))
+        else:
+            width = max(map(max, filter(None, leaves)), default=0).bit_length()
+            _listing(value, _quoted_hex(width), 1, parts)
+    parts.append("\n}\n" if report else "}\n")
+    return "".join(parts)
+
+
 def _emit(report: dict, out: str | None, fmt: str) -> None:
+    """The one writer of reports.  The whole text is built before any byte is
+    written, so a command that fails writes nothing."""
     if fmt == "csv-summary":
         keys = ["suite", "n", "checks_run"]
         line = ",".join(str(report.get(k, "")) for k in keys)
         text = f"suite,n,checks_run,failures\n{line},{len(report.get('failures', []))}\n"
     else:
-        text = json.dumps(report, sort_keys=True, indent=2) + "\n"
+        text = _json_text(report)
     if out:
         Path(out).write_text(text)
     else:
@@ -59,14 +133,15 @@ def _worker_count(text: str) -> int:
     return workers
 
 
-# Each command returns its report; main alone writes it and sets the exit status.
+# Each command returns its report, with a listing's masks as tuples of ints;
+# main alone writes it and sets the exit status.
 
 
 def cmd_enumerate(args: argparse.Namespace) -> dict:
     lam = enumerate_mls(GroundSet(args.n), workers=args.workers)
     report: dict = {"n": args.n, "count": len(lam)}
     if not args.count_only:
-        report["systems"] = [hex_masks(eta.minimal) for eta in lam]
+        report["systems"] = [eta.minimal for eta in lam]
     return report
 
 
@@ -76,7 +151,7 @@ def cmd_ghyper(args: argparse.Namespace) -> dict:
     hs = enumerate_ih(GroundSet(args.n))
     report: dict = {"n": args.n, "count": len(hs)}
     if not args.count_only:
-        report["systems"] = [hex_masks(a.minimal) for a in hs]
+        report["systems"] = [a.minimal for a in hs]
     return report
 
 
@@ -131,7 +206,7 @@ def cmd_usco(args: argparse.Namespace) -> dict:
 
     op = embed.operator_from_json(Path(args.source).read_bytes())
     r = embed.usco_from_regular(op)
-    values = [[hex_masks(eta.minimal) for eta in vals] for vals in r.values]
+    values = [[eta.minimal for eta in vals] for vals in r.values]
     return {"values": values, "usc": r.is_usc()}
 
 

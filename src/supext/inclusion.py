@@ -16,7 +16,6 @@ from .setkit import (
     PointMap,
     _plus_columns,
     _pushforward_bits,
-    _supersets,
     _trusted,
     canonical_key,
     minimal_members,
@@ -41,30 +40,33 @@ class InclusionHyperspace(Antichain):
 
 
 def enumerate_ih(ground: GroundSet) -> tuple[InclusionHyperspace, ...]:
-    """All inclusion hyperspaces, via antichains of nonempty subsets."""
+    """All inclusion hyperspaces, via antichains of nonempty subsets, in
+    sorted order of their member tuples.
+
+    An antichain grows by subsets later in canonical order, which never puts
+    a superset before its subsets.  Each antichain on the stack carries the
+    bitset over the subsets it may still take: later ones, no superset of a
+    member.  It is listed when popped, and its children are pushed largest
+    mask first, so they come out depth first in increasing mask order, which
+    is the sorted order.
+    """
     if ground.n > MAX_IH_GROUND:
         raise TooLarge(f"hyperspace enumeration capped at n <= {MAX_IH_GROUND}")
-    n = ground.n
-    subsets = sorted(ground.nonempty_subsets(), key=canonical_key)
-    supersets = _supersets(n)
+    full = ground.full
+    keys = [canonical_key(t) for t in range(full + 1)]
+    # per subset m, the bitset over the subsets after m that are not above m
+    after = [sum(1 << t for t in range(1, full + 1) if keys[t] > keys[m] and t & m != m) for m in range(full + 1)]
     out: list[tuple[int, ...]] = []
-
-    def extend(start: int, chain: list[int], up: int) -> None:
-        # ``up`` is the up-closure of ``chain`` as a bitset over the subsets
-        if chain:
-            out.append(tuple(chain))
-        for i in range(start, len(subsets)):
-            s = subsets[i]
-            # canonical order never puts a superset before its subsets,
-            # so only the superset direction needs exclusion
-            if up >> s & 1:
-                continue
-            chain.append(s)
-            extend(i + 1, chain, up | supersets[s])
-            chain.pop()
-
-    extend(0, [], 0)
-    out.sort()
+    stack = [((m,), after[m]) for m in range(full, 0, -1)]
+    pop, push = stack.pop, stack.append
+    while stack:
+        chain, free = pop()
+        out.append(chain)
+        rest = free
+        while rest:
+            m = rest.bit_length() - 1
+            rest ^= 1 << m
+            push(((*chain, m), free & after[m]))
     return _trusted(InclusionHyperspace, ground, out)
 
 

@@ -265,13 +265,13 @@ def _plus_columns(minimals: Iterable[tuple[int, ...]], n: int) -> list[int]:
     nonempty carrier of antichains with bit i set iff family i contains f.
 
     One row per family, last family first: its up-closure as 2^n binary
-    digits, subset f at digit 2^n - 1 - f.  Digit string f of the
-    transposed table, read as a binary number, is then column f.
+    digits, subset f at digit 2^n - 1 - f.  The digits of subset f, one per
+    row, read as a binary number, are then column f; in the rows joined
+    into one string they lie ``size`` apart from digit 2^n - 1 - f on.
     """
     size = 1 << n
-    rows = [format(up_closure(m, n), f"0{size}b") for m in minimals][::-1]
-    columns = list(zip(*rows))
-    return [int("".join(columns[size - 1 - f]), 2) for f in range(size)]
+    rows = "".join([format(up_closure(m, n), f"0{size}b") for m in minimals][::-1])
+    return [int(rows[size - 1 - f :: size], 2) for f in range(size)]
 
 
 @functools.lru_cache(maxsize=256)

@@ -102,10 +102,11 @@ def _enum_subtree(args: tuple[int, int, int]) -> list[tuple[int, ...]]:
 
 
 # A two-process pool costs more than the work it shares below this n.
-# Measured on 2 vCPU, Python 3.11, at n=6: the enumeration took 0.035 to
-# 0.041 s through a pool at split depths 2 to 12 and 0.018 s serially; the
-# eq1 suite took 76-116 ms with a pool, which costs about 28 ms to import
-# and 14 ms to start before any work, and 23-33 ms serially.
+# Measured on 2 vCPU, Python 3.11, at n=6, with the forked pool: the
+# enumeration took 15-16 ms through a pool at split depths 2 to 14 and
+# 10 ms serially; the eq1 suite took 17 ms with its enumeration pooled and
+# 11 ms serially.  A process's first pool costs about 5-7 ms to import,
+# fork and reap before any work.
 _POOL_FROM_N = 7
 
 

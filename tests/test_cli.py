@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import concurrent.futures
 import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
@@ -8,7 +7,7 @@ from contextlib import redirect_stderr, redirect_stdout
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from supext import verify
+from supext import _forkpool, verify
 from supext.cli import main
 from supext.embed import operator_to_json
 from supext.functionals import MAX_GENERATORS, Dirac, term_to_json
@@ -286,7 +285,7 @@ class TestVerify:
         """A count above parallel.MAX_WORKERS is refused before any pool is
         asked for; the fake pool would record one if it were."""
         started = []
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", lambda **kw: started.append(kw))
+        monkeypatch.setattr(_forkpool, "map_forked", lambda fn, items, workers: started.append(workers))
         with pytest.raises(SystemExit) as exc:
             main(command.split() + ["--workers", workers])
         err = capsys.readouterr().err

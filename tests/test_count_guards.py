@@ -11,14 +11,13 @@ as a slower benchmark.
 
 from __future__ import annotations
 
-import concurrent.futures
 import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
 
 import supext
-from supext import functionals, inclusion, parallel, setkit, superext, verify
+from supext import _forkpool, functionals, inclusion, parallel, setkit, superext, verify
 from supext.setkit import GroundSet, SetFamily
 
 
@@ -120,15 +119,20 @@ def test_axiom_suite_draws_one_trial_table(monkeypatch):
     assert len(draws) == 50
 
 
+def fake_pool(started: list):
+    """A stand-in for the pool's entry point: it records the worker count
+    asked for and runs the items in this process, starting nothing."""
+
+    def map_forked(fn, items, workers):
+        started.append(workers)
+        return [fn(it) for it in items]
+
+    return map_forked
+
+
 def test_no_pool_for_eq1_below_n7(monkeypatch):
     started = []
-
-    class NoPool:
-        def __init__(self, *args, **kwargs):
-            started.append(kwargs)
-            raise OSError("no pool in this test")
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", NoPool)
+    monkeypatch.setattr(_forkpool, "map_forked", fake_pool(started))
     assert parallel.map_chunks(abs, [-1, -2], 2) == [1, 2]  # the fake is reached
     assert len(started) == 1
     started.clear()
@@ -141,13 +145,7 @@ def test_pool_has_one_process_per_item_at_most(monkeypatch):
     """A pool never has more processes than items or than MAX_WORKERS; the
     fake records the size asked for and starts nothing."""
     started = []
-
-    class NoPool:
-        def __init__(self, max_workers):
-            started.append(max_workers)
-            raise OSError("no pool in this test")
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", NoPool)
+    monkeypatch.setattr(_forkpool, "map_forked", fake_pool(started))
     assert parallel.map_chunks(abs, [-1, -2, -3], 100_000) == [1, 2, 3]
     assert parallel.map_chunks(abs, range(-1000, 0), 100_000) == list(range(1000, 0, -1))
     assert len(superext.enumerate_mls(GroundSet(5), workers=100_000)) == 81
@@ -182,7 +180,10 @@ def test_cli_import_leaves_out_concurrent_futures():
     theirs on first use; each case runs in a fresh interpreter without a
     bytecode cache, as the benchmark runs its jobs."""
     src = str(Path(supext.__file__).resolve().parents[1])
-    unused = ["concurrent.futures", "supext.functionals", "supext.embed", "supext.subbase", "supext.inclusion"]
+    unused = [
+        "concurrent.futures", "supext._forkpool", "supext.functionals", "supext.embed", "supext.subbase",
+        "supext.inclusion",
+    ]
     report = f"import sys; print(sorted(set({unused!r}) & set(sys.modules)))"
     command = "import contextlib, io, supext.cli\nwith contextlib.redirect_stdout(io.StringIO()): supext.cli.main({})\n"
     star = (

@@ -5,17 +5,24 @@ status and the sha256 of the bytes it prints with pinned values.  The
 failing cases pin the witness format of every check kind; the passing
 cases pin enumeration order and suite reports.  The ``extend`` cases pin
 the exact interval ends for each ``--choose``, and an inconsistent
-generator file that is refused with exit 2 and no report.
+generator file that is refused with exit 2 and no report.  The listings
+of ``enumerate``, ``ghyper`` and ``usco --from`` are compared byte for byte
+with the text ``json.dumps`` writes for the same report.
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
 
 import pytest
 
-from supext.cli import main
-from supext.embed import FiniteTopSpace, RegularOperator, operator_to_json
+from supext.cli import _json_text, main
+from supext.embed import FiniteTopSpace, RegularOperator, find_regular_operator, operator_to_json, usco_from_regular
+from supext.errors import hex_masks
+from supext.inclusion import enumerate_ih
+from supext.setkit import GroundSet
+from supext.superext import enumerate_mls
 from supext.subbase import Subbase, subbase_to_json
 
 # Discrete 2-point X inside a 3-point Y; the open {0} maps to {0, 1}, whose
@@ -122,3 +129,82 @@ def test_inconsistent_generators_message(capsys, tmp_path):
     assert main(["extend", "--generators", str(tmp_path / "g.json"), "--phi=0,0,1"]) == 2
     err = capsys.readouterr().err
     assert err == "supext: input error: generator values admit no monotone extension\n"
+
+
+# --------------------------------------------------------------------------
+# The listing writer against the standard library's encoder
+
+
+def dumped(report: dict) -> str:
+    """The report text as ``json.dumps`` writes it, with every mask tuple as
+    its list of hex masks."""
+
+    def hexed(value):
+        if isinstance(value, tuple):
+            return hex_masks(value)
+        return [hexed(v) for v in value] if isinstance(value, list) else value
+
+    return json.dumps({k: hexed(v) for k, v in report.items()}, sort_keys=True, indent=2) + "\n"
+
+
+def point_above(k: int) -> RegularOperator:
+    """A discrete X of k points inside Y, X plus one point whose minimal
+    neighbourhood is all of Y: the least regular operator of the embedding."""
+    y = FiniteTopSpace(k + 1, tuple(1 << p for p in range(k)) + ((1 << k + 1) - 1,))
+    return find_regular_operator(FiniteTopSpace.discrete(k), y, tuple(range(k)))
+
+
+LISTINGS = (
+    [("enumerate", n) for n in range(1, 7)] + [("ghyper", n) for n in range(1, 6)] + [("usco", k) for k in range(2, 7)]
+)
+
+
+@pytest.mark.parametrize("command,size", LISTINGS, ids=[f"{c}-{k}" for c, k in LISTINGS])
+def test_listing_bytes(command, size, capsys, tmp_path):
+    """enumerate, ghyper and usco --from print what json.dumps printed for
+    their hex lists, on stdout and with --out; usco --from on X of ``size`` points."""
+    if command == "enumerate":
+        lam = enumerate_mls(GroundSet(size))
+        report = {"n": size, "count": len(lam), "systems": [eta.minimal for eta in lam]}
+        argv = ["enumerate", "--n", str(size)]
+    elif command == "ghyper":
+        hs = enumerate_ih(GroundSet(size))
+        report = {"n": size, "count": len(hs), "systems": [a.minimal for a in hs]}
+        argv = ["ghyper", "--n", str(size)]
+    else:
+        op = point_above(size)
+        (tmp_path / "op.json").write_text(operator_to_json(op))
+        r = usco_from_regular(op)
+        report = {"values": [[eta.minimal for eta in vals] for vals in r.values], "usc": r.is_usc()}
+        argv = ["usco", "--from", str(tmp_path / "op.json")]
+    expected = dumped(report)
+    assert main(argv) == 0
+    assert capsys.readouterr().out == expected
+    assert main(argv + ["--out", str(tmp_path / "report.json")]) == 0
+    assert (tmp_path / "report.json").read_bytes() == expected.encode()
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize(
+    "report",
+    [
+        {"systems": []},
+        {"systems": [()]},
+        {"systems": [(), (1, 6), ()]},
+        {"values": [[]]},
+        {"values": [[], [(1,), (2, 5)], []]},
+        {"values": [[[]], [[], [(0xFFFF,)]]]},
+        {"values": [[[(3,)]]], "usc": True, "n": 0},
+        # values that are no listing keep the encoder's layout
+        {},
+        {"failures": [{"f": [1, -1], "system": ["3", "5"]}], "pass": False, "detail": "a\nb \u00e9"},
+        {"witness": [2, 5], "table": [["0", "0"], ["1", "3"]], "empty": {}, "none": None, "nested": {"b": [], "a": [[]]}},
+    ],
+)
+def test_writer_matches_the_encoder(report):
+    assert _json_text(report) == dumped(report)
+
+
+def test_a_value_not_made_of_mask_tuples_goes_to_the_encoder():
+    report = {"mixed": [(1,), [(2,)]], "ints": [[1, 2], (3,)], "tuple": (4, 5)}
+    assert _json_text(report) == json.dumps(report, sort_keys=True, indent=2) + "\n"
