@@ -14,7 +14,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from . import parallel, verify
-from .errors import InputError, _exact, hex_masks, parse_rational
+from .errors import InputError, _exact, hex_mask, hex_masks, parse_rational
 from .setkit import GroundSet
 from .superext import enumerate_mls
 
@@ -39,7 +39,7 @@ EXIT_USAGE = 2
 @functools.lru_cache(maxsize=None)
 def _quoted_hex(width: int) -> list[str]:
     """Every mask of ``width`` bits as a JSON string of its ``hex_mask`` digits."""
-    return [f'"{m:x}"' for m in range(1 << width)]
+    return [f'"{hex_mask(m)}"' for m in range(1 << width)]
 
 
 def _mask_tuples(value: object) -> list[tuple[int, ...]] | None:
@@ -137,22 +137,22 @@ def _worker_count(text: str) -> int:
 # main alone writes it and sets the exit status.
 
 
-def cmd_enumerate(args: argparse.Namespace) -> dict:
-    lam = enumerate_mls(GroundSet(args.n), workers=args.workers)
-    report: dict = {"n": args.n, "count": len(lam)}
+def _listing_report(args: argparse.Namespace, families: tuple) -> dict:
+    """n, the count and, unless --count-only, each family's minimal members."""
+    report: dict = {"n": args.n, "count": len(families)}
     if not args.count_only:
-        report["systems"] = [eta.minimal for eta in lam]
+        report["systems"] = [a.minimal for a in families]
     return report
+
+
+def cmd_enumerate(args: argparse.Namespace) -> dict:
+    return _listing_report(args, enumerate_mls(GroundSet(args.n), workers=args.workers))
 
 
 def cmd_ghyper(args: argparse.Namespace) -> dict:
     from .inclusion import enumerate_ih
 
-    hs = enumerate_ih(GroundSet(args.n))
-    report: dict = {"n": args.n, "count": len(hs)}
-    if not args.count_only:
-        report["systems"] = [a.minimal for a in hs]
-    return report
+    return _listing_report(args, enumerate_ih(GroundSet(args.n)))
 
 
 def cmd_eval(args: argparse.Namespace) -> dict:

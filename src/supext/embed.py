@@ -14,7 +14,7 @@ import json
 from collections import namedtuple
 
 from .errors import Check, InputError, TooLarge, Value, hex_masks, json_int, json_list, json_masks, read_json
-from .setkit import MAX_GROUND, GroundSet, _canonical, _down, bits, canonical_key, check_injection, up_closure
+from .setkit import MAX_GROUND, GroundSet, _canonical, _down, _image_mask, bits, canonical_key, check_injection, up_closure
 from .superext import MaxLinkedSystem, enumerate_mls, eta_point
 
 
@@ -99,10 +99,7 @@ class RegularOperator(Value, namedtuple("RegularOperator", "domain codomain inje
         check_injection(inject, domain.n, codomain.n, "inject")
 
     def image_mask(self, x_mask: int) -> int:
-        out = 0
-        for x in bits(x_mask):
-            out |= 1 << self.inject[x]
-        return out
+        return _image_mask(self.inject, x_mask)
 
     @property
     def x_image(self) -> int:

@@ -1,7 +1,7 @@
 """The base of supext's value types, the check result, the input errors
 shared by all supext modules, the one reader of input files, the reads
 of JSON integer, rational, list and hex-mask fields that raise them, and
-the one writer of hex masks."""
+the one writer of each text kind: exact rationals and hex masks."""
 
 from __future__ import annotations
 
@@ -102,8 +102,8 @@ def parse_rational(text: str, field: str) -> Fraction:
 
 
 def _exact(value: Fraction) -> str:
-    """An exact result as report text.  Python writes no integer of more
-    digits than its conversion limit, so a result past it is refused."""
+    """An exact rational as text.  Python writes no integer of more digits
+    than its conversion limit, so a rational past it is refused."""
     try:
         return str(value)
     except ValueError:
@@ -137,7 +137,7 @@ def hex_mask(mask: int) -> str:
 
 def hex_masks(masks: Iterable[int]) -> list[str]:
     """A list of masks, each written by ``hex_mask``."""
-    return [format(m, "x") for m in masks]
+    return list(map(hex_mask, masks))
 
 
 # The digits hex_mask writes; int(s, 16) alone also reads a sign, "0x",

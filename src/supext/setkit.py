@@ -25,10 +25,6 @@ from .errors import InputError, TooLarge, Value
 MAX_GROUND = 16
 
 
-def popcount(mask: int) -> int:
-    return mask.bit_count()
-
-
 def bits(mask: int) -> Iterator[int]:
     """Yield the set bit positions of ``mask`` in increasing order."""
     while mask:
@@ -37,8 +33,16 @@ def bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def _image_mask(image: Sequence[int], mask: int) -> int:
+    """The mask of the points ``image[x]``, for the points x of ``mask``."""
+    out = 0
+    for x in bits(mask):
+        out |= 1 << image[x]
+    return out
+
+
 def canonical_key(mask: int) -> tuple[int, int]:
-    return (popcount(mask), mask)
+    return (mask.bit_count(), mask)
 
 
 def _ascending(masks: Sequence[int]) -> bool:
@@ -125,10 +129,7 @@ class PointMap(Value, namedtuple("PointMap", "dom cod image")):
         return len(set(self.image)) == self.cod.n
 
     def image_mask(self, mask: int) -> int:
-        out = 0
-        for x in bits(mask):
-            out |= 1 << self.image[x]
-        return out
+        return _image_mask(self.image, mask)
 
     def preimage_mask(self, mask: int) -> int:
         out = 0

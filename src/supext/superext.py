@@ -95,7 +95,7 @@ def _enum_subtree(args: tuple[int, int, int]) -> list[tuple[int, ...]]:
     A leaf holds one side of every complementary pair and is linked, so it is
     maximal linked, hence up-closed; the tests check every leaf for n <= 7.
     Its minimal members are the members not one point above another member.
-    The result is a list: the benchmark reads a tuple as an eq1 chunk.
+    The result is a list: the benchmark reads a list's length as its leaves.
     """
     n, fam, depth = args
     return [_canonical(leaf & ~_covered(leaf, n), n) for leaf in _backtrack(n, fam, depth, len(_pair_order(n)))]

@@ -1,18 +1,19 @@
 """Named verification suites behind the `supext verify` command.
 
 Every suite takes the ground size n and the keyword options workers, seed
-and trials, ignoring those it has no use for.  It returns a
-machine-readable report; reports are byte-identical across runs and worker
-counts for equal configurations.
+and trials, ignoring those it has no use for.  ``run_verify_suite`` refuses
+a ground size out of range and fewer than one worker before any suite
+runs.  A suite returns a machine-readable report; reports are
+byte-identical across runs and worker counts for equal configurations.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterable
 
 from .errors import InputError, TooLarge, hex_masks
-from .setkit import GroundSet, PointMap, _disjoint, _plus_columns, _supersets, popcount
+from .setkit import GroundSet, PointMap, _disjoint, _plus_columns, _supersets
 from .superext import EXPECTED_MLS_COUNTS, _POOL_FROM_N, enumerate_mls, lambda_map, lambda_map_image
 
 # Only the modules the counts and eq1 suites use are imported here; every
@@ -35,8 +36,8 @@ ANCHORS = {
 EQ1_GRID = (-1, 0, 1, 2)
 
 
-def _eq1_chunk(args: tuple[int, tuple[tuple[int, ...], ...]]) -> tuple[int, list[dict]]:
-    """Exchange identity over the full grid for a chunk of systems.
+def _eq1_failures(n: int, antichains: Iterable[tuple[int, ...]]) -> list[dict]:
+    """The failures of the exchange identity over the full grid for the given systems.
 
     Max-min and min-max forms commute with monotone maps of the value
     scale, so each is at least t at f exactly where it is 1 on the
@@ -47,9 +48,7 @@ def _eq1_chunk(args: tuple[int, tuple[tuple[int, ...], ...]]) -> tuple[int, list
     the forms differ at f exactly when one of its level sets, at a
     threshold above the least grid value, lies in ``up ^ tr``.
     """
-    n, antichains = args
-    size = 1 << n
-    everything = (1 << size) - 1
+    everything = (1 << (1 << n)) - 1
     supersets = _supersets(n)
     meets = [everything ^ d for d in _disjoint(n)]
     failures: list[dict] = []
@@ -71,21 +70,19 @@ def _eq1_chunk(args: tuple[int, tuple[tuple[int, ...], ...]]) -> tuple[int, list
                     grid.append((f, levels))
             system = hex_masks(minimal)
             failures += ({"system": system, "f": list(f)} for f, levels in grid if levels & split)
-    return len(EQ1_GRID) ** n * len(antichains), failures
+    return failures
 
 
 def suite_eq1(n: int, workers: int = 1, **_: int) -> dict:
-    if workers < 1:
-        raise InputError(f"workers must be at least 1, got {workers}")
     # The eq1 kernel always runs in this process; below the pool threshold
     # the enumeration it checks does too, whatever the worker count, so that
     # `verify --suite eq1 --n 5 --workers 2` starts no pool.
     if n < _POOL_FROM_N:
         workers = 1
     lam = enumerate_mls(GroundSet(n), workers=workers)
-    checks, failures = _eq1_chunk((n, tuple(eta.minimal for eta in lam)))
+    failures = _eq1_failures(n, (eta.minimal for eta in lam))
     failures.sort(key=lambda d: (d["system"], d["f"]))
-    return {"checks_run": checks, "failures": failures}
+    return {"checks_run": len(EQ1_GRID) ** n * len(lam), "failures": failures}
 
 
 def suite_counts(n: int, workers: int = 1, **_: int) -> dict:
@@ -129,7 +126,7 @@ def term_zoo(ground: GroundSet) -> list[Term]:
     terms += [MinOver(ground, 1 << x) for x in ground.points()]
     terms += [MaxOver(ground, 1 << x) for x in ground.points()]
     for m in ground.nonempty_subsets():
-        if popcount(m) >= 2:
+        if m.bit_count() >= 2:
             terms.append(Convex((half, half), (MaxOver(ground, m), MinOver(ground, m))))
     terms.append(Linear(ground, tuple(Fraction(1, n) for _ in range(n))))
     if n >= 2:
@@ -317,7 +314,10 @@ def run_verify_suite(
 ) -> dict:
     if suite not in SUITES:
         raise InputError(f"unknown suite {suite!r}; choose from {sorted(SUITES)}")
-    GroundSet(n)  # one size check for every suite, before any of them runs
+    # one size check and one worker check for every suite, before any of them runs
+    GroundSet(n)
+    if workers < 1:
+        raise InputError(f"workers must be at least 1, got {workers}")
     body = SUITES[suite](n, workers=workers, seed=seed, trials=trials)
     report = {"suite": suite, "anchor": ANCHORS[suite], "n": n}
     report.update(body)

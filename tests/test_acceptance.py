@@ -38,7 +38,7 @@ from supext.superext import (
 )
 from supext.subbase import is_binary, is_normal
 from supext.verify import (
-    _eq1_chunk,
+    _eq1_failures,
     lambda_plus_subbase,
     run_verify_suite,
     standard_operators,
@@ -81,7 +81,7 @@ def test_c02_exchange_identity(capfd):
         checks += body["checks_run"]
     # negative control: a deliberately non-maximal linked family, {111},
     # where max-min is 0 and min-max is 2 at f = (0, 1, 2)
-    _, failures = _eq1_chunk((3, ((0b111,),)))
+    failures = _eq1_failures(3, ((0b111,),))
     ok &= {"system": ["7"], "f": [0, 1, 2]} in failures
     ok &= (oracles.naive_maxmin((0b111,), [0, 1, 2]), oracles.naive_minmax((0b111,), [0, 1, 2])) == (0, 2)
     verdict(capfd, "criterion 2: max-min equals min-max on the full grid, n <= 5", ok, f"{checks} checks")
@@ -157,7 +157,7 @@ def test_c08_extension_intervals(capfd):
         t = rng.choice(term_zoo(g))
 
         def rand_fn():
-            return PointFunction.of(g, [F(rng.randint(-8, 8), rng.randint(1, 4)) for _ in range(n)])
+            return PointFunction(g, [F(rng.randint(-8, 8), rng.randint(1, 4)) for _ in range(n)])
 
         gens = tuple((b, evaluate(t, b)) for b in (rand_fn() for _ in range(rng.randint(1, 3))))
         phi0 = rand_fn()
@@ -170,13 +170,13 @@ def test_c08_extension_intervals(capfd):
     # hand-derived examples against the step-1/100 grid oracle; the
     # documented breakpoints are integers, so agreement is exact
     g2 = GroundSet(2)
-    one = PointFunction.of(g2, [1, 1])
-    ex1 = extend_one(GeneratedSubspace(g2, ((one, F(1)),)), PointFunction.of(g2, [0, 1]))
+    one = PointFunction(g2, [1, 1])
+    ex1 = extend_one(GeneratedSubspace(g2, ((one, F(1)),)), PointFunction(g2, [0, 1]))
     ok &= ex1 == (0, 1, F(1, 2))
     glo, ghi = oracles.grid_interval([], [F(0), F(1)])
     ok &= (glo, ghi) == (0, 1)
-    gens2 = ((PointFunction.of(g2, [0, 1]), F(1)), (one, F(1)))
-    ok &= admissible_interval(gens2, PointFunction.of(g2, [0, 2])) == (2, 2)
+    gens2 = ((PointFunction(g2, [0, 1]), F(1)), (one, F(1)))
+    ok &= admissible_interval(gens2, PointFunction(g2, [0, 2])) == (2, 2)
     glo, ghi = oracles.grid_interval([([F(0), F(1)], F(1))], [F(0), F(2)])
     ok &= (glo, ghi) == (2, 2)
     verdict(capfd, "criterion 8: extension intervals, 100 seeded instances plus grid oracle", ok)

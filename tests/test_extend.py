@@ -35,12 +35,12 @@ INCONSISTENT = (
 
 
 def pf(*vals) -> PointFunction:
-    return PointFunction.of(GroundSet(len(vals)), vals)
+    return PointFunction(GroundSet(len(vals)), vals)
 
 
 def constants_only(n: int) -> GeneratedSubspace:
     g = GroundSet(n)
-    one = PointFunction.of(g, [1] * n)
+    one = PointFunction(g, [1] * n)
     return GeneratedSubspace(g, ((one, F(1)),))
 
 
@@ -72,7 +72,7 @@ class TestHandExamples:
     def test_pinned_interval(self):
         """Generator b1=(0,1) with value 1 pins (0,2) to exactly 2."""
         g = GroundSet(2)
-        gens = ((pf(0, 1), F(1)), (PointFunction.of(g, [1, 1]), F(1)))
+        gens = ((pf(0, 1), F(1)), (PointFunction(g, [1, 1]), F(1)))
         phi0 = pf(0, 2)
         lower, upper = admissible_interval(gens, phi0)
         assert (lower, upper) == (2, 2)
@@ -120,7 +120,7 @@ class TestConsistency:
             g = GroundSet(3)
             gens = []
             for _ in range(rng.randint(1, 3)):
-                b = PointFunction.of(g, [F(rng.randint(-4, 4)) for _ in range(3)])
+                b = PointFunction(g, [F(rng.randint(-4, 4)) for _ in range(3)])
                 v = min(b.values) + F(rng.randint(0, 4), 4) * (max(b.values) - min(b.values))
                 gens.append((b, v))
             try:
@@ -129,7 +129,7 @@ class TestConsistency:
                 if not re.search(INCONSISTENT, str(exc)):
                     raise
                 continue
-            phi0 = PointFunction.of(g, [F(rng.randint(-4, 4)) for _ in range(3)])
+            phi0 = PointFunction(g, [F(rng.randint(-4, 4)) for _ in range(3)])
             lower, upper = admissible_interval(b0.generators, phi0)
             assert lower <= upper
 
@@ -140,9 +140,9 @@ class TestConsistency:
         assert b0.contains(pf(7, 7))
         g3 = GroundSet(3)
         b1 = GeneratedSubspace(
-            g3, ((PointFunction.of(g3, [0, 1, 2]), F(1)),)
+            g3, ((PointFunction(g3, [0, 1, 2]), F(1)),)
         )
-        assert not b1.contains(PointFunction.of(g3, [0, 1, 0]))
+        assert not b1.contains(PointFunction(g3, [0, 1, 0]))
 
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
@@ -154,15 +154,15 @@ class TestConsistency:
         n = data.draw(st.integers(min_value=1, max_value=6))
         g = GroundSet(n)
         values = st.lists(st.integers(min_value=-2, max_value=2), min_size=n, max_size=n)
-        bs = [PointFunction.of(g, v) for v in data.draw(st.lists(values, max_size=4))]
+        bs = [PointFunction(g, v) for v in data.draw(st.lists(values, max_size=4))]
         x0 = data.draw(st.integers(min_value=0, max_value=n - 1))
         b0 = GeneratedSubspace(g, tuple((b, b(x0)) for b in bs))  # the values of the Dirac functional at x0
         if bs and data.draw(st.booleans()):
             b = data.draw(st.sampled_from(bs))
             k, c = (F(data.draw(st.integers(min_value=-3, max_value=3)), 2) for _ in range(2))
-            f = PointFunction.of(g, [k * bx + c for bx in b.values])
+            f = PointFunction(g, [k * bx + c for bx in b.values])
         else:
-            f = PointFunction.of(g, data.draw(values))
+            f = PointFunction(g, data.draw(values))
         assert b0.contains(f) == oracles.orbit_contains_literal([b.values for b in bs], f.values)
 
 
@@ -179,7 +179,7 @@ class TestSeededInstances:
             t = rng.choice(zoo)
 
             def rand_fn():
-                return PointFunction.of(g, [F(rng.randint(-8, 8), rng.randint(1, 4)) for _ in range(n)])
+                return PointFunction(g, [F(rng.randint(-8, 8), rng.randint(1, 4)) for _ in range(n)])
 
             gens = tuple((b, evaluate(t, b)) for b in (rand_fn() for _ in range(rng.randint(1, 3))))
             phi0 = rand_fn()
@@ -198,11 +198,11 @@ class TestSeededInstances:
         """Extend the partial data to a total functional by repeated
         extend_one over a basis; the result obeys the axioms on samples."""
         g = GroundSet(3)
-        one = PointFunction.of(g, [1, 1, 1])
+        one = PointFunction(g, [1, 1, 1])
         b0 = GeneratedSubspace(g, ((one, F(1)),))
         rng = random.Random(5)
         for _ in range(25):
-            f = PointFunction.of(g, [F(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(3)])
+            f = PointFunction(g, [F(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(3)])
             if b0.contains(f):
                 continue
             lower, upper, p = extend_one(b0, f)
@@ -216,7 +216,7 @@ class TestSeededInstances:
             g = GroundSet(n)
 
             def rand_small():
-                return PointFunction.of(g, [F(rng.randint(-3, 3)) for _ in range(n)])
+                return PointFunction(g, [F(rng.randint(-3, 3)) for _ in range(n)])
 
             b = rand_small()
             v = F(rng.randint(min(b.values).numerator, max(b.values).numerator))
@@ -262,14 +262,14 @@ def generator_sets(draw):
     bs = draw(st.lists(values, min_size=1, max_size=3))
     if draw(st.booleans()):
         t = draw(st.sampled_from(term_zoo(g)))
-        return g, [(b, evaluate(t, PointFunction.of(g, b))) for b in bs], True
+        return g, [(b, evaluate(t, PointFunction(g, b))) for b in bs], True
     fracs = st.sampled_from([F(i, 4) for i in range(5)])
     return g, [(b, min(b) + draw(fracs) * (max(b) - min(b))) for b in bs], False
 
 
 def accepts(g, gens) -> bool:
     try:
-        GeneratedSubspace(g, tuple((PointFunction.of(g, b), v) for b, v in gens))
+        GeneratedSubspace(g, tuple((PointFunction(g, b), v) for b, v in gens))
     except InputError as exc:
         if not re.search(INCONSISTENT, str(exc)):
             raise

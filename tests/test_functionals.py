@@ -34,7 +34,7 @@ from supext.functionals import (
 )
 from supext.setkit import GroundSet, PointMap
 from supext.superext import MaxLinkedSystem, enumerate_mls, eta_point
-from supext.verify import _eq1_chunk, term_zoo
+from supext.verify import _eq1_failures, term_zoo
 
 NONPRINCIPAL3 = MaxLinkedSystem(GroundSet(3), (0b011, 0b101, 0b110))
 
@@ -42,7 +42,7 @@ F = Fraction
 
 
 def pf(*vals) -> PointFunction:
-    return PointFunction.of(GroundSet(len(vals)), vals)
+    return PointFunction(GroundSet(len(vals)), vals)
 
 
 def eq1_grid(n: int):
@@ -108,7 +108,7 @@ class TestCheckEq1:
         """A non-maximal linked family breaks the exchange identity: on {111}
         max-min is 0 and min-max is 2 at f = (0, 1, 2)."""
         assert (oracles.naive_maxmin((0b111,), [0, 1, 2]), oracles.naive_minmax((0b111,), [0, 1, 2])) == (0, 2)
-        _, failures = _eq1_chunk((3, ((0b111,),)))
+        failures = _eq1_failures(3, ((0b111,),))
         assert {"system": ["7"], "f": [0, 1, 2]} in failures
 
 
@@ -180,7 +180,7 @@ class TestCompiledKernel:
     def test_matches_the_fraction_evaluator(self, case):
         t, row = case
         want = oracles.evaluate_obj(term_to_obj(t), row)
-        assert evaluate(t, PointFunction.of(t.ground, row)) == want
+        assert evaluate(t, PointFunction(t.ground, row)) == want
 
     def test_scale_and_denominator(self):
         """The kernel returns N with value N/(S*D) for a row scaled by S."""
@@ -310,8 +310,8 @@ class TestAxiomCheck:
         rng = random.Random(7)
         for t in term_zoo(GroundSet(3)):
             for _ in range(50):
-                f = PointFunction.of(GroundSet(3), [F(rng.randint(-16, 16), rng.randint(1, 8)) for _ in range(3)])
-                g = PointFunction.of(GroundSet(3), [F(rng.randint(-16, 16), rng.randint(1, 8)) for _ in range(3)])
+                f = PointFunction(GroundSet(3), [F(rng.randint(-16, 16), rng.randint(1, 8)) for _ in range(3)])
+                g = PointFunction(GroundSet(3), [F(rng.randint(-16, 16), rng.randint(1, 8)) for _ in range(3)])
                 gap = max(abs(a - b) for a, b in zip(f.values, g.values))
                 assert abs(evaluate(t, f) - evaluate(t, g)) <= gap
 
@@ -381,6 +381,28 @@ class TestSupport:
         for f in grid:
             key = tuple(v for x, v in enumerate(f.values) if h >> x & 1)
             assert seen.setdefault(key, evaluate(t, f)) == evaluate(t, f)
+
+
+class TestGridCap:
+    """support, support_grid and retraction_from_extender each build the
+    {0,1,2}^n grid: they run at the cap and refuse one point more before
+    any grid point is built."""
+
+    def test_at_the_cap(self):
+        g = GroundSet(functionals.MAX_GRID_N)
+        assert support(Dirac(g, 0)) == 0b1
+        assert len(support_grid(g)) == 3**g.n
+
+    def test_above_the_cap(self, monkeypatch):
+        g = GroundSet(functionals.MAX_GRID_N + 1)
+        monkeypatch.setattr(functionals, "PointFunction", lambda *a: pytest.fail("a grid point was built"))
+        match = f"grid is capped at n <= {functionals.MAX_GRID_N}"
+        with pytest.raises(TooLarge, match=match):
+            support(Dirac(g, 0))
+        with pytest.raises(TooLarge, match=match):
+            support_grid(g)
+        with pytest.raises(TooLarge, match=match):
+            retraction_from_extender(lambda f: pytest.fail("the extender ran"), g, g.n, range(g.n))
 
 
 class TestExtender:
@@ -487,6 +509,14 @@ class TestTermJson:
             for data in (text, text.encode("utf-16")):
                 with pytest.raises(TooLarge, match="term nested deeper than 100 nodes"):
                     term_from_json(data, g)
+
+    def test_weight_past_the_digit_limit_is_an_input_error(self):
+        """A weight whose denominator has more digits than Python writes is
+        refused by the one writer of rationals, as every supext error is."""
+        w = F(1, 10**5000)
+        for t in (Linear(GroundSet(2), (w, 1 - w)), Convex((w, 1 - w), (Dirac(GroundSet(2), 0),) * 2)):
+            with pytest.raises(InputError, match="result has more than"):
+                term_to_json(t)
 
     def test_fraction_parse(self):
         assert json_rational("3/4", "w") == F(3, 4)

@@ -10,7 +10,7 @@ from supext.errors import InputError, TooLarge
 from supext.inclusion import candidate_subbase_gx
 from supext.setkit import GroundSet, canonical_key
 from supext.superext import enumerate_mls
-from supext.verify import EQ1_GRID, _eq1_chunk, lambda_plus_subbase, suite_eq1
+from supext.verify import EQ1_GRID, SUITES, _eq1_failures, lambda_plus_subbase, run_verify_suite, suite_eq1
 
 
 @st.composite
@@ -29,7 +29,7 @@ def antichain_chunk(draw):
 class TestEq1Chunk:
     @given(antichain_chunk())
     def test_matches_literal_loop(self, args):
-        assert _eq1_chunk(args) == oracles.eq1_chunk_literal(args, EQ1_GRID)
+        assert _eq1_failures(*args) == oracles.eq1_chunk_literal(args, EQ1_GRID)[1]
 
     @pytest.mark.parametrize(
         "args",
@@ -44,20 +44,26 @@ class TestEq1Chunk:
         ids=["disjoint-pair", "mixed", "empty-chunk", "n5-non-linked"],
     )
     def test_failures_match_literal_loop(self, args):
-        got = _eq1_chunk(args)
-        assert got == oracles.eq1_chunk_literal(args, EQ1_GRID)
-        assert got[0] == len(args[1]) * len(EQ1_GRID) ** args[0]
+        """The failures equal the literal loop's, and so does the check count
+        suite_eq1 reports, one per system and grid point."""
+        checks, failures = oracles.eq1_chunk_literal(args, EQ1_GRID)
+        assert _eq1_failures(*args) == failures
+        assert checks == len(EQ1_GRID) ** args[0] * len(args[1])
 
 
 class TestSuiteEq1:
-    @pytest.mark.parametrize("workers", [0, -1])
-    def test_workers_below_one(self, workers):
-        with pytest.raises(InputError):
-            suite_eq1(3, workers=workers)
-
     def test_n6(self):
         body = suite_eq1(6)
         assert body == {"checks_run": 10_838_016, "failures": []}
+
+
+@pytest.mark.parametrize("workers", [0, -1])
+@pytest.mark.parametrize("suite", sorted(SUITES))
+def test_every_suite_refuses_workers_below_one(monkeypatch, suite, workers):
+    """The library refuses fewer than one worker for every suite, before the suite runs."""
+    monkeypatch.setitem(SUITES, suite, lambda *a, **k: pytest.fail("the suite ran"))
+    with pytest.raises(InputError, match=f"workers must be at least 1, got {workers}"):
+        run_verify_suite(suite, 3, workers=workers)
 
 
 def _plus_members(carrier, subsets):
