@@ -7,8 +7,8 @@ witnesses in the report, 2 = usage or input error.
 from __future__ import annotations
 
 import argparse
-import functools
 import json
+import os
 import sys
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -19,6 +19,7 @@ from .setkit import GroundSet
 from .superext import enumerate_mls
 
 if TYPE_CHECKING:
+    from collections.abc import Callable
     from fractions import Fraction
 
 # Each command imports the other modules it uses: a job starts a fresh
@@ -36,90 +37,84 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 
 
-@functools.lru_cache(maxsize=None)
-def _quoted_hex(width: int) -> list[str]:
-    """Every mask of ``width`` bits as a JSON string of its ``hex_mask`` digits."""
-    return [f'"{hex_mask(m)}"' for m in range(1 << width)]
+# A listing goes out this many rows per write.  Written to a file, the n=7
+# listing (317 MB) took 1.5-1.8 s and 4 MB above its systems' 352 MB at 4,096
+# rows, and 2.4-2.6 s and 176 MB at 262,144 (2 cores, Python 3.11.7, 3 runs).
+ROWS_PER_PIECE = 4096
 
 
-def _mask_tuples(value: object) -> list[tuple[int, ...]] | None:
-    """The tuples of a list made of mask tuples in lists nested to any depth,
-    or None for any other value."""
-    if type(value) is not list:
-        return None
-    leaves: list[tuple[int, ...]] = []
-    lists = [value]
-    while lists:
-        kinds = set(map(type, lists[-1]))
-        if kinds <= {tuple}:
-            leaves += lists.pop()
-        elif kinds == {list}:
-            lists += lists.pop()
-        else:
-            return None
-    return leaves
+class _Listing:
+    """A list of mask rows (``depth`` 1) or of lists of them (``depth`` 2),
+    each mask below ``1 << width``, as its command says."""
+
+    def __init__(self, rows: list, width: int, depth: int) -> None:
+        self.rows, self.width, self.depth = rows, width, depth
 
 
-def _listing(value: list, table: list[str], level: int, parts: list[str]) -> None:
-    """Append to ``parts`` the text ``json.dumps`` with ``indent=2`` gives a
-    list of mask tuples, or of such lists, at indent ``level``, each mask
-    read from ``table``."""
-    if not value:
-        parts.append("[]")
+def _write_listing(write: Callable[[str], object], rows: list, table: list[str], level: int, depth: int) -> None:
+    """Write ``rows`` as ``json.dumps`` with ``indent=2`` lays it out at
+    ``level``, masks from ``table``, at most ROWS_PER_PIECE rows per write."""
+    if not rows:
+        write("[]")
         return
     pad = "\n" + "  " * (level + 1)
-    end = "\n" + "  " * level + "]"
-    if type(value[0]) is not tuple:
-        parts.append("[" + pad)
-        for i, v in enumerate(value):
-            if i:
-                parts.append("," + pad)
-            _listing(v, table, level + 1, parts)
-        parts.append(end)
-        return
-    inner = pad + "  "
-    start, stop = "[" + inner, pad + "]"
-    # one join of the rows' masks, which leaves an empty row as start + stop
-    rows = (stop + "," + pad + start).join([("," + inner).join(map(table.__getitem__, t)) for t in value])
-    if all(value):
-        parts += ["[" + pad + start, rows, stop + end]
+    lead = "[" + pad
+    if depth > 1:
+        for sub in rows:
+            write(lead)
+            _write_listing(write, sub, table, level + 1, depth - 1)
+            lead = "," + pad
     else:
-        parts.append(("[" + pad + start + rows + stop + end).replace(start + stop, "[]"))
+        inner = pad + "  "
+        start, stop = "[" + inner, pad + "]"
+        sep, comma = stop + "," + pad + start, "," + inner
+        for i in range(0, len(rows), ROWS_PER_PIECE):
+            piece = rows[i : i + ROWS_PER_PIECE]
+            # one join of the piece's masks, which leaves an empty row as start + stop
+            text = start + sep.join([comma.join(map(table.__getitem__, row)) for row in piece]) + stop
+            write(lead + text.replace(start + stop, "[]"))
+            lead = "," + pad
+    write("\n" + "  " * level + "]")
 
 
-def _json_text(report: dict) -> str:
-    """``json.dumps(report, sort_keys=True, indent=2) + "\\n"``, with each mask
-    tuple written as a list of hex masks.  A value made of mask tuples is
-    joined from one table of quoted masks for its ground size; the pure-Python
-    encoder that ``indent`` selects would take most of a listing's time.  The
-    pieces are joined once, so a listing's text is copied once."""
-    parts = ["{"]
+def _write_report(report: dict, fmt: str, write: Callable[[str], object]) -> None:
+    """The csv summary, or ``json.dumps(report, sort_keys=True, indent=2)``
+    and a newline with a listing's masks as hex strings, joined from a table
+    of quoted masks: the encoder ``indent`` selects is pure Python and slow."""
+    if fmt == "csv-summary":
+        line = ",".join(str(report.get(k, "")) for k in ("suite", "n", "checks_run"))
+        write(f"suite,n,checks_run,failures\n{line},{len(report.get('failures', []))}\n")
+        return
+    lead = "{\n  "
     for key in sorted(report):
-        parts.append(("\n  " if len(parts) == 1 else ",\n  ") + json.dumps(key) + ": ")
+        write(lead + json.dumps(key) + ": ")
         value = report[key]
-        leaves = _mask_tuples(value)
-        if leaves is None:
-            parts.append(json.dumps(value, sort_keys=True, indent=2).replace("\n", "\n  "))
+        if type(value) is _Listing:
+            table = [f'"{hex_mask(m)}"' for m in range(1 << value.width)]
+            _write_listing(write, value.rows, table, 1, value.depth)
         else:
-            width = max(map(max, filter(None, leaves)), default=0).bit_length()
-            _listing(value, _quoted_hex(width), 1, parts)
-    parts.append("\n}\n" if report else "}\n")
-    return "".join(parts)
+            write(json.dumps(value, sort_keys=True, indent=2).replace("\n", "\n  "))
+        lead = ",\n  "
+    write("\n}\n" if report else "{}\n")
 
 
 def _emit(report: dict, out: str | None, fmt: str) -> None:
-    """The one writer of reports.  The whole text is built before any byte is
-    written, so a command that fails writes nothing."""
-    if fmt == "csv-summary":
-        keys = ["suite", "n", "checks_run"]
-        line = ",".join(str(report.get(k, "")) for k in keys)
-        text = f"suite,n,checks_run,failures\n{line},{len(report.get('failures', []))}\n"
-    else:
-        text = _json_text(report)
+    """Write a complete report to ``out`` or stdout: a failed command writes
+    nothing, an error while writing can leave a partial ``out`` file, as
+    ``Path.write_text`` could, and the closing flush makes a reader gone
+    early or a full disk an OSError here, not a short report."""
     if out:
-        Path(out).write_text(text)
-    else:
-        sys.stdout.write(text)
+        with open(out, "w") as target:
+            _write_report(report, fmt, target.write)
+        return
+    try:
+        _write_report(report, fmt, sys.stdout.write)
+        sys.stdout.flush()
+    except OSError:
+        # stdout is flushed again at exit, where what it still holds would fail
+        with open(os.devnull, "w") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
+        raise
 
 
 def _parse_values(text: str, option: str) -> list[Fraction]:
@@ -141,7 +136,7 @@ def _listing_report(args: argparse.Namespace, families: tuple) -> dict:
     """n, the count and, unless --count-only, each family's minimal members."""
     report: dict = {"n": args.n, "count": len(families)}
     if not args.count_only:
-        report["systems"] = [a.minimal for a in families]
+        report["systems"] = _Listing([a.minimal for a in families], args.n, 1)
     return report
 
 
@@ -207,7 +202,7 @@ def cmd_usco(args: argparse.Namespace) -> dict:
     op = embed.operator_from_json(Path(args.source).read_bytes())
     r = embed.usco_from_regular(op)
     values = [[eta.minimal for eta in vals] for vals in r.values]
-    return {"values": values, "usc": r.is_usc()}
+    return {"values": _Listing(values, op.domain.n, 2), "usc": r.is_usc()}
 
 
 def cmd_roundtrip(args: argparse.Namespace) -> dict:
@@ -292,16 +287,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         report = args.fn(args)
         _emit(report, args.out, args.format)
     except (InputError, OSError) as exc:
-        print(f"supext: input error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    # exit 1 means a witnessed failure: a failed check or a failures list
-    return EXIT_FAIL if report.get("pass") is False or report.get("failures") else EXIT_OK
+        message = str(exc)
+    except MemoryError:
+        # printed below, once the traceback and the frames with the data are gone
+        report, message = None, "out of memory"
+    else:
+        # exit 1 means a witnessed failure: a failed check or a failures list
+        return EXIT_FAIL if report.get("pass") is False or report.get("failures") else EXIT_OK
+    print(f"supext: input error: {message}", file=sys.stderr)
+    return EXIT_USAGE
 
 
 if __name__ == "__main__":

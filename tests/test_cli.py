@@ -2,11 +2,16 @@ from __future__ import annotations
 
 import io
 import json
+import resource
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import supext
 from supext import _forkpool, verify
 from supext.cli import main
 from supext.embed import operator_to_json
@@ -301,6 +306,10 @@ class TestVerify:
         assert outs[0] == outs[1]
 
 
+# a child interpreter that imports this supext and writes no bytecode
+_CHILD_ENV = {"PYTHONPATH": str(Path(supext.__file__).resolve().parents[1]), "PYTHONDONTWRITEBYTECODE": "1"}
+
+
 def run_quiet(argv: list[str]) -> tuple[int, str, str]:
     """``main`` with its output captured; an argparse exit counts as a return."""
     out, err = io.StringIO(), io.StringIO()
@@ -464,6 +473,55 @@ class TestExitContract:
             assert json.loads(out)["n"] == n
         else:
             assert out == "" and err
+
+    @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("n, head", [(6, 10), (3, 0)], ids=["after-10-bytes", "before-the-report"])
+    def test_closed_stdout(self, unbuffered, n, head):
+        """A reader that closes stdout before the end of the report makes an
+        input error with one line, not a short report that exits 0 or an
+        error at exit.  Unbuffered, a write the reader cuts short returns a
+        short count and no error, so only a later write can fail; buffered,
+        the n=3 report reaches the pipe only at the closing flush.  The n=6
+        listing is 298 KB, more than a pipe holds."""
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "supext.cli", "enumerate", "--n", str(n)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=dict(_CHILD_ENV, PYTHONUNBUFFERED=unbuffered),
+        )
+        # with head 0 the pipe is closed while the child is still starting
+        assert len(proc.stdout.read(head)) == head
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 2
+        assert err.startswith("supext: input error: ") and err.count("\n") == 1
+        assert "Traceback" not in err and "Exception ignored" not in err
+
+    @pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
+    @pytest.mark.parametrize("n", [3, 6])
+    def test_full_stdout(self, n):
+        """A full device on stdout is an input error with one line, for a
+        report that waits in the buffer until the closing flush (n=3) and
+        for one that does not (n=6)."""
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run(
+                [sys.executable, "-m", "supext.cli", "enumerate", "--n", str(n)],
+                stdout=full, stderr=subprocess.PIPE, text=True, env=_CHILD_ENV, timeout=60,
+            )
+        assert proc.returncode == 2
+        assert proc.stderr == "supext: input error: [Errno 28] No space left on device\n"
+
+    def test_out_of_memory(self):
+        """Running out of memory is an input error with one line, not exit 1
+        with a traceback.  enumerate --n 7 --count-only peaks at about 352 MB
+        of RSS; under 120 MB of address space it runs out after about 3 s."""
+        limit = 120 << 20
+        proc = subprocess.run(
+            [sys.executable, "-m", "supext.cli", "enumerate", "--n", "7", "--count-only"],
+            capture_output=True, text=True, env=_CHILD_ENV, timeout=120,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+        )
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr == "supext: input error: out of memory\n"
 
     @pytest.mark.parametrize(
         "command",

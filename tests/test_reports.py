@@ -7,17 +7,19 @@ cases pin enumeration order and suite reports.  The ``extend`` cases pin
 the exact interval ends for each ``--choose``, and an inconsistent
 generator file that is refused with exit 2 and no report.  The listings
 of ``enumerate``, ``ghyper`` and ``usco --from`` are compared byte for byte
-with the text ``json.dumps`` writes for the same report.
+with the text ``json.dumps`` writes for the same report, and so are
+synthetic listings several of the writer's pieces long.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import random
 
 import pytest
 
-from supext.cli import _json_text, main
+from supext.cli import ROWS_PER_PIECE, _Listing, _write_report, main
 from supext.embed import FiniteTopSpace, RegularOperator, find_regular_operator, operator_to_json, usco_from_regular
 from supext.errors import hex_masks
 from supext.inclusion import enumerate_ih
@@ -136,15 +138,23 @@ def test_inconsistent_generators_message(capsys, tmp_path):
 
 
 def dumped(report: dict) -> str:
-    """The report text as ``json.dumps`` writes it, with every mask tuple as
-    its list of hex masks."""
+    """The report text as ``json.dumps`` writes it, with every mask tuple of
+    a listing as its list of hex masks."""
 
     def hexed(value):
         if isinstance(value, tuple):
             return hex_masks(value)
         return [hexed(v) for v in value] if isinstance(value, list) else value
 
-    return json.dumps({k: hexed(v) for k, v in report.items()}, sort_keys=True, indent=2) + "\n"
+    plain = {k: hexed(v.rows) if isinstance(v, _Listing) else v for k, v in report.items()}
+    return json.dumps(plain, sort_keys=True, indent=2) + "\n"
+
+
+def written(report: dict) -> list[str]:
+    """The pieces the writer hands to ``write`` for the report."""
+    pieces: list[str] = []
+    _write_report(report, "json", pieces.append)
+    return pieces
 
 
 def point_above(k: int) -> RegularOperator:
@@ -165,17 +175,17 @@ def test_listing_bytes(command, size, capsys, tmp_path):
     their hex lists, on stdout and with --out; usco --from on X of ``size`` points."""
     if command == "enumerate":
         lam = enumerate_mls(GroundSet(size))
-        report = {"n": size, "count": len(lam), "systems": [eta.minimal for eta in lam]}
+        report = {"n": size, "count": len(lam), "systems": _Listing([eta.minimal for eta in lam], size, 1)}
         argv = ["enumerate", "--n", str(size)]
     elif command == "ghyper":
         hs = enumerate_ih(GroundSet(size))
-        report = {"n": size, "count": len(hs), "systems": [a.minimal for a in hs]}
+        report = {"n": size, "count": len(hs), "systems": _Listing([a.minimal for a in hs], size, 1)}
         argv = ["ghyper", "--n", str(size)]
     else:
         op = point_above(size)
         (tmp_path / "op.json").write_text(operator_to_json(op))
         r = usco_from_regular(op)
-        report = {"values": [[eta.minimal for eta in vals] for vals in r.values], "usc": r.is_usc()}
+        report = {"values": _Listing([[eta.minimal for eta in vals] for vals in r.values], size, 2), "usc": r.is_usc()}
         argv = ["usco", "--from", str(tmp_path / "op.json")]
     expected = dumped(report)
     assert main(argv) == 0
@@ -188,13 +198,13 @@ def test_listing_bytes(command, size, capsys, tmp_path):
 @pytest.mark.parametrize(
     "report",
     [
-        {"systems": []},
-        {"systems": [()]},
-        {"systems": [(), (1, 6), ()]},
-        {"values": [[]]},
-        {"values": [[], [(1,), (2, 5)], []]},
-        {"values": [[[]], [[], [(0xFFFF,)]]]},
-        {"values": [[[(3,)]]], "usc": True, "n": 0},
+        {"systems": _Listing([], 3, 1)},
+        {"systems": _Listing([()], 3, 1)},
+        {"systems": _Listing([(), (1, 6), ()], 3, 1)},
+        {"values": _Listing([[]], 3, 2)},
+        {"values": _Listing([[], [(1,), (2, 5)], []], 3, 2)},
+        {"values": _Listing([[()], [(), (0xFFFF,)]], 16, 2)},
+        {"values": _Listing([[(3,)]], 2, 2), "usc": True, "n": 0},
         # values that are no listing keep the encoder's layout
         {},
         {"failures": [{"f": [1, -1], "system": ["3", "5"]}], "pass": False, "detail": "a\nb \u00e9"},
@@ -202,9 +212,41 @@ def test_listing_bytes(command, size, capsys, tmp_path):
     ],
 )
 def test_writer_matches_the_encoder(report):
-    assert _json_text(report) == dumped(report)
+    assert "".join(written(report)) == dumped(report)
 
 
 def test_a_value_not_made_of_mask_tuples_goes_to_the_encoder():
-    report = {"mixed": [(1,), [(2,)]], "ints": [[1, 2], (3,)], "tuple": (4, 5)}
-    assert _json_text(report) == json.dumps(report, sort_keys=True, indent=2) + "\n"
+    """Only a listing is written from the mask table; tuples anywhere else,
+    rows of masks included, go to the encoder as lists of ints."""
+    report = {"mixed": [(1,), [(2,)]], "ints": [[1, 2], (3,)], "tuple": (4, 5), "rows": [(1, 6), ()]}
+    assert "".join(written(report)) == json.dumps(report, sort_keys=True, indent=2) + "\n"
+
+
+def synthetic_rows(rng: random.Random, count: int, width: int) -> list[tuple[int, ...]]:
+    """``count`` rows of up to 6 masks below ``1 << width``, about one in
+    seven empty."""
+    return [tuple(rng.randrange(1 << width) for _ in range(rng.choice((0, 1, 2, 3, 4, 5, 6)))) for _ in range(count)]
+
+
+# Each case is a depth and the length of each list of rows, in pieces.
+PAST_ONE_PIECE = [
+    # depth 1: exact multiples of the piece size, and half a piece past one
+    (1, (1,)), (1, (2,)), (1, (3,)), (1, (3.5,)),
+    # depth 2: lists that span pieces, end on a piece's edge, or are empty,
+    # and a listing of no lists
+    (2, (2, 0, 0.25, 1, 0)), (2, (0, 3)), (2, (0.5, 0, 1.5)), (2, ()),
+]
+
+
+@pytest.mark.parametrize("depth,sizes", PAST_ONE_PIECE, ids=[f"depth{d}-{'-'.join(map(str, s))}" for d, s in PAST_ONE_PIECE])
+def test_writer_past_one_piece(depth, sizes):
+    """A listing several pieces long reads as the encoder writes it, and no
+    write holds more than ROWS_PER_PIECE rows: each row, empty or not,
+    holds one ``]``, and the writer's other pieces hold at most one."""
+    rng = random.Random(f"{depth}{sizes}")
+    lists = [synthetic_rows(rng, int(k * ROWS_PER_PIECE), 7) for k in sizes]
+    listing = _Listing(lists[0] if depth == 1 else lists, 7, depth)
+    report = {"count": sum(map(len, lists)), "n": 7, "systems": listing}
+    out = written(report)
+    assert "".join(out) == dumped(report)
+    assert max(piece.count("]") for piece in out) == (ROWS_PER_PIECE if sizes else 1)
