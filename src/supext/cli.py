@@ -1,7 +1,11 @@
 """Command-line front end.
 
 Exit status contract: 0 = all checks pass, 1 = mathematical failure with
-witnesses in the report, 2 = usage or input error.
+witnesses in the report, 2 = usage or input error.  A closed or failing
+stdout is an input error (2); a closed or failing stderr loses the message
+and changes no status.  An interrupt, or SIGTERM while a pool of workers
+runs, exits 130 once the workers are reaped; SIGTERM to a serial run ends it
+by the signal.
 """
 
 from __future__ import annotations
@@ -35,6 +39,7 @@ if TYPE_CHECKING:
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
+EXIT_INTERRUPTED = 130  # 128 + SIGINT, as a shell reports a run ended by ^C
 
 
 # A listing goes out this many rows per write.  Written to a file, the n=7
@@ -107,6 +112,8 @@ def _emit(report: dict, out: str | None, fmt: str) -> None:
         with open(out, "w") as target:
             _write_report(report, fmt, target.write)
         return
+    if sys.stdout is None:  # fd 1 was closed when the interpreter started
+        raise InputError("standard output is closed")
     try:
         _write_report(report, fmt, sys.stdout.write)
         sys.stdout.flush()
@@ -292,15 +299,25 @@ def main(argv: list[str] | None = None) -> int:
         report = args.fn(args)
         _emit(report, args.out, args.format)
     except (InputError, OSError) as exc:
-        message = str(exc)
+        code, message = EXIT_USAGE, f"input error: {exc}"
     except MemoryError:
         # printed below, once the traceback and the frames with the data are gone
-        report, message = None, "out of memory"
+        report, code, message = None, EXIT_USAGE, "input error: out of memory"
+    except KeyboardInterrupt:
+        code, message = EXIT_INTERRUPTED, "interrupted"
     else:
         # exit 1 means a witnessed failure: a failed check or a failures list
         return EXIT_FAIL if report.get("pass") is False or report.get("failures") else EXIT_OK
-    print(f"supext: input error: {message}", file=sys.stderr)
-    return EXIT_USAGE
+    # the message is best effort: with fd 2 closed at start stderr is None,
+    # and print would write to stdout in its place
+    if sys.stderr is not None:
+        try:
+            print(f"supext: {message}", file=sys.stderr, flush=True)
+        except OSError:
+            # the line stays in stderr's buffer, whose flush at exit would fail
+            with open(os.devnull, "w") as devnull:
+                os.dup2(devnull.fileno(), sys.stderr.fileno())
+    return code
 
 
 if __name__ == "__main__":

@@ -239,7 +239,12 @@ class UscoMap(Value, namedtuple("UscoMap", "space values inject")):
                  inject: tuple[int, ...]) -> None:
         if len(values) != space.n:
             raise InputError("one value per ambient point required")
-        check_injection(inject, len(inject), space.n, "inject")
+        n = len(inject)
+        check_injection(inject, n, space.n, "inject")
+        # a system on another ground would be read as sets of the wrong points
+        if not all(type(vals) is tuple and all(type(eta) is MaxLinkedSystem and eta.ground.n == n for eta in vals)
+                   for vals in values):
+            raise InputError(f"each value must be a tuple of maximal linked systems on {n} points")
 
     def is_usc_at(self, y: int) -> bool:
         """r(z) lies inside r(y) for every z in the minimal neighborhood of y."""

@@ -34,9 +34,10 @@ def map_chunks(fn: Callable[[T], R], items: Sequence[T], workers: int) -> list[R
     pool of at most one process per item and at most ``MAX_WORKERS``.
 
     One item per task.  The heavy n=7 subtrees lie next to each other in
-    prefix order, so batches of neighbours unbalance the workers: at
-    --workers 2, batches of 1, 4 and 16 prefixes took 41.7 s, 43.6 s and
-    46.1 s.
+    prefix order, so batches of neighbours can unbalance the workers: an
+    n=7 count at --workers 2 in batches of 1, 4 and 16 prefixes took
+    6.6-10.4, 7.0-8.9 and 8.2-9.3 s, medians 7.8, 7.7 and 8.6 s (4
+    alternating rounds, 2 vCPU, Python 3.11, loaded host).
     """
     workers = min(workers, len(items), MAX_WORKERS)
     if workers <= 1 or not hasattr(os, "fork") or _threaded():

@@ -67,25 +67,26 @@ def _pair_order(n: int) -> tuple[tuple[int, int], ...]:
 def _backtrack(n: int, fam: int, depth: int, stop: int) -> Iterator[int]:
     """Every linked extension of ``fam`` by one side of each pair with index in [depth, stop).
 
-    ``fam`` is a family bitset: bit A stands for the chosen set A.  A side s
-    keeps the family linked iff no chosen set is disjoint from it.
-    Depth-first, smaller side first, with an explicit stack.
+    ``fam`` is a family bitset, bit A for the chosen set A, and linked: the
+    root {full set} or a prefix the walk yielded.  A linked family never has
+    both sides of a pair {a, b} disjoint from its sets, as such sets C1 <= b
+    and C2 <= a would be disjoint; so one side, or both, keeps it linked.
+    Depth-first, smaller side first; only branch points go on the stack.
     """
     pairs = _pair_order(n)
     disjoint = _disjoint(n)
     stack = [(fam, depth)]
-    pop, push = stack.pop, stack.append
     while stack:
-        fam, depth = pop()
-        if depth == stop:
-            yield fam
-            continue
-        a, b = pairs[depth]
-        depth += 1
-        if not fam & disjoint[b]:
-            push((fam | 1 << b, depth))
-        if not fam & disjoint[a]:
-            push((fam | 1 << a, depth))
+        fam, depth = stack.pop()
+        while depth < stop:
+            a, b = pairs[depth]
+            depth += 1
+            if fam & disjoint[a]:
+                a = b
+            elif not fam & disjoint[b]:
+                stack.append((fam | 1 << b, depth))
+            fam |= 1 << a
+        yield fam
 
 
 def _enum_subtree(args: tuple[int, int, int]) -> list[tuple[int, ...]]:
@@ -113,12 +114,10 @@ _POOL_FROM_N = 7
 def _split_depth(n: int) -> int:
     """Pair depth at which enumeration cuts the tree into subtrees.
 
-    Measured on 2 vCPU, Python 3.11.  At n=7 the largest depth-36 subtree
-    holds 18.5 % of the 1,422,564 leaves (2105 subtrees), and two workers
-    take 10.2 s; depth 32 leaves 39 % in one subtree (12.7 s), depth 40
-    8.3 % but more items to send (10.5 s).  Below ``_POOL_FROM_N`` a pool
-    costs more than the whole enumeration at any depth, so the cut stays
-    shallow there: three subtrees at n=5 and 6, little to send.
+    At n=7 depths 32, 36 and 40 give 858, 2105 and 6566 subtrees, the largest
+    with 39, 18.5 and 8.3 % of the leaves; a 2-worker count took 8.1-10.5,
+    7.5-10.4 and 8.2-9.8 s, none fastest in all 6 alternating rounds (2 vCPU,
+    Python 3.11).  Below ``_POOL_FROM_N`` no pool pays, so the cut is shallow.
     """
     return min(36 if n >= _POOL_FROM_N else 2, len(_pair_order(n)))
 

@@ -7,6 +7,7 @@ so it shares no code path with the implementations under test.
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -318,6 +319,43 @@ def sorted_minimal_readout(fam: int, n: int) -> tuple[int, ...]:
     order by ``sorted``."""
     members = frozenset(a for a in range(1 << n) if fam >> a & 1)
     return tuple(sorted(minimal_of(members), key=lambda m: (popcount(m), m)))
+
+
+def backtrack_pairs(n: int) -> list[tuple[int, int]]:
+    """Each complementary pair {A, A^c} once, small side first: the sides of
+    fewer than n/2 points, then the n/2-point sides lacking point n - 1, in
+    (cardinality, mask) order."""
+    full = (1 << n) - 1
+    sides = [a for a in range(1, full) if 2 * popcount(a) < n or (2 * popcount(a) == n and not a >> (n - 1) & 1)]
+    return [(a, full ^ a) for a in sorted(sides, key=lambda m: (popcount(m), m))]
+
+
+@functools.lru_cache(maxsize=None)
+def _backtrack_tables(n: int) -> tuple[list[tuple[int, int]], list[int]]:
+    """The pairs, and for each set s the family bitset of the sets disjoint from s."""
+    disjoint = [sum(1 << t for t in range(1 << n) if not t & s) for s in range(1 << n)]
+    return backtrack_pairs(n), disjoint
+
+
+def backtrack_literal(n: int, fam: int, depth: int, stop: int) -> list[int]:
+    """The leaves of the enumeration tree below the family bitset ``fam``
+    whose pairs before ``depth`` are decided, in depth-first order: every
+    node goes through the stack and tests both sides of its pair, the
+    smaller side's subtree first, and a node at ``stop`` is a leaf."""
+    pairs, disjoint = _backtrack_tables(n)
+    leaves = []
+    stack = [(fam, depth)]
+    while stack:
+        fam, depth = stack.pop()
+        if depth == stop:
+            leaves.append(fam)
+            continue
+        a, b = pairs[depth]
+        if not fam & disjoint[b]:
+            stack.append((fam | 1 << b, depth + 1))
+        if not fam & disjoint[a]:
+            stack.append((fam | 1 << a, depth + 1))
+    return leaves
 
 
 def count_up_sets(poset: frozenset[int], memo: dict[frozenset[int], int]) -> int:

@@ -2,9 +2,12 @@ from __future__ import annotations
 
 import io
 import json
+import os
 import resource
+import signal
 import subprocess
 import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -509,6 +512,67 @@ class TestExitContract:
             )
         assert proc.returncode == 2
         assert proc.stderr == "supext: input error: [Errno 28] No space left on device\n"
+
+    def test_stdout_closed_at_start(self):
+        """With fd 1 closed the interpreter has no stdout, an output error."""
+        proc = subprocess.run(
+            [sys.executable, "-m", "supext.cli", "enumerate", "--n", "3"],
+            capture_output=True, text=True, env=_CHILD_ENV, timeout=60, preexec_fn=lambda: os.close(1),
+        )
+        assert proc.returncode == 2
+        assert proc.stderr == "supext: input error: standard output is closed\n"
+
+    @pytest.mark.parametrize("stderr", ["closed", "read-only"])
+    @pytest.mark.parametrize("n, code", [(0, 2), (3, 0)], ids=["bad-input", "good-input"])
+    def test_stderr_lost(self, stderr, n, code):
+        """A closed stderr (no sys.stderr) or one whose writes fail (EBADF)
+        loses the message and changes no exit status: not exit 1 from the
+        failed message, not 120 from its flush at exit, and no message or
+        traceback on stdout in its place."""
+        def break_stderr():
+            if stderr == "closed":
+                os.close(2)
+            else:
+                os.dup2(os.open(os.devnull, os.O_RDONLY), 2)
+
+        proc = subprocess.run(
+            [sys.executable, "-m", "supext.cli", "enumerate", "--n", str(n), "--count-only"],
+            stdout=subprocess.PIPE, text=True, env=_CHILD_ENV, timeout=60, preexec_fn=break_stderr,
+        )
+        assert proc.returncode == code
+        assert proc.stdout == ("" if code else '{\n  "count": 4,\n  "n": 3\n}\n')
+
+    @pytest.mark.parametrize("signum", [signal.SIGINT, signal.SIGTERM], ids=["SIGINT", "SIGTERM"])
+    def test_interrupted_pool(self, signum):
+        """An interrupt, or SIGTERM while workers run, exits 130 with one
+        line, once every worker is reaped: nothing is left in the child's
+        process group when it has ended."""
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "supext.cli", "enumerate", "--n", "7", "--count-only", "--workers", "2"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=_CHILD_ENV, start_new_session=True,
+        )
+        children = Path(f"/proc/{proc.pid}/task/{proc.pid}/children")
+        deadline = time.monotonic() + 60
+        while len(children.read_text().split()) < 2:
+            assert time.monotonic() < deadline, "the pool never started"
+            time.sleep(0.01)
+        proc.send_signal(signum)
+        out, err = proc.communicate(timeout=60)
+        assert proc.returncode == 130
+        assert out == "" and err == "supext: interrupted\n"
+        with pytest.raises(ProcessLookupError):
+            os.killpg(proc.pid, 0)
+
+    def test_terminated_serial_run(self):
+        """SIGTERM ends a serial run by the signal: it has no worker to reap."""
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "supext.cli", "enumerate", "--n", "7", "--count-only"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_CHILD_ENV,
+        )
+        time.sleep(0.5)
+        proc.terminate()
+        proc.communicate(timeout=60)
+        assert proc.returncode == -signal.SIGTERM
 
     def test_out_of_memory(self):
         """Running out of memory is an input error with one line, not exit 1

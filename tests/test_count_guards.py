@@ -182,7 +182,7 @@ def test_cli_import_leaves_out_concurrent_futures():
     src = str(Path(supext.__file__).resolve().parents[1])
     unused = [
         "concurrent.futures", "supext._forkpool", "supext.functionals", "supext.embed", "supext.subbase",
-        "supext.inclusion",
+        "supext.inclusion", "signal",
     ]
     report = f"import sys; print(sorted(set({unused!r}) & set(sys.modules)))"
     command = "import contextlib, io, supext.cli\nwith contextlib.redirect_stdout(io.StringIO()): supext.cli.main({})\n"

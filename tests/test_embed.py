@@ -24,7 +24,7 @@ from supext.embed import (
 )
 from supext.errors import Check, InputError
 from supext.setkit import GroundSet, bits
-from supext.superext import enumerate_mls, eta_point
+from supext.superext import MaxLinkedSystem, enumerate_mls, eta_point
 from supext.verify import standard_operators, two_in_three_operator
 
 SIERPINSKI = FiniteTopSpace(2, (0b01, 0b11))
@@ -314,6 +314,17 @@ class TestCheckUscoMap:
             r0.space, (r0.values[0], r0.values[1], (eta_point(g, 1),)), r0.inject
         )
         assert check_usco_map(shrunk) == Check(False, "usc", 2)
+
+    @pytest.mark.parametrize("third", ["3-point system", "list", "masks"])
+    def test_values_live_on_the_domain(self, third):
+        """A value holds maximal linked systems on the domain's points only:
+        a 3-point system in a map from 2 points would pass every check and
+        be read as sets of the 2 points."""
+        g = GroundSet(2)
+        xi = MaxLinkedSystem(GroundSet(3), (0b011, 0b101, 0b110))
+        value = {"3-point system": (xi,), "list": [eta_point(g, 0)], "masks": ((0b01,),)}[third]
+        with pytest.raises(InputError, match="each value must be a tuple of maximal linked systems on 2 points"):
+            UscoMap(FiniteTopSpace.discrete(3), ((eta_point(g, 0),), (eta_point(g, 1),), value), (0, 1))
 
     def test_regular_from_usco_needs_a_usco_map(self):
         r0 = usco_from_regular(two_in_three_operator())

@@ -44,15 +44,14 @@ def listing_digest(lam) -> str:
     return digest.hexdigest()
 
 
-def leaves_not_maximal_linked(args: tuple[int, int, int]) -> tuple[int, int]:
-    """The number of kernel leaves below one prefix, and how many of them are
-    not self-dual up-closed (not maximal linked)."""
+def leaves_not_maximal_linked(args: tuple[int, int, int]) -> tuple[int, int, int]:
+    """The number of kernel leaves below one prefix, how many of them are
+    not self-dual up-closed (not maximal linked), and 1 if they differ from
+    the reference walk's leaves in value or order, else 0."""
     n, fam, depth = args
-    leaves = bad = 0
-    for leaf in superext._backtrack(n, fam, depth, len(superext._pair_order(n))):
-        leaves += 1
-        bad += not setkit.is_self_dual_upclosed(leaf, n)
-    return leaves, bad
+    got = list(superext._backtrack(n, fam, depth, len(superext._pair_order(n))))
+    bad = sum(not setkit.is_self_dual_upclosed(leaf, n) for leaf in got)
+    return len(got), bad, int(got != oracles.backtrack_literal(n, fam, depth, len(oracles.backtrack_pairs(n))))
 
 
 class TestEnumerate:
@@ -105,7 +104,7 @@ class TestEnumerate:
         n, depth = 7, superext._split_depth(7)
         items = [(n, fam, depth) for fam in superext._backtrack(n, 1 << GroundSet(n).full, 0, depth)]
         checked = parallel.map_chunks(leaves_not_maximal_linked, items, 2)
-        assert [sum(col) for col in zip(*checked)] == [1_422_564, 0]
+        assert [sum(col) for col in zip(*checked)] == [1_422_564, 0, 0]
 
     def test_count_oracle_by_split(self):
         """The counts at n = 4 to 7 follow from the systems one point smaller,
@@ -133,6 +132,20 @@ class TestKernel:
             prefixes = list(superext._backtrack(n, root, 0, depth))
             split = [m for fam in prefixes for m in superext._enum_subtree((n, fam, depth))]
             assert sorted(split) == sorted(serial)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_walk_matches_the_reference(self, n):
+        """The kernel yields the reference walk's leaves in its order, from
+        the root to every depth d, and below every depth-d prefix."""
+        root = 1 << GroundSet(n).full
+        pairs = len(oracles.backtrack_pairs(n))
+        assert pairs == len(superext._pair_order(n))
+        for depth in sorted({min(d, pairs) for d in (0, 1, 2, pairs // 2, pairs)}):
+            prefixes = oracles.backtrack_literal(n, root, 0, depth)
+            assert list(superext._backtrack(n, root, 0, depth)) == prefixes
+            for fam in prefixes:
+                below = oracles.backtrack_literal(n, fam, depth, pairs)
+                assert list(superext._backtrack(n, fam, depth, pairs)) == below
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_readout_of_every_leaf(self, n):
