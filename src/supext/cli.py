@@ -3,7 +3,9 @@
 Exit status contract: 0 = all checks pass, 1 = mathematical failure with
 witnesses in the report, 2 = usage or input error.  A closed or failing
 stdout is an input error (2); a closed or failing stderr loses the message
-and changes no status.  An interrupt, or SIGTERM while a pool of workers
+and changes no status.  Any other exception is an internal error: it exits
+2 with the one line ``supext: internal error: <type>: <message>`` and no
+traceback, never 1.  An interrupt, or SIGTERM while a pool of workers
 runs, exits 130 once the workers are reaped; SIGTERM to a serial run ends it
 by the signal.
 """
@@ -305,6 +307,10 @@ def main(argv: list[str] | None = None) -> int:
         report, code, message = None, EXIT_USAGE, "input error: out of memory"
     except KeyboardInterrupt:
         code, message = EXIT_INTERRUPTED, "interrupted"
+    except Exception as exc:
+        # a fault of the program, not a witnessed failure: exit 1 stays
+        # reserved for reports that carry their witnesses
+        code, message = EXIT_USAGE, f"internal error: {type(exc).__name__}: {exc}"
     else:
         # exit 1 means a witnessed failure: a failed check or a failures list
         return EXIT_FAIL if report.get("pass") is False or report.get("failures") else EXIT_OK

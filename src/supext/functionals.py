@@ -8,22 +8,24 @@ Functionals are represented by a closed term language: point evaluations,
 max-min functionals of maximal linked systems, min/max over a fixed set,
 probability-measure style linear terms, convex combinations, and
 precompositions along point maps.  Everything evaluates in exact rationals:
-a term compiles to a kernel on integer rows over a common denominator, and
-only the result is made a Fraction.
+a term compiles to a kernel on integer columns over a common denominator,
+one row per point function, and only a result is made a Fraction.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import json
 import random
 import re
+from bisect import bisect_left, bisect_right
 from collections import namedtuple
 from fractions import Fraction
+from functools import lru_cache, partial, reduce
+from itertools import compress, count, repeat
 from math import lcm
-from operator import itemgetter, mul
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from operator import add, floordiv, gt, itemgetter, mul, ne, neg
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import Check, InputError, TooLarge, Value, _exact, hex_mask, hex_masks, json_int, json_list, json_mask, json_masks, json_rational, read_json
 from .setkit import GroundSet, PointMap, _canonical, _complements, bits, canonical_key, check_injection, up_closure
@@ -160,55 +162,72 @@ class Precompose(Term, namedtuple("Precompose", "point_map inner")):
 # --------------------------------------------------------------------------
 # Evaluation
 
-# A kernel maps a row r of integers, standing for the point function r/S
-# with S > 0, to an integer N; with D the term's own denominator the
-# term's value is N/(S*D).
-Kernel = Callable[[Sequence[int]], int]
+# A kernel takes n columns of integers, one per point, whose rows each
+# stand for a point function r/S with S > 0, and returns one column of
+# integers N with a row for each row in; with D the term's own denominator,
+# the term's value at a row is N/(S*D).
+Column = Sequence[int]
+Kernel = Callable[[Sequence[Column]], Column]
 
 
-def _getter(points: Sequence[int]) -> Callable[[Sequence[int]], tuple[int, ...]]:
-    """The entries of a row at the given points, always as a tuple."""
-    if len(points) == 1:
-        (x,) = points
-        return lambda r: (r[x],)
-    return itemgetter(*points)
+# The row-by-row min and max of two columns.  A comprehension took 46 ns a
+# row where map(min, x, y) took 200 ns (Python 3.11, 500 rows): the builtin
+# parses its arguments on every call.
+def _min2(x: Column, y: Column) -> list[int]:
+    return [a if a < b else b for a, b in zip(x, y)]
+
+
+def _max2(x: Column, y: Column) -> list[int]:
+    return [a if a > b else b for a, b in zip(x, y)]
+
+
+def _fold(pair: Callable, kernels: list[Kernel]) -> Kernel:
+    """The kernels' columns folded row by row with ``_min2`` or ``_max2``."""
+    return lambda cols: reduce(pair, [k(cols) for k in kernels])
+
+
+def _extremum(pair: Callable, mask: int) -> Kernel:
+    """min or max of the columns at the points of a nonempty mask, row by row."""
+    return _fold(pair, list(map(itemgetter, bits(mask))))
+
+
+def _weighted_sum(parts: list[tuple[int, Kernel]]) -> Kernel:
+    """The sum over the parts of c times the part's column, row by row."""
+    return lambda cols: list(
+        reduce(partial(map, add), [k(cols) if c == 1 else map(mul, repeat(c), k(cols)) for c, k in parts])
+    )
 
 
 def compile_term(term: Term) -> tuple[Kernel, int]:
-    """The term as an integer kernel and its fixed denominator D.
+    """The term as a column kernel and its fixed denominator D.
 
     Point lookups, min and max commute with the positive factor 1/S, so
-    they run on the integer row as it is; linear and convex terms take
-    integer weights over the lcm of their denominators, and precomposition
-    reindexes the row.  No rational is built while a kernel runs.
+    they run on the integer columns as they are; linear and convex terms
+    take integer weights over the lcm of their denominators, and
+    precomposition reorders the columns.  Each node makes its column in one
+    comprehension or ``map`` over whole columns: no rational is built and
+    no Python frame runs per row.
     """
     match term:
         case Dirac(x=x):
             return itemgetter(x), 1
         case MaxMin(system=eta):
-            members = [_getter(tuple(bits(m))) for m in eta.minimal]
-            return (lambda r: max([min(g(r)) for g in members])), 1
+            return _fold(_max2, [_extremum(_min2, m) for m in eta.minimal]), 1
         case MinOver(mask=m):
-            on = _getter(tuple(bits(m)))
-            return (lambda r: min(on(r))), 1
+            return _extremum(_min2, m), 1
         case MaxOver(mask=m):
-            on = _getter(tuple(bits(m)))
-            return (lambda r: max(on(r))), 1
+            return _extremum(_max2, m), 1
         case Linear(weights=ws):
-            d = lcm(*(w.denominator for w in ws))
-            iw = tuple(w.numerator * (d // w.denominator) for w in ws)
-            return (lambda r: sum(map(mul, iw, r))), d
+            d = _common_scale([ws])
+            return _weighted_sum(list(zip(_scaled(ws, d), map(itemgetter, range(len(ws)))))), d
         case Convex(weights=ws, parts=ps):
             kernels, dens = zip(*map(compile_term, ps))
             d = lcm(*(w.denominator * dp for w, dp in zip(ws, dens)))
-            parts = tuple(
-                (w.numerator * (d // (w.denominator * dp)), k) for w, dp, k in zip(ws, dens, kernels)
-            )
-            return (lambda r: sum([c * k(r) for c, k in parts])), d
+            return _weighted_sum([(w.numerator * (d // (w.denominator * dp)), k) for w, dp, k in zip(ws, dens, kernels)]), d
         case Precompose(point_map=pm, inner=inner):
             k, d = compile_term(inner)
-            pull = _getter(pm.image)
-            return (lambda r: k(pull(r))), d
+            image = pm.image
+            return (lambda cols: k(list(map(cols.__getitem__, image)))), d
     raise InputError(f"unknown term {term!r}")
 
 
@@ -227,7 +246,8 @@ def evaluate(term: Term, f: PointFunction) -> Fraction:
         raise InputError("function and term on different grounds")
     kernel, d = compile_term(term)
     s = _common_scale([f.values])
-    return Fraction(kernel(_scaled(f.values, s)), s * d)
+    (value,) = kernel(list(zip(_scaled(f.values, s))))  # n columns of one row
+    return Fraction(value, s * d)
 
 
 def phi(eta: MaxLinkedSystem, f: PointFunction) -> Fraction:
@@ -247,69 +267,88 @@ def phi(eta: MaxLinkedSystem, f: PointFunction) -> Fraction:
 
 PASS = Check(True)
 
-
-def _rand_fraction(rng: random.Random, lo: int = -32, hi: int = 32, den: int = 16) -> Fraction:
-    return Fraction(rng.randint(lo, hi), rng.randint(1, den))
-
-
-def _rand_function(rng: random.Random, ground: GroundSet) -> PointFunction:
-    return PointFunction(ground, tuple(_rand_fraction(rng) for _ in ground.points()))
+# Every drawn value is a/b with 1 <= b <= 16, and every scalar k and
+# constant c is p/q with 1 <= q <= 4, so S = lcm(1, ..., 16) * lcm(1, ..., 4)
+# is a common multiple of the denominators of f, g, k*f, c and f + c in every
+# trial.
+_TRIAL_SCALE = 8_648_640
 
 
-class _Trial(NamedTuple):
-    """One row of inputs for the axiom check: f, g = f + inc >= f, k*f and f + c.
-
-    Every function is scaled to integers by the table's S, and c stands
-    for c*S; each k = p/q is kept as the pair (p, q).
-    """
-
-    f: tuple[int, ...]
-    g: tuple[int, ...]
-    scaled: tuple[tuple[int, int, tuple[int, ...]], ...]  # (p, q, k*f) per k; empty when normalized
-    c: int
-    shifted: tuple[int, ...]
+def _rand_scaled(rng: random.Random, lo: int = -32, hi: int = 32, den: int = 16) -> int:
+    """S times a random rational a/b with lo <= a <= hi and 1 <= b <= den."""
+    return rng.randint(lo, hi) * (_TRIAL_SCALE // rng.randint(1, den))
 
 
-# _trial_table draws every row before any check runs: 20,000 rows at n = 16
-# took 6.7 s and 165 MB peak RSS (Python 3.11, 2 vCPUs), so an uncapped
-# --trials could exhaust memory and end with no report and no exit status.
+def _rand_function(rng: random.Random, ground: GroundSet) -> list[int]:
+    return [_rand_scaled(rng) for _ in ground.points()]
+
+
+# Every trial of the axiom check as columns of integers over the scale s.
+# f, g = f + inc >= f and shifted = f + c hold a column per point with a row
+# per trial, and c holds c*s per trial.  kf holds a column per point with a
+# row per scalar k = p[j]/q[j] of trial k_trial[j]: trial 0's drawn k, then
+# 0 and -1, then the drawn k of each later trial; none when normalized.
+_Trials = namedtuple("_Trials", "s f g kf p q k_trial c shifted")
+
+
+# _trial_table draws every trial before any check runs: `axioms --n 16` took
+# 1.0 s and 85 MB peak RSS at 20,000 trials and 2.9 s and 189 MB at 50,000
+# (Python 3.11, 2 vCPUs), so an uncapped --trials could exhaust memory and
+# end with no report and no exit status.
 MAX_TRIALS = 50_000
 
 
-@functools.lru_cache(maxsize=8)
-def _trial_table(ground: GroundSet, trials: int, seed: int, normalized: bool) -> tuple[int, tuple[_Trial, ...]]:
-    """S and every trial axiom_check draws for these settings, in its RNG order.
+@lru_cache(maxsize=8)
+def _trial_table(ground: GroundSet, trials: int, seed: int, normalized: bool) -> _Trials:
+    """Every trial axiom_check draws for these settings, in its RNG order.
 
     The inputs never depend on the functional under test, so a suite that
-    checks many terms with the same settings draws them once, and scales
-    them to integers once.  The table holds ``trials`` rows; the cache
-    keeps the last few tables.
+    checks many terms with the same settings draws them once.  Each value
+    is drawn as a numerator and a denominator and kept as an integer over
+    ``_TRIAL_SCALE``; the cache keeps the last few tables.
     """
     rng = random.Random(seed)
-    drawn = []
-    for trial in range(trials):
-        f = _rand_function(rng, ground).values
-        g = tuple(a + abs(_rand_fraction(rng)) for a in f)
-        ks = []
+    fs, gs, ks, cs = [], [], [], []
+    for _ in range(trials):
+        fs.append(_rand_function(rng, ground))
+        gs.append([a + abs(_rand_scaled(rng)) for a in fs[-1]])
         if not normalized:
-            ks = [_rand_fraction(rng, -8, 8, 4)]
-            if trial == 0:
-                ks += [Fraction(0), Fraction(-1)]
-        c = _rand_fraction(rng, -8, 8, 4)
-        drawn.append((f, g, [(k, tuple(k * v for v in f)) for k in ks], c, tuple(v + c for v in f)))
-    # c = (f + c) - f, so its denominator divides the lcm of theirs
-    s = _common_scale(fn for f, g, scaled, _, shifted in drawn for fn in (f, g, shifted, *(kf for _, kf in scaled)))
-    rows = tuple(
-        _Trial(
-            _scaled(f, s),
-            _scaled(g, s),
-            tuple((k.numerator, k.denominator, _scaled(kf, s)) for k, kf in scaled),
-            c.numerator * (s // c.denominator),
-            _scaled(shifted, s),
-        )
-        for f, g, scaled, c, shifted in drawn
+            ks.append((rng.randint(-8, 8), rng.randint(1, 4)))
+        cs.append(_rand_scaled(rng, -8, 8, 4))
+    f, g = list(zip(*fs)), list(zip(*gs))
+    k_trial = []
+    if ks:  # k = 0 and k = -1 follow trial 0's drawn k
+        ks[1:1] = [(0, 1), (-1, 1)]
+        k_trial = [0, 0, *range(trials)]
+    p, q = list(map(itemgetter(0), ks)), list(map(itemgetter(1), ks))
+    return _Trials(
+        _TRIAL_SCALE,
+        f,
+        g,
+        # exact: every q*b divides the scale
+        [list(map(floordiv, map(mul, p, map(fx.__getitem__, k_trial)), q)) for fx in f],
+        p,
+        q,
+        k_trial,
+        cs,
+        [list(map(add, fx, cs)) for fx in f],
     )
-    return s, rows
+
+
+def _row(cols: Sequence[Column], i: int, s: int) -> tuple[Fraction, ...]:
+    """Row i of the columns over the scale s, as rationals."""
+    return tuple(map(Fraction, map(itemgetter(i), cols), repeat(s)))
+
+
+class _OracleColumn:
+    """An oracle's values at the rows of the columns, in units of 1/s: each
+    read calls the oracle once, so it runs row by row on the rows read."""
+
+    def __init__(self, oracle: Callable, ground: GroundSet, s: int, cols: Sequence[Column]) -> None:
+        self.oracle, self.ground, self.s, self.cols = oracle, ground, s, cols
+
+    def __getitem__(self, i: int) -> Fraction:
+        return Fraction(self.oracle(PointFunction(self.ground, _row(self.cols, i, self.s)))) * self.s
 
 
 def axiom_check(
@@ -326,10 +365,13 @@ def axiom_check(
     axiom is replaced by u(1) = 1 (order-preserving functionals).
     An oracle that raises is reported as a counterexample.
 
-    Every target runs as a kernel on the integer rows, where a value u
-    stands for u/(S*D): a term as its compiled kernel, an oracle with
-    D = 1, called on the point function row/S and its value multiplied by
-    S.  A Fraction is made only for a witness.
+    The trials are integer columns over a common scale S, and a value u
+    stands for u/(S*D).  A term runs as its compiled kernel on each whole
+    column, and scans in C find the first trial any column fails at.  An
+    oracle, with D = 1, is called row by row in trial order on the point
+    function row/S, and its value multiplied by S.  Both report the first
+    failing trial, in it monotonicity, then homogeneity for each k in
+    order, then weak additivity, and a Fraction is made only for a witness.
     """
     if trials < 1:
         raise InputError("trials must be >= 1")
@@ -339,41 +381,38 @@ def axiom_check(
         ground = target.ground
     elif ground is None:
         raise InputError("ground required for oracle functionals")
-    s, rows = _trial_table(ground, trials, seed, normalized)
-
-    def function(row: Sequence[int]) -> tuple[Fraction, ...]:
-        return tuple(Fraction(x, s) for x in row)
-
+    s, f, g, kf, p, q, k_trial, cs, shifted = _trial_table(ground, trials, seed, normalized)
+    start = 0
     if isinstance(target, Term):
-        u, d = compile_term(target)
+        kernel, d = compile_term(target)
     else:
-
-        def u(row: Sequence[int]) -> Fraction:
-            v = target(PointFunction(ground, function(row)))
-            return (v if type(v) is Fraction else Fraction(v)) * s
-
-        d = 1
-    unit, one = s * d, (s,) * ground.n
-
-    def value(v) -> Fraction:
-        return Fraction(v, unit)
-
+        kernel, d = partial(_OracleColumn, target, ground, s), 1
+    unit, one = s * d, [(s,)] * ground.n
     try:
-        if normalized and u(one) != unit:
-            return Check(False, "normalization", {"f": function(one), "u(f)": value(u(one))})
-        for row in rows:
-            uf = u(row.f)
-            if uf > u(row.g):
-                witness = {"f": function(row.f), "g": function(row.g), "u(f)": value(uf), "u(g)": value(u(row.g))}
+        if normalized and kernel(one)[0] != unit:
+            return Check(False, "normalization", {"f": _row(one, 0, s), "u(f)": Fraction(kernel(one)[0], unit)})
+        uf, ug, ukf, ush = map(kernel, (f, g, kf, shifted))
+        if isinstance(target, Term):
+            start = min(
+                next(compress(count(), map(gt, uf, ug)), trials),
+                next(compress(k_trial, map(ne, map(mul, ukf, q), map(mul, p, map(uf.__getitem__, k_trial)))), trials),
+                next(compress(count(), map(ne, ush, map(add, uf, map(mul, cs, repeat(d))))), trials),
+            )
+        # a witness reads u(g), u(kf) or u(f+c) again: an oracle is called
+        # once more for it
+        for i in range(start, trials):
+            vf = uf[i]
+            if vf > ug[i]:
+                witness = {"f": _row(f, i, s), "g": _row(g, i, s), "u(f)": Fraction(vf, unit), "u(g)": Fraction(ug[i], unit)}
                 return Check(False, "monotonicity", witness)
-            for p, q, kf in row.scaled:
-                if u(kf) * q != p * uf:
-                    k = Fraction(p, q)
-                    witness = {"f": function(row.f), "k": k, "u(kf)": value(u(kf)), "k*u(f)": k * value(uf)}
+            for j in range(bisect_left(k_trial, i), bisect_right(k_trial, i)):
+                if ukf[j] * q[j] != p[j] * vf:
+                    k = Fraction(p[j], q[j])
+                    witness = {"f": _row(f, i, s), "k": k, "u(kf)": Fraction(ukf[j], unit), "k*u(f)": k * Fraction(vf, unit)}
                     return Check(False, "homogeneity", witness)
-            if u(row.shifted) != uf + row.c * d:
-                c = Fraction(row.c, s)
-                witness = {"f": function(row.f), "c": c, "u(f+c)": value(u(row.shifted)), "u(f)+c": value(uf) + c}
+            if ush[i] != vf + cs[i] * d:
+                c = Fraction(cs[i], s)
+                witness = {"f": _row(f, i, s), "c": c, "u(f+c)": Fraction(ush[i], unit), "u(f)+c": Fraction(vf, unit) + c}
                 return Check(False, "weak additivity", witness)
     except Exception as exc:  # oracle blew up: report, don't propagate
         return Check(False, "error", {"exception": repr(exc)})
@@ -433,7 +472,7 @@ def support(term: Term) -> int:
     ground = term.ground
     grid = list(_grid(ground, range(3)))  # support_grid at scale 1
     kernel, _ = compile_term(term)
-    evals = [kernel(f) for f in grid]
+    evals = kernel(list(zip(*grid)))  # the grid as n columns
     for h in sorted(range(ground.full + 1), key=canonical_key):
         groups: dict[tuple, int] = {}
         ok = True
@@ -502,7 +541,7 @@ def s_preimage(pm: PointMap, nu: Term) -> Term:
 # One-step extension of a partial functional
 
 
-def _concave_sup(gamma: int, pieces: list[tuple[int, int]]) -> tuple[int, int] | None:
+def _concave_sup(gamma: int, pieces: Iterable[tuple[int, int]]) -> tuple[int, int] | None:
     """sup over t of gamma*t + min_i(a_i*t + b_i) as (num, den) with den > 0; None means unbounded.
 
     With c_i = a_i + gamma this is the linear program: maximize s subject
@@ -566,13 +605,8 @@ class GeneratedSubspace(Value, namedtuple("GeneratedSubspace", "ground generator
         # Monotonicity across orbits: k*b_i + c <= k'*b_j + c' must imply
         # k*v_i + c <= k'*v_j + c', that is, each value lies in the interval
         # the other generators (itself included) admit for its generator.
-        for b, v in generators:
-            try:
-                lower, upper = admissible_interval(generators, b)
-                consistent = lower <= v <= upper
-            except InputError:  # an unbounded or empty envelope
-                consistent = False
-            if not consistent:
+        for (_, v), bounds in zip(generators, _intervals(generators, [b.values for b, _ in generators])):
+            if bounds is None or not bounds[0] <= v <= bounds[1]:
                 raise InputError("generator values admit no monotone extension")
 
     def contains(self, f: PointFunction) -> bool:
@@ -597,6 +631,28 @@ class GeneratedSubspace(Value, namedtuple("GeneratedSubspace", "ground generator
         return GeneratedSubspace(self.ground, self.generators + ((phi0, Fraction(p)),))
 
 
+def _intervals(generators: Sequence, functions: list) -> Iterator[tuple[Fraction, Fraction] | None]:
+    """The lower and upper envelope of each function, or None where one is
+    unbounded, with all the data scaled to integers by one common S."""
+    rows = [(*b.values, Fraction(v)) for b, v in generators]
+    s = _common_scale([*rows, *functions])
+    gens = list(map(_scaled, rows, repeat(s)))
+    for p in map(_scaled, functions, repeat(s)):
+        lower, upper = (min(p), 1), (max(p), 1)
+        for *bs, vs in gens:
+            lo = _concave_sup(vs, zip(map(neg, bs), p))
+            hi = _concave_sup(-vs, zip(bs, map(neg, p)))
+            if lo is None or hi is None:
+                yield None
+                break
+            if lo[0] * lower[1] > lower[0] * lo[1]:
+                lower = lo
+            if -hi[0] * upper[1] < upper[0] * hi[1]:
+                upper = (-hi[0], hi[1])
+        else:
+            yield Fraction(lower[0], lower[1] * s), Fraction(upper[0], upper[1] * s)
+
+
 def admissible_interval(
     generators: Sequence[tuple[PointFunction, Fraction]], phi0: PointFunction
 ) -> tuple[Fraction, Fraction]:
@@ -610,24 +666,12 @@ def admissible_interval(
     are kept as (num, den) over one common denominator S of all the data
     until the interval is returned.
     """
-    gens = [(b.values, Fraction(v)) for b, v in generators]
-    s = _common_scale([phi0.values, *((*b, v) for b, v in gens)])
-    p = _scaled(phi0.values, s)
-    lower, upper = (min(p), 1), (max(p), 1)
-    for b, v in gens:
-        bs, vs = _scaled(b, s), v.numerator * (s // v.denominator)
-        lo = _concave_sup(vs, [(-bx, px) for bx, px in zip(bs, p)])
-        hi = _concave_sup(-vs, [(bx, -px) for bx, px in zip(bs, p)])
-        if lo is None or hi is None:
-            raise InputError("unbounded envelope; generator values are inconsistent")
-        if lo[0] * lower[1] > lower[0] * lo[1]:
-            lower = lo
-        if -hi[0] * upper[1] < upper[0] * hi[1]:
-            upper = (-hi[0], hi[1])
-    lo_f, hi_f = Fraction(lower[0], lower[1] * s), Fraction(upper[0], upper[1] * s)
-    if lo_f > hi_f:
-        raise InputError(f"empty admissible interval ({_exact(lo_f)}, {_exact(hi_f)})")
-    return lo_f, hi_f
+    (bounds,) = _intervals(generators, [phi0.values])
+    if bounds is None:
+        raise InputError("unbounded envelope; generator values are inconsistent")
+    if bounds[0] > bounds[1]:
+        raise InputError(f"empty admissible interval ({_exact(bounds[0])}, {_exact(bounds[1])})")
+    return bounds
 
 
 def extend_one(

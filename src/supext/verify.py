@@ -102,9 +102,9 @@ def suite_counts(n: int, workers: int = 1, **_: int) -> dict:
 
 # The zoo holds a MaxMin term per maximal linked system, and the axioms
 # suite checks each term with its trials.  Measured on 2 vCPU, Python 3.11,
-# with 500 trials: n=6 took 18.6 to 29.3 s for its 2,726 terms (six runs),
-# 7 to 11 ms a term, so the 1,422,564 systems at n=7 would take 2.7 to 4.3 h
-# (extrapolated, not run).
+# with 500 trials: n=6 took 5.6 to 6.2 s for its 2,726 terms (three runs),
+# about 2 ms a term, so the 1,422,564 systems at n=7, each with more members,
+# would take an hour or more (extrapolated, not run).
 MAX_ZOO_N = 6
 
 

@@ -8,6 +8,7 @@ so it shares no code path with the implementations under test.
 from __future__ import annotations
 
 import functools
+import random
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -253,6 +254,49 @@ def evaluate_obj(obj: dict, values: list[Fraction]) -> Fraction:
     if tag == "precompose":
         return evaluate_obj(obj["inner"], [values[y] for y in obj["map"]])
     raise ValueError(f"unknown term tag {tag!r}")
+
+
+def axiom_check_rows(
+    obj: dict, n: int, trials: int, seed: int, normalized: bool
+) -> tuple[bool, str | None, dict | None]:
+    """The seeded axiom check of a term in its JSON form, as (ok, axiom,
+    witness), written as the plain row loop in Fractions.
+
+    Each trial draws f, a nonnegative increment for g = f + inc, a scalar k
+    unless normalized (trial 0 also checks k = 0 and k = -1) and a constant
+    c, in that order, each value a/b from ``random.Random(seed).randint``;
+    the term is evaluated by ``evaluate_obj``.  The first trial to break an
+    axiom decides, and within it monotonicity, then homogeneity for each k
+    in order, then weak additivity.
+    """
+    rng = random.Random(seed)
+
+    def draw(lo: int = -32, hi: int = 32, den: int = 16) -> Fraction:
+        a = rng.randint(lo, hi)
+        return Fraction(a, rng.randint(1, den))
+
+    def u(values) -> Fraction:
+        return evaluate_obj(obj, list(values))
+
+    one = (Fraction(1),) * n
+    if normalized and u(one) != 1:
+        return False, "normalization", {"f": one, "u(f)": u(one)}
+    for trial in range(trials):
+        f = tuple(draw() for _ in range(n))
+        g = tuple(a + abs(draw()) for a in f)
+        ks = [] if normalized else [draw(-8, 8, 4)] + [Fraction(0), Fraction(-1)] * (trial == 0)
+        c = draw(-8, 8, 4)
+        uf, ug = u(f), u(g)
+        if uf > ug:
+            return False, "monotonicity", {"f": f, "g": g, "u(f)": uf, "u(g)": ug}
+        for k in ks:
+            ukf = u(k * v for v in f)
+            if ukf != k * uf:
+                return False, "homogeneity", {"f": f, "k": k, "u(kf)": ukf, "k*u(f)": k * uf}
+        ushift = u(v + c for v in f)
+        if ushift != uf + c:
+            return False, "weak additivity", {"f": f, "c": c, "u(f+c)": ushift, "u(f)+c": uf + c}
+    return True, None, None
 
 
 def generators_consistent(gens: list[tuple[list[Fraction], Fraction]]) -> bool:

@@ -587,6 +587,21 @@ class TestExitContract:
         assert proc.returncode == 2 and proc.stdout == ""
         assert proc.stderr == "supext: input error: out of memory\n"
 
+    def test_internal_error(self):
+        """An exception that is no input error is a fault of the program: exit
+        2 with one line and no traceback, never 1, which means a witness."""
+        script = (
+            "import sys\n"
+            "from supext import cli\n"
+            "def fault(args):\n"
+            "    raise RuntimeError('no such case')\n"
+            "cli.cmd_verify = fault\n"
+            "sys.exit(cli.main(['verify', '--suite', 'counts', '--n', '3']))\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=_CHILD_ENV, timeout=60)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr == "supext: internal error: RuntimeError: no such case\n"
+
     @pytest.mark.parametrize(
         "command",
         [

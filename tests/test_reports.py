@@ -97,6 +97,8 @@ CASES = [
     ("verify --suite subbase-lambda --n 3", 0, "fe1b7ec8085e8b9e07ee0ccd2703cf3a7a0e42d3a7a5385ae93242422e728bc9"),
     ("verify --suite subbase-lambda --n 4", 0, "bb9266b5b9524e194a1c549640a3792c174fee48a6224d7e974c6149a3aa4eba"),
     ("verify --suite axioms --n 3 --seed 7", 0, "028a80b968a50f8f0ea5f265602b9b838eaf2bb24c95143bdac000098e344123"),
+    ("verify --suite axioms --n 4", 0, "13151e1ca537e93f37aa91def1ab36b3dd5fee041e35d11d03c9beb30b5cf03e"),
+    ("verify --suite axioms --n 5", 0, "81fb039f79a0fdea758cd14d5acb7fae297588b80c04d72fc5e6a94dc63f8de2"),
     ("verify --suite usco-roundtrip", 0, "157d0136ac2fc6e175f7fe3ea7b8eefb2015b2b7d0f052bc6f437e77f52ef309"),
     # interval [-23/99, 1/2]
     ("extend --generators {dir}/gens.json --phi=-2,1/3,5/2,0 --choose lower", 0,
