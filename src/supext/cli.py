@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING
 from . import parallel, verify
 from .errors import InputError, _exact, hex_mask, hex_masks, parse_rational
 from .setkit import GroundSet
-from .superext import enumerate_mls
+from .superext import enumerate_mls, mls_words
 
 if TYPE_CHECKING:
     from collections.abc import Callable
@@ -150,7 +150,10 @@ def _listing_report(args: argparse.Namespace, families: tuple) -> dict:
 
 
 def cmd_enumerate(args: argparse.Namespace) -> dict:
-    return _listing_report(args, enumerate_mls(GroundSet(args.n), workers=args.workers))
+    ground = GroundSet(args.n)
+    if args.count_only:  # the kernel's words, with no readout, sort or objects
+        return {"n": args.n, "count": len(mls_words(ground, workers=args.workers))}
+    return _listing_report(args, enumerate_mls(ground, workers=args.workers))
 
 
 def cmd_ghyper(args: argparse.Namespace) -> dict:

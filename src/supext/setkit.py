@@ -261,18 +261,25 @@ def is_self_dual_upclosed(fam: int, n: int) -> bool:
     return not fam & 1 and not _covered(fam, n) & ~fam and fam ^ _complements(fam, n) == (1 << (1 << n)) - 1
 
 
-def _plus_columns(minimals: Iterable[tuple[int, ...]], n: int) -> list[int]:
+def _word_columns(words: Sequence[int], n: int) -> list[int]:
     """Column f, for every subset f of an n-point ground: the bitset over a
-    nonempty carrier of antichains with bit i set iff family i contains f.
+    nonempty carrier of up-closed families, given as family bitsets, with
+    bit i set iff family i contains f.
 
-    One row per family, last family first: its up-closure as 2^n binary
-    digits, subset f at digit 2^n - 1 - f.  The digits of subset f, one per
-    row, read as a binary number, are then column f; in the rows joined
-    into one string they lie ``size`` apart from digit 2^n - 1 - f on.
+    One row per family, last family first: its word as 2^n binary digits,
+    subset f at digit 2^n - 1 - f.  The digits of subset f, one per row,
+    read as a binary number, are then column f; in the rows joined into
+    one string they lie ``size`` apart from digit 2^n - 1 - f on.
     """
     size = 1 << n
-    rows = "".join([format(up_closure(m, n), f"0{size}b") for m in minimals][::-1])
+    rows = "".join([format(word, f"0{size}b") for word in words][::-1])
     return [int(rows[size - 1 - f :: size], 2) for f in range(size)]
+
+
+def _plus_columns(minimals: Iterable[tuple[int, ...]], n: int) -> list[int]:
+    """``_word_columns`` of the up-closures of nonempty antichains, each given
+    by its minimal members."""
+    return _word_columns([up_closure(m, n) for m in minimals], n)
 
 
 @functools.lru_cache(maxsize=256)

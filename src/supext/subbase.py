@@ -80,17 +80,24 @@ def is_binary(sb: Subbase) -> Check:
             return None if common else r
         # the pivot: the vertex of p | x with most neighbours in p, the first on a tie
         pivot, most = 0, -1
-        for u in bits(p | x):
+        rest = p | x
+        while rest:
+            low = rest & -rest
+            u = low.bit_length() - 1
             k = (adj[u] & p).bit_count()
             if k > most:
                 pivot, most = u, k
-        for v in bits(p & ~adj[pivot]):
-            vb = 1 << v
+            rest ^= low
+        rest = p & ~adj[pivot]
+        while rest:
+            vb = rest & -rest
+            v = vb.bit_length() - 1
             found = first_empty(r | vb, p & adj[v], x & adj[v], common & uniq[v])
             if found is not None:
                 return found
-            p &= ~vb
+            p ^= vb
             x |= vb
+            rest ^= vb
         return None
 
     clique = first_empty(0, (1 << len(uniq)) - 1, 0, sb.full)

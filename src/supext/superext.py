@@ -89,17 +89,27 @@ def _backtrack(n: int, fam: int, depth: int, stop: int) -> Iterator[int]:
         yield fam
 
 
-def _enum_subtree(args: tuple[int, int, int]) -> list[tuple[int, ...]]:
-    """Worker: the minimal members of every system below a family bitset whose
-    pair sides are chosen up to ``depth``, in the order the tree yields them.
+def _subtree_words(args: tuple[int, int, int]) -> list[int]:
+    """Worker: every leaf below a family bitset whose pair sides are chosen up
+    to ``depth``, in the order the tree yields them.
 
     A leaf holds one side of every complementary pair and is linked, so it is
-    maximal linked, hence up-closed; the tests check every leaf for n <= 7.
-    Its minimal members are the members not one point above another member.
-    The result is a list: the benchmark reads a list's length as its leaves.
+    maximal linked, hence up-closed: it is its system's up-closure word; the
+    tests check every leaf for n <= 7.  The result is a list: the benchmark
+    reads a list's length as its leaves.
     """
     n, fam, depth = args
-    return [_canonical(leaf & ~_covered(leaf, n), n) for leaf in _backtrack(n, fam, depth, len(_pair_order(n)))]
+    return list(_backtrack(n, fam, depth, len(_pair_order(n))))
+
+
+def _enum_subtree(args: tuple[int, int, int]) -> list[tuple[int, ...]]:
+    """Worker: the minimal members of every leaf of ``_subtree_words``, in its order.
+
+    In an up-closed family the minimal members are the members not one
+    point above another member.
+    """
+    n = args[0]
+    return [_canonical(leaf & ~_covered(leaf, n), n) for leaf in _subtree_words(args)]
 
 
 # A two-process pool costs more than the work it shares below this n.
@@ -107,7 +117,8 @@ def _enum_subtree(args: tuple[int, int, int]) -> list[tuple[int, ...]]:
 # enumeration took 15-16 ms through a pool at split depths 2 to 14 and
 # 10 ms serially; the eq1 suite took 17 ms with its enumeration pooled and
 # 11 ms serially.  A process's first pool costs about 5-7 ms to import,
-# fork and reap before any work.
+# fork and reap before any work.  So the eq1 and counts suites enumerate
+# serially below it, whatever their worker count.
 _POOL_FROM_N = 7
 
 
@@ -122,6 +133,27 @@ def _split_depth(n: int) -> int:
     return min(36 if n >= _POOL_FROM_N else 2, len(_pair_order(n)))
 
 
+def _split(ground: GroundSet) -> list[tuple[int, int, int]]:
+    """The subtrees the enumeration is cut into, as ``(n, family, depth)`` items
+    in tree order, so that their leaves in item order are the tree's."""
+    n = ground.n
+    if n > MAX_N:
+        raise TooLarge(f"enumeration capped at n <= {MAX_N}")
+    root = 1 << ground.full  # the family {full set}; no pair holds it
+    depth = _split_depth(n)
+    return [(n, fam, depth) for fam in _backtrack(n, root, 0, depth)]
+
+
+def mls_words(ground: GroundSet, workers: int = 1) -> list[int]:
+    """The up-closure word of every maximal linked system on the ground set,
+    a family bitset, in the order of the backtracking tree.
+
+    The subtrees of ``_split`` run as in ``enumerate_mls``; nothing is read
+    out or sorted, so counting the systems costs only the walk.
+    """
+    return list(chain.from_iterable(parallel.map_chunks(_subtree_words, _split(ground), workers)))
+
+
 def enumerate_mls(ground: GroundSet, workers: int = 1) -> tuple[MaxLinkedSystem, ...]:
     """Every maximal linked system on the ground set, canonically ordered:
     the superextension of a finite discrete space.
@@ -131,13 +163,7 @@ def enumerate_mls(ground: GroundSet, workers: int = 1) -> tuple[MaxLinkedSystem,
     more than one; the canonical sort makes the output identical regardless
     of scheduling.
     """
-    n = ground.n
-    if n > MAX_N:
-        raise TooLarge(f"enumeration capped at n <= {MAX_N}")
-    root = 1 << ground.full  # the family {full set}; no pair holds it
-    depth = _split_depth(n)
-    items = [(n, fam, depth) for fam in _backtrack(n, root, 0, depth)]
-    minimals = sorted(chain.from_iterable(parallel.map_chunks(_enum_subtree, items, workers)))
+    minimals = sorted(chain.from_iterable(parallel.map_chunks(_enum_subtree, _split(ground), workers)))
     return _trusted(MaxLinkedSystem, ground, minimals)
 
 

@@ -13,8 +13,8 @@ import itertools
 from typing import TYPE_CHECKING, Iterable
 
 from .errors import InputError, TooLarge, hex_masks
-from .setkit import GroundSet, PointMap, _disjoint, _plus_columns, _supersets
-from .superext import EXPECTED_MLS_COUNTS, _POOL_FROM_N, enumerate_mls, lambda_map, lambda_map_image
+from .setkit import GroundSet, PointMap, _canonical, _covered, _disjoint, _supersets, _word_columns
+from .superext import EXPECTED_MLS_COUNTS, _POOL_FROM_N, enumerate_mls, lambda_map, lambda_map_image, mls_words
 
 # Only the modules the counts and eq1 suites use are imported here; every
 # other suite imports its modules itself, so a census job never loads
@@ -34,6 +34,12 @@ ANCHORS = {
 }
 
 EQ1_GRID = (-1, 0, 1, 2)
+
+
+def _enum_workers(n: int, workers: int) -> int:
+    """The workers a suite enumerates with: one below ``_POOL_FROM_N``,
+    where a pool costs more than the work it shares."""
+    return workers if n >= _POOL_FROM_N else 1
 
 
 def _eq1_failures(n: int, antichains: Iterable[tuple[int, ...]]) -> list[dict]:
@@ -77,9 +83,7 @@ def suite_eq1(n: int, workers: int = 1, **_: int) -> dict:
     # The eq1 kernel always runs in this process; below the pool threshold
     # the enumeration it checks does too, whatever the worker count, so that
     # `verify --suite eq1 --n 5 --workers 2` starts no pool.
-    if n < _POOL_FROM_N:
-        workers = 1
-    lam = enumerate_mls(GroundSet(n), workers=workers)
+    lam = enumerate_mls(GroundSet(n), workers=_enum_workers(n, workers))
     failures = _eq1_failures(n, (eta.minimal for eta in lam))
     failures.sort(key=lambda d: (d["system"], d["f"]))
     return {"checks_run": len(EQ1_GRID) ** n * len(lam), "failures": failures}
@@ -87,7 +91,7 @@ def suite_eq1(n: int, workers: int = 1, **_: int) -> dict:
 
 def suite_counts(n: int, workers: int = 1, **_: int) -> dict:
     expected = EXPECTED_MLS_COUNTS.get(n)
-    actual = len(enumerate_mls(GroundSet(n), workers=workers))
+    actual = len(mls_words(GroundSet(n), workers=_enum_workers(n, workers)))
     failures = []
     if expected is not None and actual != expected:
         failures.append({"expected": expected, "actual": actual})
@@ -219,7 +223,12 @@ def suite_functor_laws(n: int, workers: int = 1, **_: int) -> dict:
 
 
 def lambda_plus_subbase(n: int, workers: int = 1) -> Subbase:
-    """The subbase {F-plus} over the superextension carrier."""
+    """The subbase {F-plus} over the superextension carrier.
+
+    The carrier lists the systems in ``enumerate_mls`` order: each kernel
+    word, the system's up-closure, is sorted by its minimal members, and
+    the words themselves are transposed into the members.
+    """
     from .subbase import Subbase, check_carrier
 
     if n in EXPECTED_MLS_COUNTS:
@@ -227,10 +236,10 @@ def lambda_plus_subbase(n: int, workers: int = 1) -> Subbase:
         # before enumerating it
         check_carrier(EXPECTED_MLS_COUNTS[n])
     ground = GroundSet(n)
-    lam = enumerate_mls(ground, workers=workers)
-    plus = _plus_columns((eta.minimal for eta in lam), n)
+    words = sorted(mls_words(ground, workers=workers), key=lambda w: _canonical(w & ~_covered(w, n), n))
+    plus = _word_columns(words, n)
     members = [plus[f] for f in ground.nonempty_subsets()]
-    return Subbase(len(lam), tuple(m for m in members if m))
+    return Subbase(len(words), tuple(m for m in members if m))
 
 
 def suite_subbase_lambda(n: int, workers: int = 1, **_: int) -> dict:

@@ -458,6 +458,41 @@ def subbase_binary_literal(members: tuple[int, ...]) -> bool:
     return True
 
 
+def is_binary_pivot(members: tuple[int, ...], full: int) -> tuple[bool, str | None, tuple[int, ...] | None]:
+    """The reference for ``subbase.is_binary``, as (ok, axiom, witness): the
+    same Bron-Kerbosch scan with the same pivot rule, tie-break and branch
+    order, written with plain lists of bit positions."""
+    uniq = sorted(set(members))
+    adj = [0] * len(uniq)
+    for i, a in enumerate(uniq):
+        for j in range(i + 1, len(uniq)):
+            if a & uniq[j]:
+                adj[i] |= 1 << j
+                adj[j] |= 1 << i
+
+    def first_empty(r: int, p: int, x: int, common: int) -> int | None:
+        if not p and not x:
+            return None if common else r
+        pivot, most = 0, -1
+        for u in points(p | x):
+            k = popcount(adj[u] & p)
+            if k > most:
+                pivot, most = u, k
+        for v in points(p & ~adj[pivot]):
+            vb = 1 << v
+            found = first_empty(r | vb, p & adj[v], x & adj[v], common & uniq[v])
+            if found is not None:
+                return found
+            p &= ~vb
+            x |= vb
+        return None
+
+    clique = first_empty(0, (1 << len(uniq)) - 1, 0, full)
+    if clique is None:
+        return (True, None, None)
+    return (False, "binary", tuple(uniq[i] for i in points(clique)))
+
+
 def subbase_normal_literal(members: tuple[int, ...], full: int) -> tuple[int, int] | None:
     """The first disjoint pair (S0, S1), in member order, that no pair
     (T0, T1) with S0 & T1 = 0 = T0 & S1 and T0 | T1 = carrier screens,

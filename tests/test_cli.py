@@ -574,18 +574,20 @@ class TestExitContract:
         proc.communicate(timeout=60)
         assert proc.returncode == -signal.SIGTERM
 
-    def test_out_of_memory(self):
+    def test_out_of_memory(self, tmp_path):
         """Running out of memory is an input error with one line, not exit 1
-        with a traceback.  enumerate --n 7 --count-only peaks at about 352 MB
-        of RSS; under 120 MB of address space it runs out after about 3 s."""
+        with a traceback.  enumerate --n 7 --out FILE holds every system
+        before it writes, about 352 MB of RSS; under 120 MB of address space
+        it runs out before the file is opened."""
         limit = 120 << 20
         proc = subprocess.run(
-            [sys.executable, "-m", "supext.cli", "enumerate", "--n", "7", "--count-only"],
+            [sys.executable, "-m", "supext.cli", "enumerate", "--n", "7", "--out", str(tmp_path / "lam7.json")],
             capture_output=True, text=True, env=_CHILD_ENV, timeout=120,
             preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
         )
         assert proc.returncode == 2 and proc.stdout == ""
         assert proc.stderr == "supext: input error: out of memory\n"
+        assert not (tmp_path / "lam7.json").exists()
 
     def test_internal_error(self):
         """An exception that is no input error is a fault of the program: exit

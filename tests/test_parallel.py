@@ -1,10 +1,11 @@
 """parallel.map_chunks with a real process pool against the serial sweep.
 
 The library starts a pool only to split an enumeration, with workers > 1
-at any n (for the eq1 suite only from n = 7); the eq1 kernel always runs
-in the calling process.  The pool forks its workers: a worker's error is
-raised by the caller's own call, a worker that dies loses no item, no
-child outlives a call, and a worker flushes none of the caller's output.
+at any n (for the eq1 and counts suites only from n = 7); the eq1 kernel
+always runs in the calling process.  The pool forks its workers: a
+worker's error is raised by the caller's own call, a worker that dies
+loses no item, no child outlives a call, and a worker flushes none of
+the caller's output.
 """
 
 from __future__ import annotations
@@ -56,6 +57,27 @@ def test_eq1_never_pools_its_kernel(monkeypatch):
     report = verify.suite_eq1(5, workers=2)
     assert pooled == [superext._enum_subtree]
     assert report == verify.suite_eq1(5, workers=1)
+
+
+def test_counts_never_pools_below_the_threshold(monkeypatch):
+    """`verify --suite counts --n 6 --workers 2` counts the kernel's words in
+    this process; from the pool threshold on, their subtrees go to the pool.
+    The report is the serial one either way."""
+    pooled = []
+    real = parallel.map_chunks
+
+    def recording(fn, items, workers):
+        pooled.append((fn, workers))
+        return real(fn, items, workers)
+
+    monkeypatch.setattr(parallel, "map_chunks", recording)
+    report = verify.run_verify_suite("counts", 6, workers=2)
+    assert pooled == [(superext._subtree_words, 1)]
+    assert report == verify.run_verify_suite("counts", 6, workers=1)
+    pooled.clear()
+    monkeypatch.setattr(verify, "_POOL_FROM_N", 5)
+    assert verify.suite_counts(5, workers=2) == verify.suite_counts(5, workers=1)
+    assert pooled == [(superext._subtree_words, 2), (superext._subtree_words, 1)]
 
 
 _CALLER = os.getpid()

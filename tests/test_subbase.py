@@ -118,6 +118,18 @@ class TestAgainstOracles:
             assert common == 0
             assert all(any(not m & a for a in w) for m in set(sb.members) - set(w))
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(subbases(), subbases(max_carrier=12, max_members=40)))
+    def test_binary_check_equals_the_reference_scan(self, sb):
+        """Verdict, axiom and witness all equal the reference scan's, which
+        takes the same pivot, tie-break and branch order."""
+        assert tuple(is_binary(sb)) == oracles.is_binary_pivot(sb.members, sb.full)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_binary_check_on_the_plus_subbase_equals_the_reference_scan(self, n):
+        sb = lambda_plus_subbase(n)
+        assert tuple(is_binary(sb)) == oracles.is_binary_pivot(sb.members, sb.full) == (True, None, None)
+
     @settings(max_examples=400, deadline=None)
     @given(subbases())
     def test_normal(self, sb):

@@ -119,6 +119,37 @@ class TestEnumerate:
             assert [s.minimal for s in enumerate_mls(GroundSet(5), workers=w)] == base
 
 
+class TestWords:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_each_word_is_one_systems_up_closure(self, n):
+        """Every word is the up-closure of a maximal linked system, by the
+        definitions, no two words are equal, and there are as many as
+        systems: the brute-force scan's up to n = 4, the antichain oracle's
+        at n = 5 and A001206's count at n = 6."""
+        words = superext.mls_words(GroundSet(n))
+        assert type(words) is list and len(set(words)) == len(words) == EXPECTED_MLS_COUNTS[n]
+        families = {frozenset(bits(word)) for word in words}
+        assert all(oracles.is_up_closed(fam, n) and oracles.is_maximal_linked(fam, n) for fam in families)
+        if n <= 4:
+            assert families == set(oracles.scan_maximal_linked(n))
+        elif n == 5:
+            assert {oracles.minimal_of(fam) for fam in families} == set(oracles.antichain_maximal_linked(5))
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_words_come_in_kernel_order(self, workers):
+        n = 5
+        root = 1 << GroundSet(n).full
+        leaves = list(superext._backtrack(n, root, 0, len(superext._pair_order(n))))
+        assert superext.mls_words(GroundSet(n), workers=workers) == leaves
+
+    def test_n7_count(self):
+        assert len(superext.mls_words(GroundSet(7), workers=2)) == 1_422_564
+
+    def test_cap(self):
+        with pytest.raises(TooLarge, match="enumeration capped at n <= 7"):
+            superext.mls_words(GroundSet(8))
+
+
 class TestKernel:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_split_covers_each_leaf_once(self, n):

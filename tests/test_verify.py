@@ -101,8 +101,8 @@ def test_lambda_plus_subbase_refuses_a_large_carrier_before_the_table(monkeypatc
     before that is found."""
     calls = []
     monkeypatch.setattr(subbase, "MAX_CARRIER", 80)
-    monkeypatch.setattr(verify, "_plus_columns", lambda *a: calls.append(("_plus_columns", a)))
-    monkeypatch.setattr(verify, "enumerate_mls", lambda *a, **k: calls.append(("enumerate_mls", a)))
+    monkeypatch.setattr(verify, "_word_columns", lambda *a: calls.append(("_word_columns", a)))
+    monkeypatch.setattr(verify, "mls_words", lambda *a, **k: calls.append(("mls_words", a)))
     with pytest.raises(TooLarge, match="carrier size 81 exceeds 80"):
         lambda_plus_subbase(5)
     assert calls == []
